@@ -93,7 +93,6 @@ SampleSeries::add(double x)
     stats_.add(x);
     if (samples_.size() < capacity_) {
         samples_.push_back(x);
-        sorted_ = false;
         return;
     }
     // Reservoir: keep each of the N offered samples with equal
@@ -102,36 +101,39 @@ SampleSeries::add(double x)
     rngState_ ^= rngState_ >> 7;
     rngState_ ^= rngState_ << 17;
     const std::size_t slot = rngState_ % stats_.count();
-    if (slot < capacity_) {
+    if (slot < capacity_)
         samples_[slot] = x;
-        sorted_ = false;
-    }
 }
 
-void
-SampleSeries::ensureSorted() const
+std::vector<double>
+SampleSeries::sortedSamples() const
 {
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
+    std::vector<double> sorted = samples_;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
 }
 
 double
-SampleSeries::quantile(double q) const
+SampleSeries::quantileOf(const std::vector<double> &sorted,
+                         double q) const
 {
-    if (samples_.empty())
+    if (sorted.empty())
         return 0.0;
     if (q <= 0.0)
         return stats_.min();
     if (q >= 1.0)
         return stats_.max();
-    ensureSorted();
-    const double pos = q * static_cast<double>(samples_.size() - 1);
+    const double pos = q * static_cast<double>(sorted.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+double
+SampleSeries::quantile(double q) const
+{
+    return quantileOf(sortedSamples(), q);
 }
 
 DistributionSummary
@@ -145,10 +147,11 @@ SampleSeries::summarize() const
     s.max = stats_.max();
     s.mean = stats_.mean();
     s.stddev = stats_.stddev();
-    s.q1 = quantile(0.25);
-    s.median = quantile(0.50);
-    s.q3 = quantile(0.75);
-    s.p99 = quantile(0.99);
+    const std::vector<double> sorted = sortedSamples();
+    s.q1 = quantileOf(sorted, 0.25);
+    s.median = quantileOf(sorted, 0.50);
+    s.q3 = quantileOf(sorted, 0.75);
+    s.p99 = quantileOf(sorted, 0.99);
     return s;
 }
 
@@ -178,7 +181,6 @@ SampleSeries::fromState(const RunningStats::State &stats,
                                            samples.size()));
     out.stats_ = RunningStats::fromState(stats);
     out.samples_ = std::move(samples);
-    out.sorted_ = false;
     return out;
 }
 
@@ -187,7 +189,6 @@ SampleSeries::reset()
 {
     stats_.reset();
     samples_.clear();
-    sorted_ = true;
 }
 
 std::string

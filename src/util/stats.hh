@@ -153,21 +153,29 @@ class SampleSeries
      */
     std::vector<std::size_t> histogram(std::size_t bins) const;
 
-    /** Retained (possibly subsampled) raw values. */
+    /**
+     * Retained (possibly subsampled) raw values in insertion order.
+     * Reads never reorder them: quantiles and summaries sort a copy,
+     * so what is serialized does not depend on what was read, and
+     * const reads from several threads do not race.
+     */
     const std::vector<double> &samples() const { return samples_; }
 
     /** Forget everything. */
     void reset();
 
   private:
-    /** Sorts the retained samples if new data arrived since last sort. */
-    void ensureSorted() const;
+    /** Ascending copy of the retained samples. */
+    std::vector<double> sortedSamples() const;
+
+    /** quantile() over an ascending copy from sortedSamples(). */
+    double quantileOf(const std::vector<double> &sorted,
+                      double q) const;
 
     std::size_t capacity_;
     std::uint64_t rngState_;
     RunningStats stats_;
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    std::vector<double> samples_;
 };
 
 /** Render a summary as a one-line human-readable string (ms units). */

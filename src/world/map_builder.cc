@@ -1,6 +1,9 @@
 #include "world/map_builder.hh"
 
+#include <vector>
+
 #include "pointcloud/voxel_grid.hh"
+#include "util/parallel.hh"
 #include "util/random.hh"
 
 namespace av::world {
@@ -9,21 +12,38 @@ pc::PointCloud
 MapBuilder::build(const Scenario &scenario, const LidarModel &lidar,
                   sim::Tick duration) const
 {
+    // Mapping poses first, serially, in tick order: the pose-noise
+    // stream is one RNG, so its draw order must not follow threads.
     util::Rng rng(config_.seed);
-    pc::PointCloud accumulated;
-
+    std::vector<sim::Tick> ticks;
+    std::vector<geom::Pose> poses;
     for (sim::Tick t = 0; t <= duration; t += config_.scanInterval) {
-        const pc::PointCloud scan = lidar.scan(scenario, t);
         geom::Pose2 pose = scenario.egoPoseAt(t);
         pose.p.x += rng.gaussian(0.0, config_.poseNoiseXy);
         pose.p.y += rng.gaussian(0.0, config_.poseNoiseXy);
         pose.yaw += rng.gaussian(0.0, config_.poseNoiseYaw);
-        const geom::Pose lifted = pose.lift(0.0);
-        for (const pc::Point &p : scan.points) {
-            const geom::Vec3 w = lifted.apply(p.vec());
-            accumulated.push_back(
-                pc::Point::fromVec(w, p.intensity, p.ring));
-        }
+        ticks.push_back(t);
+        poses.push_back(pose.lift(0.0));
+    }
+
+    // Each keyframe's scan seeds its own noise from its tick, so the
+    // scans are independent and land in their own slots.
+    std::vector<pc::PointCloud> placed(ticks.size());
+    util::parallelFor(ticks.size(), [&](std::size_t i) {
+        placed[i] = lidar.scan(scenario, ticks[i]);
+        pc::transformInPlace(placed[i], poses[i]);
+    });
+
+    std::size_t total = 0;
+    for (const pc::PointCloud &scan : placed)
+        total += scan.size();
+    pc::PointCloud accumulated;
+    accumulated.reserve(total);
+    for (pc::PointCloud &scan : placed) {
+        accumulated.points.insert(accumulated.points.end(),
+                                  scan.points.begin(),
+                                  scan.points.end());
+        scan = pc::PointCloud();
     }
     return pc::voxelGridDownsample(accumulated, config_.voxelLeaf);
 }

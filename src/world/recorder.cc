@@ -1,5 +1,9 @@
 #include "world/recorder.hh"
 
+#include <vector>
+
+#include "util/parallel.hh"
+
 namespace av::world {
 
 namespace {
@@ -33,10 +37,20 @@ recordDrive(const Scenario &scenario, const LidarModel &lidar,
     auto &fixes = out.channel<GnssFix>(topics::gnss);
     auto &imus = out.channel<ImuSample>(topics::imu);
 
-    for (sim::Tick t = 0; t <= duration; t += config.lidarPeriod) {
-        pc::PointCloud cloud = lidar.scan(scenario, t);
-        const std::size_t bytes = cloud.byteSize();
-        points.add(stamped(t, std::move(cloud), bytes, true, false));
+    // Scans are independent (each seeds its noise from its tick), so
+    // they are built in parallel into index slots and filed in tick
+    // order.
+    std::vector<sim::Tick> ticks;
+    for (sim::Tick t = 0; t <= duration; t += config.lidarPeriod)
+        ticks.push_back(t);
+    std::vector<pc::PointCloud> scans(ticks.size());
+    util::parallelFor(ticks.size(), [&](std::size_t i) {
+        scans[i] = lidar.scan(scenario, ticks[i]);
+    });
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+        const std::size_t bytes = scans[i].byteSize();
+        points.add(
+            stamped(ticks[i], std::move(scans[i]), bytes, true, false));
     }
     for (sim::Tick t = config.cameraPhase; t <= duration;
          t += config.cameraPeriod) {

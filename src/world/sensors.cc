@@ -7,6 +7,74 @@
 
 namespace av::world {
 
+namespace {
+
+/**
+ * Widening of each box's azimuth span, radians. One azimuth step is
+ * 2*pi/900 ~ 7e-3 rad; the margin only has to cover rounding in the
+ * span and in the slab test, which is ~1e-15 rad.
+ */
+constexpr double kAzimuthMargin = 1e-3;
+
+/**
+ * For every azimuth step of a scan from @p origin, the indices of the
+ * boxes in @p aabbs (ascending) whose footprint the ray's planar
+ * direction can reach. A box the origin stands inside, or whose
+ * widened span wraps the circle, lands in every bucket.
+ */
+std::vector<std::vector<std::uint32_t>>
+azimuthBuckets(const std::vector<geom::Aabb> &aabbs,
+               const geom::Vec2 &origin, double ego_yaw,
+               std::uint32_t steps)
+{
+    std::vector<std::vector<std::uint32_t>> buckets(steps);
+    const double step = 2.0 * M_PI / steps;
+    for (std::uint32_t c = 0; c < aabbs.size(); ++c) {
+        const geom::Aabb &box = aabbs[c];
+        const bool inside = origin.x >= box.lo.x &&
+                            origin.x <= box.hi.x &&
+                            origin.y >= box.lo.y && origin.y <= box.hi.y;
+        std::int64_t first = 0;
+        std::int64_t last = static_cast<std::int64_t>(steps);
+        if (!inside) {
+            // Outside a convex footprint every corner lies within
+            // half a turn of corner 0, so the offsets from it bound
+            // the span without wrapping.
+            const geom::Vec2 corners[4] = {{box.lo.x, box.lo.y},
+                                           {box.hi.x, box.lo.y},
+                                           {box.hi.x, box.hi.y},
+                                           {box.lo.x, box.hi.y}};
+            const double base = std::atan2(corners[0].y - origin.y,
+                                           corners[0].x - origin.x);
+            double lo = 0.0, hi = 0.0;
+            for (int i = 1; i < 4; ++i) {
+                const double off = geom::normalizeAngle(
+                    std::atan2(corners[i].y - origin.y,
+                               corners[i].x - origin.x) -
+                    base);
+                lo = std::min(lo, off);
+                hi = std::max(hi, off);
+            }
+            first = static_cast<std::int64_t>(std::ceil(
+                (base + lo - ego_yaw - kAzimuthMargin) / step));
+            last = static_cast<std::int64_t>(std::floor(
+                (base + hi - ego_yaw + kAzimuthMargin) / step));
+        }
+        if (last - first + 1 >= static_cast<std::int64_t>(steps)) {
+            for (auto &bucket : buckets)
+                bucket.push_back(c);
+            continue;
+        }
+        const auto n = static_cast<std::int64_t>(steps);
+        for (std::int64_t k = first; k <= last; ++k)
+            buckets[static_cast<std::size_t>(((k % n) + n) % n)]
+                .push_back(c);
+    }
+    return buckets;
+}
+
+} // namespace
+
 LidarModel::LidarModel(const LidarConfig &config, std::uint64_t seed)
     : config_(config), seed_(seed)
 {
@@ -49,25 +117,42 @@ LidarModel::scan(const Scenario &scenario, sim::Tick t,
         }
     }
 
+    // A ray can only hit boxes its planar direction reaches; the
+    // others would fail the slab test anyway, so skipping them leaves
+    // every hit, intensity and noise draw unchanged.
+    const std::vector<std::vector<std::uint32_t>> buckets =
+        azimuthBuckets(candidateAabbs, ego.p, ego.yaw,
+                       config_.azimuthSteps);
+
     pc::PointCloud cloud;
     cloud.stampNs = t;
     cloud.reserve(static_cast<std::size_t>(config_.beams) *
                   config_.azimuthSteps / 2);
 
     const double fov = config_.verticalFovDeg * M_PI / 180.0;
+    std::vector<double> beam_cos(config_.beams);
+    std::vector<double> beam_sin(config_.beams);
+    for (std::uint32_t beam = 0; beam < config_.beams; ++beam) {
+        const double elev =
+            -fov / 2.0 +
+            fov * beam / std::max<std::uint32_t>(config_.beams - 1, 1);
+        beam_cos[beam] = std::cos(elev);
+        beam_sin[beam] = std::sin(elev);
+    }
+    // Vehicle frame: Vec2::rotated(-ego.yaw), with its cos/sin hoisted.
+    const double back_c = std::cos(-ego.yaw);
+    const double back_s = std::sin(-ego.yaw);
+
     for (std::uint32_t az = 0; az < config_.azimuthSteps; ++az) {
         const double azimuth =
             2.0 * M_PI * az / config_.azimuthSteps;
         const double world_yaw = ego.yaw + azimuth;
         const double cy = std::cos(world_yaw);
         const double sy = std::sin(world_yaw);
+        const std::vector<std::uint32_t> &reachable = buckets[az];
         for (std::uint32_t beam = 0; beam < config_.beams; ++beam) {
-            const double elev =
-                -fov / 2.0 +
-                fov * beam /
-                    std::max<std::uint32_t>(config_.beams - 1, 1);
-            const double ce = std::cos(elev);
-            const geom::Vec3 dir{cy * ce, sy * ce, std::sin(elev)};
+            const double ce = beam_cos[beam];
+            const geom::Vec3 dir{cy * ce, sy * ce, beam_sin[beam]};
 
             double best_t = config_.maxRange;
             float intensity = 0.0f;
@@ -83,7 +168,7 @@ LidarModel::scan(const Scenario &scenario, sim::Tick t,
                 }
             }
             // Boxes.
-            for (std::size_t c = 0; c < candidates.size(); ++c) {
+            for (const std::uint32_t c : reachable) {
                 double tb = 0.0;
                 // Cheap reject on the AABB first.
                 if (!geom::rayAabb(origin, dir, candidateAabbs[c],
@@ -108,8 +193,8 @@ LidarModel::scan(const Scenario &scenario, sim::Tick t,
             // ego yaw; z is kept as absolute height above ground
             // (sensor sits at mountHeight), so a pure planar pose
             // maps local points to the world.
-            const geom::Vec2 flat =
-                geom::Vec2{dir.x, dir.y}.rotated(-ego.yaw);
+            const geom::Vec2 flat{back_c * dir.x - back_s * dir.y,
+                                  back_s * dir.x + back_c * dir.y};
             cloud.push_back(pc::Point::fromVec(
                 {flat.x * d, flat.y * d,
                  config_.mountHeight + dir.z * d},

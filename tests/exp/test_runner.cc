@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hh"
+#include "util/random.hh"
 
 namespace {
 
@@ -385,6 +386,29 @@ TEST(Runner, CorruptedCacheEntryIsAMiss)
         os << "avscope-result 3\nlabel x\nnodes 999999999\n";
     }
     EXPECT_FALSE(cache.load(exp::cacheKey(spec)).has_value());
+}
+
+TEST(Runner, ReadingQuantilesLeavesTheSerializedEntryUnchanged)
+{
+    // Two results fed the same samples; one has its p99 read half
+    // way through (as CampaignRunner reads worstCaseP99) and its
+    // summary read at the end. Reads must not reorder what the
+    // cache writes.
+    prof::RunResult plain, read;
+    plain.paths.push_back({"worst", util::SampleSeries(64)});
+    read.paths.push_back({"worst", util::SampleSeries(64)});
+    util::Rng rng(17);
+    for (int i = 0; i < 500; ++i) {
+        const double v = rng.logNormalMeanCv(90.0, 0.4);
+        plain.paths[0].series.add(v);
+        read.paths[0].series.add(v);
+        if (i == 30 || i == 200)
+            (void)read.worstCaseP99();
+    }
+    (void)read.paths[0].series.summarize();
+    const std::string dir = freshDir("quantile_reads");
+    EXPECT_EQ(serialized(dir, "plain", plain),
+              serialized(dir, "read", read));
 }
 
 } // namespace

@@ -183,6 +183,41 @@ TEST(SampleSeries, ToStringMentionsFields)
     EXPECT_NE(str.find("n=2"), std::string::npos);
 }
 
+TEST(SampleSeries, MidStreamReadsChangeNothingLater)
+{
+    // Capacity 64 so reservoir eviction runs after the first read:
+    // an eviction must hit the same slot whether or not quantiles
+    // were read before it.
+    SampleSeries plain(64), read(64);
+    av::util::Rng rng(23);
+    for (int i = 0; i < 2000; ++i) {
+        const double v = rng.gaussian(50.0, 15.0);
+        plain.add(v);
+        read.add(v);
+        if (i % 97 == 0)
+            (void)read.quantile(0.99);
+    }
+    EXPECT_EQ(plain.samples(), read.samples());
+    for (double q : {0.25, 0.5, 0.75, 0.9, 0.99})
+        EXPECT_EQ(plain.quantile(q), read.quantile(q)) << "q=" << q;
+    const DistributionSummary a = plain.summarize();
+    const DistributionSummary b = read.summarize();
+    EXPECT_EQ(a.q1, b.q1);
+    EXPECT_EQ(a.median, b.median);
+    EXPECT_EQ(a.q3, b.q3);
+    EXPECT_EQ(a.p99, b.p99);
+}
+
+TEST(SampleSeries, ReadsKeepInsertionOrder)
+{
+    SampleSeries s;
+    for (double v : {3.0, 1.0, 2.0})
+        s.add(v);
+    EXPECT_DOUBLE_EQ(s.quantile(0.5), 2.0);
+    (void)s.summarize();
+    EXPECT_EQ(s.samples(), (std::vector<double>{3.0, 1.0, 2.0}));
+}
+
 /** Property sweep: quantile() is monotone in q for random data. */
 class QuantileMonotoneTest : public ::testing::TestWithParam<int>
 {};
