@@ -1,12 +1,18 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the algorithm cores (host
- * performance of the functional implementations; no simulation).
+ * performance of the functional implementations) and of the µarch
+ * probe simulators they feed when a node traces them. The *Traced
+ * benchmarks run one kernel detached (/attached:0, probes are no-ops)
+ * and attached to a NodeArchState that traces every invocation
+ * (/attached:1); the difference is the per-invocation probe cost.
  * Useful for keeping the library's own hot paths honest.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "dnn/cost.hh"
+#include "dnn/network.hh"
 #include "perception/costmap.hh"
 #include "perception/euclidean_cluster.hh"
 #include "perception/imm_ukf_pda.hh"
@@ -15,6 +21,9 @@
 #include "perception/ray_ground_filter.hh"
 #include "pointcloud/kdtree.hh"
 #include "pointcloud/voxel_grid.hh"
+#include "uarch/branch.hh"
+#include "uarch/cache.hh"
+#include "uarch/profiler.hh"
 #include "util/random.hh"
 #include "world/map_builder.hh"
 #include "world/scenario.hh"
@@ -30,6 +39,15 @@ scanAt(sim::Tick t)
     static const world::Scenario scenario;
     static const world::LidarModel lidar;
     return lidar.scan(scenario, t);
+}
+
+/** Node µarch state that traces every invocation (trace period 1). */
+uarch::NodeArchState
+tracingState()
+{
+    return uarch::NodeArchState(uarch::CacheConfig(),
+                                uarch::BranchConfig(),
+                                uarch::PipelineConfig(), 1);
 }
 
 void
@@ -113,6 +131,31 @@ BM_EuclideanCluster(benchmark::State &state)
 BENCHMARK(BM_EuclideanCluster)->Unit(benchmark::kMicrosecond);
 
 void
+BM_EuclideanClusterTraced(benchmark::State &state)
+{
+    const pc::PointCloud scan = scanAt(5 * sim::oneSec);
+    const auto split = perception::rayGroundFilter(
+        scan, perception::RayGroundConfig());
+    const auto cropped = perception::cropForClustering(
+        split.noGround, perception::ClusterConfig());
+    uarch::NodeArchState arch = tracingState();
+    const bool attached = state.range(0) != 0;
+    for (auto _ : state) {
+        arch.beginInvocation();
+        benchmark::DoNotOptimize(perception::euclideanCluster(
+            cropped, perception::ClusterConfig(),
+            attached ? uarch::KernelProfiler(&arch)
+                     : uarch::KernelProfiler()));
+        benchmark::DoNotOptimize(arch.endInvocation());
+    }
+}
+BENCHMARK(BM_EuclideanClusterTraced)
+    ->ArgName("attached")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void
 BM_NdtAlign(benchmark::State &state)
 {
     const world::Scenario scenario;
@@ -181,6 +224,85 @@ BM_CostmapObjects(benchmark::State &state)
             objects, geom::Pose2{}, perception::CostmapConfig()));
 }
 BENCHMARK(BM_CostmapObjects)->Unit(benchmark::kMicrosecond);
+
+void
+BM_DnnPostprocessTraced(benchmark::State &state)
+{
+    const dnn::NetworkSpec net = dnn::buildSsd512();
+    uarch::NodeArchState arch = tracingState();
+    const bool attached = state.range(0) != 0;
+    util::Rng rng(4);
+    for (auto _ : state) {
+        arch.beginInvocation();
+        benchmark::DoNotOptimize(dnn::postprocessFrame(
+            net, rng,
+            attached ? uarch::KernelProfiler(&arch)
+                     : uarch::KernelProfiler()));
+        benchmark::DoNotOptimize(arch.endInvocation());
+    }
+}
+BENCHMARK(BM_DnnPostprocessTraced)
+    ->ArgName("attached")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * Sequential 4-byte reads sweeping a power-of-two buffer; 256 KiB is
+ * 8× the default 32 KiB L1.
+ */
+void
+BM_CacheModelStream(benchmark::State &state)
+{
+    uarch::CacheModel cache;
+    const auto mask = static_cast<std::uintptr_t>(state.range(0)) - 1;
+    std::uintptr_t addr = 0;
+    for (auto _ : state) {
+        cache.read(addr, 4);
+        addr = (addr + 4) & mask;
+    }
+    benchmark::DoNotOptimize(cache.stats());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheModelStream)->Arg(256 * 1024);
+
+/** Uniformly scattered 8-byte reads and writes over 1 MiB. */
+void
+BM_CacheModelScattered(benchmark::State &state)
+{
+    uarch::CacheModel cache;
+    util::Rng rng(5);
+    std::vector<std::uintptr_t> addrs(1 << 16);
+    for (std::uintptr_t &a : addrs)
+        a = static_cast<std::uintptr_t>(rng.uniformInt(0, 1 << 20));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        cache.access(addrs[i], 8, (i & 3u) == 0);
+        i = (i + 1) & (addrs.size() - 1);
+    }
+    benchmark::DoNotOptimize(cache.stats());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheModelScattered);
+
+/** Gshare over a few sites with biased and random outcomes. */
+void
+BM_Gshare(benchmark::State &state)
+{
+    uarch::GsharePredictor bp;
+    util::Rng rng(6);
+    std::vector<std::uint8_t> taken(1 << 16);
+    for (std::size_t k = 0; k < taken.size(); ++k)
+        taken[k] = rng.bernoulli(k % 2 ? 0.9 : 0.5) ? 1 : 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(bp.record(0x40 + (i & 7u), taken[i] != 0));
+        i = (i + 1) & (taken.size() - 1);
+    }
+    benchmark::DoNotOptimize(bp.stats());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Gshare);
 
 } // namespace
 

@@ -12,9 +12,10 @@
 #      DESIGN.md §14)
 #   5. chaos stage: the ctest label 'chaos' (compound-fault campaign
 #      + safety invariants + plan minimization, DESIGN.md §15)
-#   6. rebuild + ctest under AddressSanitizer + UBSan, then the
-#      transport microbench, critical-path and chaos-campaign smokes
-#      under the same build
+#   6. rebuild + ctest under AddressSanitizer + UBSan (the suite
+#      includes the algorithm microbench smoke, ctest label 'micro'),
+#      then the transport microbench, critical-path and
+#      chaos-campaign smokes under the same build
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
 #      pool and result cache run real threads; TSan proves the
 #      isolation contract DESIGN.md §10 describes), then the same
@@ -67,7 +68,9 @@ cmake --build "$ASAN_BUILD" -j "$JOBS"
 
 step "sanitizers: ctest (ASan + UBSan, halt on any report)"
 # The full suite includes fault_resilience.smoke (label 'fault'), so
-# every fault class runs under ASan/UBSan here too.
+# every fault class runs under ASan/UBSan here too, and
+# micro_algorithms.smoke (label 'micro'), so every algorithm and
+# probe-cost microbenchmark does.
 ASAN_OPTIONS="detect_leaks=1:abort_on_error=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"

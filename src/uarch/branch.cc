@@ -17,27 +17,6 @@ GsharePredictor::GsharePredictor(const BranchConfig &config)
     tableMask_ = (1u << config_.tableBits) - 1;
 }
 
-bool
-GsharePredictor::record(std::uint64_t site, bool taken)
-{
-    // Fold the 64-bit site down and XOR with history (gshare).
-    const std::uint32_t folded =
-        static_cast<std::uint32_t>(site ^ (site >> 17) ^ (site >> 31));
-    const std::uint32_t index = (folded ^ history_) & tableMask_;
-    std::uint8_t &counter = table_[index];
-    const bool prediction = counter >= 2;
-    const bool correct = prediction == taken;
-
-    if (taken && counter < 3)
-        ++counter;
-    else if (!taken && counter > 0)
-        --counter;
-    history_ = ((history_ << 1) | (taken ? 1u : 0u)) & historyMask_;
-
-    correct ? ++stats_.predicted : ++stats_.mispredicted;
-    return correct;
-}
-
 void
 GsharePredictor::recordBulkPredictable(std::uint64_t count,
                                        double accuracy)

@@ -61,8 +61,31 @@ class GsharePredictor
      * @param site  static identity of the branch (any stable value)
      * @param taken actual outcome
      * @return true when the prediction was correct
+     *
+     * Runs once per traced data-dependent branch (every kd-tree
+     * node visit, every sort comparison), so it lives here to
+     * inline into the instrumented loops.
      */
-    bool record(std::uint64_t site, bool taken);
+    bool
+    record(std::uint64_t site, bool taken)
+    {
+        // Fold the 64-bit site down and XOR with history (gshare).
+        const std::uint32_t folded = static_cast<std::uint32_t>(
+            site ^ (site >> 17) ^ (site >> 31));
+        const std::uint32_t index = (folded ^ history_) & tableMask_;
+        std::uint8_t &counter = table_[index];
+        const bool correct = (counter >= 2) == taken;
+
+        // Saturating two-bit update, written without data-dependent
+        // jumps: the outcomes fed here are the unpredictable ones.
+        counter = static_cast<std::uint8_t>(
+            counter + (taken && counter < 3) - (!taken && counter > 0));
+        history_ = ((history_ << 1) | (taken ? 1u : 0u)) & historyMask_;
+
+        stats_.predicted += correct;
+        stats_.mispredicted += !correct;
+        return correct;
+    }
 
     /**
      * Record @p count statically well-behaved branches (loop

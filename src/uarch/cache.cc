@@ -1,5 +1,6 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
@@ -47,59 +48,39 @@ CacheModel::CacheModel(const CacheConfig &config) : config_(config)
               "number of cache sets must be a power of two");
     lineShift_ =
         static_cast<std::uint32_t>(std::countr_zero(config_.lineBytes));
-    lines_.resize(static_cast<std::size_t>(numSets_) * config_.assoc);
-}
-
-bool
-CacheModel::lookupInsert(std::uint64_t line_addr)
-{
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(line_addr & (numSets_ - 1));
-    const std::uint64_t tag = line_addr >> std::countr_zero(numSets_);
-    Line *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
-    ++useClock_;
-
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock_;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock_;
-    return false;
+    setShift_ =
+        static_cast<std::uint32_t>(std::countr_zero(numSets_));
+    const std::size_t ways =
+        static_cast<std::size_t>(numSets_) * config_.assoc;
+    tags_.assign(ways, 0);
+    lastUse_.assign(ways, 0);
+    mru_.assign(numSets_, 0);
 }
 
 void
-CacheModel::access(std::uintptr_t addr, std::uint32_t bytes, bool is_write)
+CacheModel::fill(std::size_t base, std::uint64_t key)
 {
-    if (bytes == 0)
-        bytes = 1;
-    const std::uint64_t first = addr >> lineShift_;
-    const std::uint64_t last = (addr + bytes - 1) >> lineShift_;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        const bool hit = lookupInsert(line);
-        if (is_write) {
-            hit ? ++stats_.writeHits : ++stats_.writeMisses;
-        } else {
-            hit ? ++stats_.readHits : ++stats_.readMisses;
-        }
+    // Invalid ways hold clock 0 and valid clocks are unique, so the
+    // last way with the minimal clock is the last invalid way, else
+    // the least recently used one.
+    std::size_t victim = base;
+    std::uint64_t oldest = lastUse_[base];
+    for (std::size_t w = base + 1; w < base + config_.assoc; ++w) {
+        const std::uint64_t use = lastUse_[w];
+        const bool older = use <= oldest;
+        victim = older ? w : victim;
+        oldest = older ? use : oldest;
     }
+    tags_[victim] = key;
+    lastUse_[victim] = ++useClock_;
 }
 
 void
 CacheModel::reset()
 {
-    for (auto &line : lines_)
-        line.valid = false;
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill(mru_.begin(), mru_.end(), 0);
     stats_ = CacheStats();
     useClock_ = 0;
 }
