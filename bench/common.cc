@@ -11,24 +11,6 @@ namespace av::bench {
 
 namespace {
 
-/**
- * Parse argv, turning a diagnostic into exit(2). BenchOptions
- * throws so the message is unit-testable; a bench binary just wants
- * the text on stderr and a conventional usage-error status.
- */
-BenchOptions
-parsed(BenchOptions options, int argc, char **argv)
-{
-    try {
-        options.parse(argc, argv);
-    } catch (const std::invalid_argument &error) {
-        std::cerr << (argc > 0 ? argv[0] : "bench") << ": "
-                  << error.what() << "\n";
-        std::exit(2);
-    }
-    return options;
-}
-
 std::vector<ros::TransportMode>
 parseTransportModes(const BenchOptions &options)
 {
@@ -43,6 +25,19 @@ parseTransportModes(const BenchOptions &options)
 
 } // namespace
 
+BenchOptions
+parseOrExit(BenchOptions options, int argc, char **argv)
+{
+    try {
+        options.parse(argc, argv);
+    } catch (const std::invalid_argument &error) {
+        std::cerr << (argc > 0 ? argv[0] : "bench") << ": "
+                  << error.what() << "\n";
+        std::exit(2);
+    }
+    return options;
+}
+
 exp::RunnerConfig
 BenchEnv::runnerConfig(const BenchOptions &options)
 {
@@ -56,7 +51,7 @@ BenchEnv::runnerConfig(const BenchOptions &options)
 }
 
 BenchEnv::BenchEnv(int argc, char **argv, BenchOptions options)
-    : options_(parsed(std::move(options), argc, argv)),
+    : options_(parseOrExit(std::move(options), argc, argv)),
       runner_(runnerConfig(options_))
 {
     csv_ = options_.flag("csv");

@@ -70,6 +70,13 @@ inline const std::vector<std::string> tab7Nodes = {
     "ray_ground_filter",
 };
 
+/**
+ * Parse argv against @p options, turning a diagnostic into exit(2).
+ * BenchOptions throws so the message is unit-testable; a binary just
+ * wants the text on stderr and a conventional usage-error status.
+ */
+BenchOptions parseOrExit(BenchOptions options, int argc, char **argv);
+
 /** Parsed environment + experiment engine shared by all benches. */
 class BenchEnv
 {

@@ -21,10 +21,10 @@
 #include <thread>
 #include <vector>
 
+#include "common.hh"
 #include "hw/machine.hh"
 #include "ros/ros.hh"
 #include "ros/spsc_ring.hh"
-#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -156,17 +156,24 @@ ringTwoThreads(std::size_t ops)
 int
 main(int argc, char **argv)
 {
-    const util::Flags flags(
-        argc, argv, {"smoke", "messages", "words", "subs", "ops"});
-    const bool smoke = flags.getBool("smoke");
-    const auto messages = static_cast<std::size_t>(
-        flags.getInt("messages", smoke ? 50 : 2000));
-    const auto words = static_cast<std::size_t>(
-        flags.getInt("words", smoke ? 1u << 12 : 1u << 17));
-    const auto subs = static_cast<unsigned>(
-        flags.getInt("subs", 3));
-    const auto ops = static_cast<std::size_t>(
-        flags.getInt("ops", smoke ? 20000 : 2000000));
+    const bench::BenchOptions opts = bench::parseOrExit(
+        bench::BenchOptions()
+            .flag("smoke", "shrink every size not given explicitly")
+            .integer("messages", 2000, "fan-out messages")
+            .integer("words", 1 << 17, "u64 words per payload")
+            .integer("subs", 3, "fan-out subscribers")
+            .integer("ops", 2000000, "ring operations"),
+        argc, argv);
+    const bool smoke = opts.flag("smoke");
+    const auto size = [&](const char *name, long smoke_size) {
+        return static_cast<std::size_t>(
+            smoke && !opts.given(name) ? smoke_size
+                                       : opts.integer(name));
+    };
+    const std::size_t messages = size("messages", 50);
+    const std::size_t words = size("words", 1 << 12);
+    const auto subs = static_cast<unsigned>(opts.integer("subs"));
+    const std::size_t ops = size("ops", 20000);
 
     std::printf("micro_transport: %zu messages x %zu words x %u "
                 "subscribers%s\n",

@@ -9,8 +9,8 @@
  *   opts.parse(argc, argv);
  *   if (opts.flag("smoke")) ...
  *
- * This replaces the hand-rolled util::Flags parsing the benches grew
- * up on. The differences that matter:
+ * It is the one flag parser of the bench and example binaries; it
+ * replaced the hand-rolled util::Flags. The differences that matter:
  *
  *  - Options are *typed at declaration*: "--jobs abc" is rejected at
  *    parse time with a diagnostic naming the flag and the offending

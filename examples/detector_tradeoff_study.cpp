@@ -15,8 +15,8 @@
 #include <iostream>
 #include <set>
 
-#include "core/characterization.hh"
-#include "util/flags.hh"
+#include "common.hh"
+#include "core/run_result.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -25,13 +25,15 @@ using namespace av;
 int
 main(int argc, char **argv)
 {
-    const util::Flags flags(argc, argv, {"duration", "seed"});
+    const bench::BenchOptions flags = bench::parseOrExit(
+        bench::BenchOptions()
+            .integer("duration", 60, "drive length in seconds")
+            .integer("seed", 2020, "scenario seed"),
+        argc, argv);
     world::ScenarioConfig scenario;
-    scenario.seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 2020));
-    const auto duration = static_cast<sim::Tick>(
-                              flags.getInt("duration", 60)) *
-                          sim::oneSec;
+    scenario.seed = static_cast<std::uint64_t>(flags.integer("seed"));
+    const auto duration =
+        static_cast<sim::Tick>(flags.integer("duration")) * sim::oneSec;
     auto drive = prof::makeDrive(scenario, duration);
 
     util::Table table(
@@ -64,22 +66,23 @@ main(int argc, char **argv)
             });
 
         run.execute();
+        const prof::RunResult result = prof::snapshotRun(run);
 
         const util::SampleSeries *vision =
-            run.findNodeLatencySeries("vision_detection");
+            result.findNodeSeries("vision_detection");
         AV_ASSERT(vision != nullptr, "vision node missing");
         const auto vis = vision->summarize();
         double drops = 0.0;
-        for (const auto &row : run.drops())
+        for (const auto &row : result.drops)
             if (row.topic == "/image_raw")
                 drops = row.dropRate();
-        const double cpu_w = run.power().cpuWatts().mean();
-        const double gpu_w = run.power().gpuWatts().mean();
+        const double cpu_w = result.cpuWatts.mean();
+        const double gpu_w = result.gpuWatts.mean();
 
         table.addRow(
             {perception::detectorName(kind),
              util::Table::num(vis.mean),
-             util::Table::num(run.paths().worstCaseP99()),
+             util::Table::num(result.worstCaseP99()),
              util::Table::pct(drops),
              std::to_string(labeled_truth.size()),
              util::Table::num(gpu_w),

@@ -14,9 +14,9 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common.hh"
 #include "core/report.hh"
 #include "exp/runner.hh"
-#include "util/flags.hh"
 #include "util/table.hh"
 
 using namespace av;
@@ -24,10 +24,15 @@ using namespace av;
 int
 main(int argc, char **argv)
 {
-    const util::Flags flags(argc, argv,
-                            {"detector", "duration", "seed", "csv",
-                             "report", "no-cache"});
-    const std::string which = flags.getString("detector", "ssd512");
+    const bench::BenchOptions flags = bench::parseOrExit(
+        bench::BenchOptions()
+            .text("detector", "ssd512", "ssd512, ssd300 or yolo")
+            .integer("duration", 60, "drive length in seconds")
+            .integer("seed", 2020, "scenario seed")
+            .text("report", "", "directory for the CSV report")
+            .flag("no-cache", "disable the result cache"),
+        argc, argv);
+    const std::string &which = flags.text("detector");
     perception::DetectorKind kind = perception::DetectorKind::Ssd512;
     if (which == "ssd300")
         kind = perception::DetectorKind::Ssd300;
@@ -38,16 +43,15 @@ main(int argc, char **argv)
                     "' (ssd512|ssd300|yolo)");
 
     exp::RunnerConfig engine;
-    if (!flags.getBool("no-cache"))
+    if (!flags.flag("no-cache"))
         engine.cacheDir = exp::defaultCacheDir();
     exp::Runner runner(engine);
 
     const prof::RunResult &run = runner.result(runner.submit(
         exp::spec()
             .detector(kind)
-            .durationSeconds(flags.getInt("duration", 60))
-            .seed(static_cast<std::uint64_t>(
-                flags.getInt("seed", 2020)))
+            .durationSeconds(flags.integer("duration"))
+            .seed(static_cast<std::uint64_t>(flags.integer("seed")))
             .named(perception::detectorName(kind))));
 
     // ------------------------------------------------ latency
@@ -122,8 +126,8 @@ main(int argc, char **argv)
     counters.print(std::cout);
 
     // Optional: dump everything as CSV for plotting.
-    if (flags.has("report")) {
-        const std::string dir = flags.getString("report");
+    if (flags.given("report")) {
+        const std::string &dir = flags.text("report");
         if (prof::writeRunReport(run, dir))
             util::inform("CSV report written to ", dir);
         else

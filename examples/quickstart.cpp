@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/characterization.hh"
+#include "core/run_result.hh"
 
 using namespace av;
 
@@ -39,38 +39,33 @@ main(int argc, char **argv)
     prof::CharacterizationRun run(drive, config);
     run.execute();
 
-    // 4. Read the measurements.
+    // 4. Read the measurements, detached from the live simulation.
+    const prof::RunResult result = prof::snapshotRun(run);
     std::printf("\nper-node latency (ms):\n");
-    for (const auto &node : run.nodeLatencies()) {
+    for (const auto &node : result.nodeLatencies()) {
         std::printf("  %-26s mean %7.2f   p99 %8.2f   (n=%zu)\n",
                     node.name.c_str(), node.summary.mean,
                     node.summary.p99, node.summary.count);
     }
 
     std::printf("\nend-to-end paths (ms):\n");
-    for (const auto path :
-         {prof::Path::Localization, prof::Path::CostmapPoints,
-          prof::Path::CostmapVisionObj,
-          prof::Path::CostmapClusterObj}) {
-        const auto s = run.paths().series(path).summarize();
+    for (const auto &path : result.paths) {
+        const auto s = path.series.summarize();
         std::printf("  %-20s mean %7.2f   p99 %8.2f\n",
-                    prof::pathName(path), s.mean, s.p99);
+                    path.name.c_str(), s.mean, s.p99);
     }
 
     std::printf("\nplatform: CPU %.1f%% busy / %.1f W, GPU %.1f%% "
                 "busy / %.1f W\n",
-                100 * run.utilization().totalCpu().mean(),
-                run.power().cpuWatts().mean(),
-                100 * run.utilization().totalGpu().mean(),
-                run.power().gpuWatts().mean());
+                100 * result.totalCpu.mean(), result.cpuWatts.mean(),
+                100 * result.totalGpu.mean(), result.gpuWatts.mean());
 
     std::printf("tracker currently follows %zu confirmed objects\n",
                 run.stack().trackerNode()->tracker()
                     .confirmedCount());
     std::printf("\nworst-path p99 = %.1f ms -> the 100 ms budget is "
                 "%s\n",
-                run.paths().worstCaseP99(),
-                run.paths().worstCaseP99() > 100.0 ? "EXCEEDED"
-                                                   : "met");
+                result.worstCaseP99(),
+                result.worstCaseP99() > 100.0 ? "EXCEEDED" : "met");
     return 0;
 }

@@ -13,7 +13,9 @@
 #   5. chaos stage: the ctest label 'chaos' (compound-fault campaign
 #      + safety invariants + plan minimization, DESIGN.md §15)
 #   6. rebuild + ctest under AddressSanitizer + UBSan (the suite
-#      includes the algorithm microbench smoke, ctest label 'micro'),
+#      includes the algorithm microbench smoke, ctest label 'micro',
+#      the example smokes, label 'examples', and the cache-entry and
+#      sensor-bag mutation fuzzer, CodecFuzz.*),
 #      then the transport microbench, critical-path and
 #      chaos-campaign smokes under the same build
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
@@ -70,7 +72,9 @@ step "sanitizers: ctest (ASan + UBSan, halt on any report)"
 # The full suite includes fault_resilience.smoke (label 'fault'), so
 # every fault class runs under ASan/UBSan here too, and
 # micro_algorithms.smoke (label 'micro'), so every algorithm and
-# probe-cost microbenchmark does.
+# probe-cost microbenchmark does, and CodecFuzz.*, so no mutated
+# cache entry or bag reads out of bounds or allocates from a bogus
+# count.
 ASAN_OPTIONS="detect_leaks=1:abort_on_error=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"

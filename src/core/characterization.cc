@@ -126,29 +126,6 @@ CharacterizationRun::counters() const
     return collectCounters(stack_->nodes());
 }
 
-std::vector<NodeLatency>
-CharacterizationRun::nodeLatencies() const
-{
-    std::vector<NodeLatency> out;
-    for (const perception::PerceptionNode *node : stack_->nodes()) {
-        if (node->name() == "costmap_generator") {
-            const auto *costmap =
-                static_cast<const perception::CostmapGeneratorNode
-                                *>(node);
-            out.push_back(
-                {"costmap_generator_obj",
-                 costmap->latencySeries().summarize()});
-            out.push_back(
-                {"costmap_generator_points",
-                 costmap->pointsLatencySeries().summarize()});
-            continue;
-        }
-        out.push_back(
-            {node->name(), node->latencySeries().summarize()});
-    }
-    return out;
-}
-
 std::vector<fault::FaultOutcome>
 CharacterizationRun::faultOutcomes() const
 {
@@ -191,20 +168,6 @@ CharacterizationRun::safetyViolations() const
 {
     return safety_ ? safety_->violations()
                    : std::vector<stack::SafetyViolation>();
-}
-
-const util::SampleSeries *
-CharacterizationRun::findNodeLatencySeries(
-    const std::string &name) const
-{
-    const perception::CostmapGeneratorNode *costmap =
-        stack_->costmap();
-    if (name == "costmap_generator_obj")
-        return costmap ? &costmap->latencySeries() : nullptr;
-    if (name == "costmap_generator_points")
-        return costmap ? &costmap->pointsLatencySeries() : nullptr;
-    const perception::PerceptionNode *node = stack_->find(name);
-    return node ? &node->latencySeries() : nullptr;
 }
 
 } // namespace av::prof

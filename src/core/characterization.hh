@@ -149,23 +149,6 @@ class CharacterizationRun
     std::vector<CounterRow> counters() const;
 
     /**
-     * Per-node latency distributions; the costmap node reports its
-     * two callbacks separately as costmap_generator_obj /
-     * costmap_generator_points, matching the paper's Fig. 5 rows.
-     */
-    std::vector<NodeLatency> nodeLatencies() const;
-
-    /**
-     * Latency series of one node; nullptr when the node is unknown
-     * or its stack section is disabled. Mirrors
-     * AutowareStack::find() — lookups across src/core report
-     * absence through their return value, never by aborting, so
-     * callers choose between handling and asserting.
-     */
-    const util::SampleSeries *
-    findNodeLatencySeries(const std::string &name) const;
-
-    /**
      * Per-fault outcomes: transport counters from the injector
      * merged with the recovery probe's measurements. Empty for a
      * clean (fault-free) run.

@@ -146,35 +146,6 @@ PathTracer::series(Path path) const
     return series_.at(path);
 }
 
-double
-PathTracer::worstCaseP99() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_)
-        worst = std::max(worst, series.quantile(0.99));
-    return worst;
-}
-
-double
-PathTracer::worstCaseMean() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_)
-        worst = std::max(worst, series.running().mean());
-    return worst;
-}
-
-double
-PathTracer::worstCaseMax() const
-{
-    double worst = 0.0;
-    for (const auto &[path, series] : series_) {
-        if (series.count() > 0)
-            worst = std::max(worst, series.running().max());
-    }
-    return worst;
-}
-
 std::vector<DropRow>
 collectDrops(const ros::RosGraph &graph)
 {

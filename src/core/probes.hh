@@ -134,15 +134,6 @@ class PathTracer
 
     const util::SampleSeries &series(Path path) const;
 
-    /** Worst-path p99 — the paper's end-to-end latency metric. */
-    double worstCaseP99() const;
-
-    /** Worst-path mean. */
-    double worstCaseMean() const;
-
-    /** Worst observed end-to-end latency across all paths. */
-    double worstCaseMax() const;
-
   private:
     std::map<Path, util::SampleSeries> series_;
 

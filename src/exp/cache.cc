@@ -1,456 +1,365 @@
 #include "exp/cache.hh"
 
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 namespace av::exp {
 
 namespace {
 
-// ---- bit-exact double encoding ----------------------------------
-
-std::string
-encF(double value)
-{
-    static const char digits[] = "0123456789abcdef";
-    auto bits = std::bit_cast<std::uint64_t>(value);
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[bits & 0xf];
-        bits >>= 4;
-    }
-    return out;
-}
-
-bool
-decF(const std::string &token, double &out)
-{
-    if (token.size() != 16)
-        return false;
-    std::uint64_t bits = 0;
-    for (char c : token) {
-        std::uint64_t digit = 0;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a') + 10;
-        else
-            return false;
-        bits = (bits << 4) | digit;
-    }
-    out = std::bit_cast<double>(bits);
-    return true;
-}
-
-// ---- writer helpers ---------------------------------------------
-
-void
-putStats(std::ostream &os, const util::RunningStats &stats)
-{
-    const util::RunningStats::State s = stats.state();
-    os << ' ' << s.n << ' ' << encF(s.mean) << ' ' << encF(s.m2)
-       << ' ' << encF(s.sum) << ' ' << encF(s.min) << ' '
-       << encF(s.max);
-}
-
-void
-putSeries(std::ostream &os, const std::string &name,
-          const util::SampleSeries &series)
-{
-    os << name;
-    putStats(os, series.running());
-    const std::vector<double> &kept = series.samples();
-    os << ' ' << kept.size();
-    for (double v : kept)
-        os << ' ' << encF(v);
-    os << '\n';
-}
-
-// ---- reader helpers ---------------------------------------------
-
-bool
-getF(std::istream &is, double &out)
-{
-    std::string token;
-    return (is >> token) && decF(token, out);
-}
-
-/**
- * Read an element count, rejecting anything implausibly large: a
- * corrupted count field must make the entry a cache miss, not drive
- * a multi-gigabyte resize(). Real entries stay far below the bound
- * (a run has ~10 nodes and series keep at most a few thousand
- * samples).
- */
-bool
-getCount(std::istream &is, std::size_t &out)
-{
-    constexpr std::size_t kMaxCount = 1u << 20;
-    return (is >> out) && out <= kMaxCount;
-}
-
-bool
-getStats(std::istream &is, util::RunningStats &out)
-{
-    util::RunningStats::State s;
-    if (!(is >> s.n))
-        return false;
-    if (!getF(is, s.mean) || !getF(is, s.m2) || !getF(is, s.sum) ||
-        !getF(is, s.min) || !getF(is, s.max))
-        return false;
-    out = util::RunningStats::fromState(s);
-    return true;
-}
-
-bool
-getSeries(std::istream &is, prof::NamedSeries &out)
-{
-    util::RunningStats::State s;
-    if (!(is >> out.name >> s.n))
-        return false;
-    if (!getF(is, s.mean) || !getF(is, s.m2) || !getF(is, s.sum) ||
-        !getF(is, s.min) || !getF(is, s.max))
-        return false;
-    std::size_t kept = 0;
-    if (!getCount(is, kept))
-        return false;
-    std::vector<double> samples(kept);
-    for (std::size_t i = 0; i < kept; ++i)
-        if (!getF(is, samples[i]))
-            return false;
-    out.series =
-        util::SampleSeries::fromState(s, std::move(samples));
-    return true;
-}
-
-/** Expect the literal section keyword @p word next. */
-bool
-expect(std::istream &is, const char *word)
-{
-    std::string token;
-    return (is >> token) && token == word;
-}
-
 constexpr const char *kMagic = "avscope-result";
 constexpr int kVersion = 5; // v5: safety-violations section
 
+// ---- token wrappers ---------------------------------------------
+
+/** The rest of the line, spaces included (the run label). */
+struct Rest
+{
+    std::string &text;
+};
+
+/** A token that may be empty, written as "-" (terminal topic). */
+struct Dash
+{
+    std::string &text;
+};
+
+/** A transport mode name, validated on read. */
+struct ModeName
+{
+    std::string &text;
+};
+
+// ---- the field list ---------------------------------------------
+
+/** A per-owner seconds row or a resilience counter. */
+using NamedValue = std::pair<std::string, double>;
+
+/**
+ * The entry format: one field list per record, walked by Writer to
+ * emit an entry and by Reader to parse it, so a field cannot be
+ * written without being read. An entry is lines of space-separated
+ * tokens: `line` is a keyword and its values, `list` a keyword, a
+ * row count and one row per line. Doubles are bit-exact, so a
+ * reloaded result re-serializes byte-identically — which is what the
+ * cross-jobs and cross-transport determinism tests compare. Names,
+ * topics, labels and bottleneck classes are token-safe by
+ * construction (violation subjects are topics or "actor_<id>").
+ */
+template <class Ar, class T>
 void
-serialize(std::ostream &os, const prof::RunResult &run)
+fields(Ar &ar, T &r)
 {
-    os << kMagic << ' ' << kVersion << '\n';
-    os << "label " << run.label << '\n';
-
-    os << "nodes " << run.nodes.size() << '\n';
-    for (const prof::NamedSeries &row : run.nodes)
-        putSeries(os, row.name, row.series);
-
-    os << "paths " << run.paths.size() << '\n';
-    for (const prof::NamedSeries &row : run.paths)
-        putSeries(os, row.name, row.series);
-
-    os << "drops " << run.drops.size() << '\n';
-    for (const prof::DropRow &row : run.drops)
-        os << row.topic << ' ' << row.node << ' ' << row.delivered
-           << ' ' << row.dropped << '\n';
-
-    os << "counters " << run.counters.size() << '\n';
-    for (const prof::CounterRow &row : run.counters) {
-        os << row.node << ' ' << encF(row.ipc) << ' '
-           << encF(row.l1ReadMissRate) << ' '
-           << encF(row.l1WriteMissRate) << ' '
-           << encF(row.branchMissRate);
-        os << ' ' << row.mix.loads << ' ' << row.mix.stores << ' '
-           << row.mix.branches << ' ' << row.mix.intAlu << ' '
-           << row.mix.fpAlu << ' ' << row.mix.fpDiv << ' '
-           << row.mix.simd << ' ' << row.mix.other << '\n';
+    if constexpr (std::is_same_v<T, prof::RunResult>) {
+        ar.line(kMagic, kVersion);
+        ar.line("label", Rest{r.label});
+        ar.list("nodes", r.nodes);
+        ar.list("paths", r.paths);
+        ar.list("drops", r.drops);
+        ar.list("counters", r.counters);
+        ar.list("utilization", r.utilization);
+        ar.line("totals", r.totalCpu, r.totalGpu);
+        ar.line("power", r.cpuWatts, r.gpuWatts, r.cpuEnergyJ,
+                r.gpuEnergyJ);
+        ar.list("cpuowners", r.cpuSecondsByOwner);
+        ar.list("gpuowners", r.gpuSecondsByOwner);
+        ar.list("staleness", r.staleness);
+        ar.list("resilience", r.resilience);
+        ar.list("faults", r.faults);
+        ar.list("violations", r.violations);
+        ar.line("transport", ModeName{r.transportMode}, r.transport);
+        ar.line("trace", r.trace.enabled, r.trace.events,
+                r.trace.criticalPathMs, Dash{r.trace.terminalTopic});
+        ar.list("tracepath", r.trace.criticalPath);
+        ar.list("traceslack", r.trace.nodes);
+        ar.list("traceedges", r.trace.edges);
+        ar.line("end");
+    } else if constexpr (std::is_same_v<T, util::RunningStats::State>) {
+        ar(r.n, r.mean, r.m2, r.sum, r.min, r.max);
+    } else if constexpr (std::is_same_v<T, prof::NamedSeries>) {
+        ar(r.name, r.series);
+    } else if constexpr (std::is_same_v<T, prof::DropRow>) {
+        ar(r.topic, r.node, r.delivered, r.dropped);
+    } else if constexpr (std::is_same_v<T, prof::CounterRow>) {
+        ar(r.node, r.ipc, r.l1ReadMissRate, r.l1WriteMissRate,
+           r.branchMissRate, r.mix);
+    } else if constexpr (std::is_same_v<T, uarch::OpCounts>) {
+        ar(r.loads, r.stores, r.branches, r.intAlu, r.fpAlu, r.fpDiv,
+           r.simd, r.other);
+    } else if constexpr (std::is_same_v<T, prof::UtilizationResult>) {
+        ar(r.owner, r.cpuShare, r.gpuShare);
+    } else if constexpr (std::is_same_v<T, NamedValue>) {
+        ar(r.first, r.second);
+    } else if constexpr (std::is_same_v<T, fault::FaultOutcome>) {
+        ar(r.label, r.kind, r.onset, r.windowEnd, r.watchTopic,
+           r.publishedDuringWindow, r.recoveryMs, r.suppressed,
+           r.corrupted, r.duplicated, r.delayed);
+    } else if constexpr (std::is_same_v<T, stack::SafetyViolation>) {
+        ar(r.kind, r.time, r.subject, r.value, r.bound);
+    } else if constexpr (std::is_same_v<T, ros::TransportCounters>) {
+        ar(r.published, r.deliveries, r.payloadCopies,
+           r.loanedDeliveries, r.movedPublishes, r.forcedCopies);
+    } else if constexpr (std::is_same_v<T, trace::PathStep>) {
+        ar(r.node, r.topic, r.seq, r.queueWaitMs, r.computeMs);
+    } else if constexpr (std::is_same_v<T, trace::NodeSlack>) {
+        ar(r.node, r.activations, r.meanQueueWaitMs, r.meanSpanMs,
+           r.meanCpuMs, r.meanGpuMs, r.meanStallMs, r.bottleneck);
+    } else {
+        static_assert(std::is_same_v<T, trace::EdgeUse>);
+        ar(r.topic, r.from, r.to, r.messages);
     }
-
-    os << "utilization " << run.utilization.size() << '\n';
-    for (const prof::UtilizationResult &row : run.utilization) {
-        os << row.owner;
-        putStats(os, row.cpuShare);
-        putStats(os, row.gpuShare);
-        os << '\n';
-    }
-
-    os << "totals";
-    putStats(os, run.totalCpu);
-    putStats(os, run.totalGpu);
-    os << '\n';
-
-    os << "power";
-    putStats(os, run.cpuWatts);
-    putStats(os, run.gpuWatts);
-    os << ' ' << encF(run.cpuEnergyJ) << ' ' << encF(run.gpuEnergyJ)
-       << '\n';
-
-    os << "cpuowners " << run.cpuSecondsByOwner.size() << '\n';
-    for (const auto &[owner, seconds] : run.cpuSecondsByOwner)
-        os << owner << ' ' << encF(seconds) << '\n';
-    os << "gpuowners " << run.gpuSecondsByOwner.size() << '\n';
-    for (const auto &[owner, seconds] : run.gpuSecondsByOwner)
-        os << owner << ' ' << encF(seconds) << '\n';
-
-    os << "staleness " << run.staleness.size() << '\n';
-    for (const prof::NamedSeries &row : run.staleness)
-        putSeries(os, row.name, row.series);
-
-    os << "resilience " << run.resilience.size() << '\n';
-    for (const auto &[name, value] : run.resilience)
-        os << name << ' ' << encF(value) << '\n';
-
-    // Every fault field is token-safe: labels, kind names and topic
-    // names carry no whitespace by construction.
-    os << "faults " << run.faults.size() << '\n';
-    for (const fault::FaultOutcome &row : run.faults) {
-        os << row.label << ' ' << fault::faultKindName(row.kind)
-           << ' ' << row.onset << ' ' << row.windowEnd << ' '
-           << row.watchTopic << ' ' << row.publishedDuringWindow
-           << ' ' << encF(row.recoveryMs) << ' ' << row.suppressed
-           << ' ' << row.corrupted << ' ' << row.duplicated << ' '
-           << row.delayed << '\n';
-    }
-
-    // Violation subjects are token-safe by construction (topic
-    // names or "actor_<id>"); values are bit-exact.
-    os << "violations " << run.violations.size() << '\n';
-    for (const stack::SafetyViolation &row : run.violations)
-        os << stack::invariantName(row.kind) << ' ' << row.time
-           << ' ' << row.subject << ' ' << encF(row.value) << ' '
-           << encF(row.bound) << '\n';
-
-    os << "transport " << run.transportMode << ' '
-       << run.transport.published << ' ' << run.transport.deliveries
-       << ' ' << run.transport.payloadCopies << ' '
-       << run.transport.loanedDeliveries << ' '
-       << run.transport.movedPublishes << ' '
-       << run.transport.forcedCopies << '\n';
-
-    // Topic/node names and bottleneck labels are token-safe; the
-    // empty terminal topic serializes as "-". Doubles are bit-exact
-    // (encF), so a traced result round-trips byte-identically —
-    // which is what the cross-jobs/cross-transport determinism
-    // tests compare.
-    os << "trace " << (run.trace.enabled ? 1 : 0) << ' '
-       << run.trace.events << ' ' << encF(run.trace.criticalPathMs)
-       << ' '
-       << (run.trace.terminalTopic.empty()
-               ? "-"
-               : run.trace.terminalTopic)
-       << '\n';
-    os << "tracepath " << run.trace.criticalPath.size() << '\n';
-    for (const trace::PathStep &step : run.trace.criticalPath)
-        os << step.node << ' ' << step.topic << ' ' << step.seq
-           << ' ' << encF(step.queueWaitMs) << ' '
-           << encF(step.computeMs) << '\n';
-    os << "traceslack " << run.trace.nodes.size() << '\n';
-    for (const trace::NodeSlack &row : run.trace.nodes)
-        os << row.node << ' ' << row.activations << ' '
-           << encF(row.meanQueueWaitMs) << ' '
-           << encF(row.meanSpanMs) << ' ' << encF(row.meanCpuMs)
-           << ' ' << encF(row.meanGpuMs) << ' '
-           << encF(row.meanStallMs) << ' ' << row.bottleneck
-           << '\n';
-    os << "traceedges " << run.trace.edges.size() << '\n';
-    for (const trace::EdgeUse &edge : run.trace.edges)
-        os << edge.topic << ' ' << edge.from << ' ' << edge.to
-           << ' ' << edge.messages << '\n';
-    os << "end\n";
 }
 
-bool
-parse(std::istream &is, prof::RunResult &run)
+// ---- archives ---------------------------------------------------
+//
+// Overloads taking wrappers and enums by value, and the library
+// value types by reference, are exact matches and so win over the
+// generic record overload, which recurses into fields().
+
+/** Writes the field list as text. */
+class Writer
 {
-    std::string magic;
-    int version = 0;
-    if (!(is >> magic >> version) || magic != kMagic ||
-        version != kVersion)
-        return false;
+  public:
+    explicit Writer(std::ostream &os) : os_(os) {}
 
-    // The label is the remainder of its line (it may hold spaces).
-    if (!expect(is, "label"))
-        return false;
-    std::getline(is, run.label);
-    if (!run.label.empty() && run.label.front() == ' ')
-        run.label.erase(0, 1);
-
-    std::size_t count = 0;
-    if (!expect(is, "nodes") || !getCount(is, count))
-        return false;
-    run.nodes.resize(count);
-    for (prof::NamedSeries &row : run.nodes)
-        if (!getSeries(is, row))
-            return false;
-
-    if (!expect(is, "paths") || !getCount(is, count))
-        return false;
-    run.paths.resize(count);
-    for (prof::NamedSeries &row : run.paths)
-        if (!getSeries(is, row))
-            return false;
-
-    if (!expect(is, "drops") || !getCount(is, count))
-        return false;
-    run.drops.resize(count);
-    for (prof::DropRow &row : run.drops)
-        if (!(is >> row.topic >> row.node >> row.delivered >>
-              row.dropped))
-            return false;
-
-    if (!expect(is, "counters") || !getCount(is, count))
-        return false;
-    run.counters.resize(count);
-    for (prof::CounterRow &row : run.counters) {
-        if (!(is >> row.node))
-            return false;
-        if (!getF(is, row.ipc) || !getF(is, row.l1ReadMissRate) ||
-            !getF(is, row.l1WriteMissRate) ||
-            !getF(is, row.branchMissRate))
-            return false;
-        if (!(is >> row.mix.loads >> row.mix.stores >>
-              row.mix.branches >> row.mix.intAlu >> row.mix.fpAlu >>
-              row.mix.fpDiv >> row.mix.simd >> row.mix.other))
-            return false;
+    template <class... Ts>
+    void operator()(Ts &&...values)
+    {
+        (put(values), ...);
     }
 
-    if (!expect(is, "utilization") || !getCount(is, count))
-        return false;
-    run.utilization.resize(count);
-    for (prof::UtilizationResult &row : run.utilization) {
-        if (!(is >> row.owner))
-            return false;
-        if (!getStats(is, row.cpuShare) ||
-            !getStats(is, row.gpuShare))
-            return false;
+    template <class... Ts>
+    void line(const char *section, Ts &&...values)
+    {
+        token(section);
+        (put(values), ...);
+        endLine();
     }
 
-    if (!expect(is, "totals") || !getStats(is, run.totalCpu) ||
-        !getStats(is, run.totalGpu))
-        return false;
-
-    if (!expect(is, "power") || !getStats(is, run.cpuWatts) ||
-        !getStats(is, run.gpuWatts) || !getF(is, run.cpuEnergyJ) ||
-        !getF(is, run.gpuEnergyJ))
-        return false;
-
-    if (!expect(is, "cpuowners") || !getCount(is, count))
-        return false;
-    run.cpuSecondsByOwner.resize(count);
-    for (auto &[owner, seconds] : run.cpuSecondsByOwner)
-        if (!(is >> owner) || !getF(is, seconds))
-            return false;
-    if (!expect(is, "gpuowners") || !getCount(is, count))
-        return false;
-    run.gpuSecondsByOwner.resize(count);
-    for (auto &[owner, seconds] : run.gpuSecondsByOwner)
-        if (!(is >> owner) || !getF(is, seconds))
-            return false;
-
-    if (!expect(is, "staleness") || !getCount(is, count))
-        return false;
-    run.staleness.resize(count);
-    for (prof::NamedSeries &row : run.staleness)
-        if (!getSeries(is, row))
-            return false;
-
-    if (!expect(is, "resilience") || !getCount(is, count))
-        return false;
-    run.resilience.resize(count);
-    for (auto &[name, value] : run.resilience)
-        if (!(is >> name) || !getF(is, value))
-            return false;
-
-    if (!expect(is, "faults") || !getCount(is, count))
-        return false;
-    run.faults.resize(count);
-    for (fault::FaultOutcome &row : run.faults) {
-        std::string kind;
-        if (!(is >> row.label >> kind))
-            return false;
-        if (!fault::faultKindFromName(kind, row.kind))
-            return false;
-        if (!(is >> row.onset >> row.windowEnd >> row.watchTopic >>
-              row.publishedDuringWindow))
-            return false;
-        if (!getF(is, row.recoveryMs))
-            return false;
-        if (!(is >> row.suppressed >> row.corrupted >>
-              row.duplicated >> row.delayed))
-            return false;
+    template <class T>
+    void list(const char *section, std::vector<T> &rows)
+    {
+        line(section, rows.size());
+        for (T &row : rows) {
+            put(row);
+            endLine();
+        }
     }
 
-    if (!expect(is, "violations") || !getCount(is, count))
-        return false;
-    run.violations.resize(count);
-    for (stack::SafetyViolation &row : run.violations) {
-        std::string kind;
-        if (!(is >> kind) ||
-            !stack::invariantFromName(kind, row.kind))
-            return false;
-        if (!(is >> row.time >> row.subject) ||
-            !getF(is, row.value) || !getF(is, row.bound))
-            return false;
+  private:
+    template <class T>
+    void token(const T &value)
+    {
+        if (!lineStart_)
+            os_ << ' ';
+        os_ << value;
+        lineStart_ = false;
     }
 
-    if (!expect(is, "transport"))
-        return false;
-    ros::TransportMode mode;
-    if (!(is >> run.transportMode) ||
-        !ros::transportModeFromName(run.transportMode, mode))
-        return false;
-    if (!(is >> run.transport.published >>
-          run.transport.deliveries >>
-          run.transport.payloadCopies >>
-          run.transport.loanedDeliveries >>
-          run.transport.movedPublishes >>
-          run.transport.forcedCopies))
-        return false;
-
-    int traced = 0;
-    if (!expect(is, "trace") || !(is >> traced >> run.trace.events))
-        return false;
-    run.trace.enabled = traced != 0;
-    if (!getF(is, run.trace.criticalPathMs) ||
-        !(is >> run.trace.terminalTopic))
-        return false;
-    if (run.trace.terminalTopic == "-")
-        run.trace.terminalTopic.clear();
-    if (!expect(is, "tracepath") || !getCount(is, count))
-        return false;
-    run.trace.criticalPath.resize(count);
-    for (trace::PathStep &step : run.trace.criticalPath) {
-        if (!(is >> step.node >> step.topic >> step.seq) ||
-            !getF(is, step.queueWaitMs) ||
-            !getF(is, step.computeMs))
-            return false;
-    }
-    if (!expect(is, "traceslack") || !getCount(is, count))
-        return false;
-    run.trace.nodes.resize(count);
-    for (trace::NodeSlack &row : run.trace.nodes) {
-        if (!(is >> row.node >> row.activations) ||
-            !getF(is, row.meanQueueWaitMs) ||
-            !getF(is, row.meanSpanMs) || !getF(is, row.meanCpuMs) ||
-            !getF(is, row.meanGpuMs) || !getF(is, row.meanStallMs) ||
-            !(is >> row.bottleneck))
-            return false;
-    }
-    if (!expect(is, "traceedges") || !getCount(is, count))
-        return false;
-    run.trace.edges.resize(count);
-    for (trace::EdgeUse &edge : run.trace.edges) {
-        if (!(is >> edge.topic >> edge.from >> edge.to >>
-              edge.messages))
-            return false;
+    void endLine()
+    {
+        os_ << '\n';
+        lineStart_ = true;
     }
 
-    return expect(is, "end");
-}
+    /** Doubles are bit-exact: the IEEE pattern as 16 hex digits. */
+    template <class T>
+        requires std::is_arithmetic_v<T>
+    void put(T &value)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            auto bits = std::bit_cast<std::uint64_t>(value);
+            char hex[17] = {};
+            for (int i = 15; i >= 0; --i, bits >>= 4)
+                hex[i] = "0123456789abcdef"[bits & 0xf];
+            token(hex);
+        } else {
+            token(value);
+        }
+    }
+
+    void put(std::string &text) { token(text); }
+    void put(Rest rest) { os_ << ' ' << rest.text; }
+    void put(Dash d) { token(d.text.empty() ? "-" : d.text); }
+    void put(ModeName mode) { token(mode.text); }
+    void put(fault::FaultKind k) { token(fault::faultKindName(k)); }
+    void put(stack::InvariantKind k) { token(stack::invariantName(k)); }
+
+    void put(util::RunningStats &stats)
+    {
+        util::RunningStats::State s = stats.state();
+        fields(*this, s);
+    }
+
+    void put(util::SampleSeries &series)
+    {
+        util::RunningStats::State s = series.running().state();
+        fields(*this, s);
+        token(series.samples().size());
+        for (double v : series.samples())
+            put(v);
+    }
+
+    template <class T>
+    void put(T &record)
+    {
+        fields(*this, record);
+    }
+
+    std::ostream &os_;
+    bool lineStart_ = true;
+};
+
+/**
+ * Parses the field list back. The first token that does not fit — a
+ * wrong keyword, a malformed double, an unknown name, a mismatched
+ * literal or an implausible count — fails the stream, and every
+ * later read is a no-op.
+ */
+class Reader
+{
+  public:
+    explicit Reader(std::istream &is) : is_(is) {}
+
+    template <class... Ts>
+    void operator()(Ts &&...values)
+    {
+        (get(values), ...);
+    }
+
+    template <class... Ts>
+    void line(const char *section, Ts &&...values)
+    {
+        std::string word;
+        if (!(is_ >> word) || word != section)
+            fail();
+        (get(values), ...);
+    }
+
+    template <class T>
+    void list(const char *section, std::vector<T> &rows)
+    {
+        std::size_t n = 0;
+        line(section, n);
+        readRows(n, rows);
+    }
+
+  private:
+    void fail() { is_.setstate(std::ios::failbit); }
+
+    /**
+     * Read @p n rows. A count above the bound fails outright: a
+     * corrupted count must make the entry a miss, not drive a huge
+     * allocation. Real entries stay far below it (~10 nodes; series
+     * keep a few thousand samples).
+     */
+    template <class T>
+    void readRows(std::size_t n, std::vector<T> &rows)
+    {
+        if (n > (std::size_t(1) << 20))
+            fail();
+        rows.clear();
+        rows.reserve(is_ ? n : 0);
+        while (is_ && rows.size() < n)
+            get(rows.emplace_back());
+    }
+
+    template <class T>
+        requires std::is_arithmetic_v<T>
+    void get(T &value)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            std::string hex;
+            std::uint64_t bits = 0;
+            is_ >> hex;
+            const char *end = hex.data() + hex.size();
+            if (hex.size() != 16 ||
+                std::from_chars(hex.data(), end, bits, 16).ptr != end)
+                fail();
+            value = std::bit_cast<double>(bits);
+        } else {
+            is_ >> value;
+        }
+    }
+
+    /** A literal in the field list (the format version) must match. */
+    void get(const int &literal)
+    {
+        int value = 0;
+        if (!(is_ >> value) || value != literal)
+            fail();
+    }
+
+    void get(std::string &text) { is_ >> text; }
+
+    void get(Rest rest)
+    {
+        std::getline(is_, rest.text);
+        if (!rest.text.empty() && rest.text.front() == ' ')
+            rest.text.erase(0, 1);
+    }
+
+    void get(Dash d)
+    {
+        if ((is_ >> d.text) && d.text == "-")
+            d.text.clear();
+    }
+
+    void get(ModeName mode)
+    {
+        ros::TransportMode parsed;
+        if (!(is_ >> mode.text) ||
+            !ros::transportModeFromName(mode.text, parsed))
+            fail();
+    }
+
+    void get(fault::FaultKind &kind)
+    {
+        std::string text;
+        if (!(is_ >> text) || !fault::faultKindFromName(text, kind))
+            fail();
+    }
+
+    void get(stack::InvariantKind &kind)
+    {
+        std::string text;
+        if (!(is_ >> text) || !stack::invariantFromName(text, kind))
+            fail();
+    }
+
+    void get(util::RunningStats &stats)
+    {
+        util::RunningStats::State s;
+        fields(*this, s);
+        stats = util::RunningStats::fromState(s);
+    }
+
+    void get(util::SampleSeries &series)
+    {
+        util::RunningStats::State s;
+        fields(*this, s);
+        std::size_t n = 0;
+        std::vector<double> kept;
+        get(n);
+        readRows(n, kept);
+        series = util::SampleSeries::fromState(s, std::move(kept));
+    }
+
+    template <class T>
+    void get(T &record)
+    {
+        fields(*this, record);
+    }
+
+    std::istream &is_;
+};
 
 } // namespace
 
@@ -475,7 +384,9 @@ ResultCache::load(const std::string &key) const
     if (!is)
         return std::nullopt;
     prof::RunResult run;
-    if (!parse(is, run))
+    Reader reader(is);
+    fields(reader, run);
+    if (!is)
         return std::nullopt;
     return run;
 }
@@ -500,7 +411,10 @@ ResultCache::store(const std::string &key,
         std::ofstream os(temp, std::ios::trunc);
         if (!os)
             return false;
-        serialize(os, result);
+        // The field list is shared with Reader, so it takes mutable
+        // references; Writer only reads through them.
+        Writer writer(os);
+        fields(writer, const_cast<prof::RunResult &>(result));
         if (!os.flush())
             return false;
     }

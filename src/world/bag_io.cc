@@ -1,7 +1,8 @@
 #include "world/bag_io.hh"
 
-#include <cstring>
+#include <cstdint>
 #include <fstream>
+#include <type_traits>
 
 #include "util/logging.hh"
 #include "world/recorder.hh"
@@ -13,240 +14,179 @@ namespace {
 constexpr std::uint32_t magic = 0x47425641; // "AVBG"
 constexpr std::uint32_t version = 1;
 
-/** Channel tags. */
-enum Tag : std::uint32_t {
-    tagPoints = 1,
-    tagImages = 2,
-    tagGnss = 3,
-    tagImu = 4,
-};
-
-template <typename T>
+/**
+ * Every persisted channel in file order: its payload type, its tag
+ * on the wire and the topic it replays on.
+ */
+template <class Fn>
 void
-writeRaw(std::ostream &os, const T &value)
+forEachChannel(Fn &&fn)
 {
-    os.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-bool
-readRaw(std::istream &is, T &value)
-{
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-    return static_cast<bool>(is);
-}
-
-void
-writeHeader(std::ostream &os, const ros::Header &h,
-            std::uint64_t bytes)
-{
-    writeRaw<std::uint64_t>(os, h.seq);
-    writeRaw<std::uint64_t>(os, h.stamp);
-    writeRaw<std::uint64_t>(os, h.origins.lidar);
-    writeRaw<std::uint64_t>(os, h.origins.camera);
-    writeRaw<std::uint64_t>(os, bytes);
-}
-
-bool
-readHeader(std::istream &is, ros::Header &h, std::uint64_t &bytes)
-{
-    return readRaw(is, h.seq) && readRaw(is, h.stamp) &&
-           readRaw(is, h.origins.lidar) &&
-           readRaw(is, h.origins.camera) && readRaw(is, bytes);
-}
-
-/** Bytes between the read cursor and end-of-file. */
-std::uint64_t
-remainingBytes(std::istream &is)
-{
-    const std::istream::pos_type here = is.tellg();
-    if (here == std::istream::pos_type(-1))
-        return 0;
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (end == std::istream::pos_type(-1) || end < here)
-        return 0;
-    return static_cast<std::uint64_t>(end - here);
+    fn(std::type_identity<pc::PointCloud>(), 1, topics::pointsRaw);
+    fn(std::type_identity<CameraFrame>(), 2, topics::imageRaw);
+    fn(std::type_identity<GnssFix>(), 3, topics::gnss);
+    fn(std::type_identity<ImuSample>(), 4, topics::imu);
 }
 
 /**
- * Guard a record count read from the file against the bytes that
- * actually remain: a truncated or bit-flipped count field must fail
- * the load, not drive a multi-gigabyte resize().
+ * The record layout: one field list per type, walked by BinWriter
+ * to save and by BinReader to load. Fields are raw little-endian
+ * scalars in list order; a vector is a u32 count then its rows.
  */
-bool
-plausibleCount(std::istream &is, std::uint64_t count,
-               std::uint64_t min_record_bytes)
-{
-    return count <= remainingBytes(is) / min_record_bytes;
-}
-
+template <class Ar, class T>
 void
-writePointCloud(std::ostream &os,
-                const ros::Stamped<pc::PointCloud> &msg)
+fields(Ar &ar, T &r)
 {
-    writeHeader(os, msg.header, msg.bytes);
-    writeRaw<std::uint64_t>(os, msg.data.stampNs);
-    writeRaw<std::uint32_t>(
-        os, static_cast<std::uint32_t>(msg.data.size()));
-    for (const pc::Point &p : msg.data.points) {
-        writeRaw(os, p.x);
-        writeRaw(os, p.y);
-        writeRaw(os, p.z);
-        writeRaw(os, p.intensity);
-        writeRaw(os, p.ring);
+    if constexpr (std::is_same_v<T, ros::Header>) {
+        ar(r.seq, r.stamp, r.origins.lidar, r.origins.camera);
+    } else if constexpr (std::is_same_v<T, pc::PointCloud>) {
+        ar(r.stampNs, r.points);
+    } else if constexpr (std::is_same_v<T, pc::Point>) {
+        ar(r.x, r.y, r.z, r.intensity, r.ring);
+    } else if constexpr (std::is_same_v<T, CameraFrame>) {
+        ar(r.width, r.height, r.truth);
+    } else if constexpr (std::is_same_v<T, VisibleObject>) {
+        ar(r.truthId, r.cls, r.range, r.bearing, r.imageHeightPx,
+           r.worldPos.x, r.worldPos.y, r.worldVelocity.x,
+           r.worldVelocity.y, r.occlusion);
+    } else if constexpr (std::is_same_v<T, GnssFix>) {
+        ar(r.position.x, r.position.y, r.position.z, r.horizontalErr);
+    } else {
+        static_assert(std::is_same_v<T, ImuSample>);
+        ar(r.yawRate, r.accelX, r.speed);
     }
 }
 
-bool
-readPointCloud(std::istream &is, ros::Stamped<pc::PointCloud> &msg)
+/** A message: header, serialized size (u64), payload. */
+template <class Ar, class T>
+void
+fields(Ar &ar, ros::Stamped<T> &msg)
+{
+    static_assert(sizeof msg.bytes == sizeof(std::uint64_t));
+    ar(msg.header, msg.bytes, msg.data);
+}
+
+/** Bytes one flat record of T occupies on the wire. */
+template <class T>
+std::uint64_t
+wireSize()
 {
     std::uint64_t bytes = 0;
-    if (!readHeader(is, msg.header, bytes))
-        return false;
-    msg.bytes = static_cast<std::size_t>(bytes);
-    std::uint32_t count = 0;
-    if (!readRaw(is, msg.data.stampNs) || !readRaw(is, count))
-        return false;
-    constexpr std::uint64_t point_bytes =
-        4 * sizeof(float) + sizeof(std::uint16_t);
-    if (!plausibleCount(is, count, point_bytes))
-        return false;
-    msg.data.points.resize(count);
-    for (pc::Point &p : msg.data.points) {
-        if (!(readRaw(is, p.x) && readRaw(is, p.y) &&
-              readRaw(is, p.z) && readRaw(is, p.intensity) &&
-              readRaw(is, p.ring)))
-            return false;
+    auto count = [&bytes]<class... Ts>(Ts &...values) {
+        static_assert((std::is_scalar_v<Ts> && ...));
+        bytes += (sizeof values + ...);
+    };
+    T record;
+    fields(count, record);
+    return bytes;
+}
+
+/** Writes field lists as raw bytes. */
+class BinWriter
+{
+  public:
+    explicit BinWriter(std::ostream &os) : os_(os) {}
+
+    template <class... Ts>
+    void operator()(const Ts &...values)
+    {
+        (put(values), ...);
     }
-    return true;
-}
 
-void
-writeFrame(std::ostream &os, const ros::Stamped<CameraFrame> &msg)
-{
-    writeHeader(os, msg.header, msg.bytes);
-    writeRaw(os, msg.data.width);
-    writeRaw(os, msg.data.height);
-    writeRaw<std::uint32_t>(
-        os, static_cast<std::uint32_t>(msg.data.truth.size()));
-    for (const VisibleObject &vo : msg.data.truth) {
-        writeRaw(os, vo.truthId);
-        writeRaw<std::uint8_t>(
-            os, static_cast<std::uint8_t>(vo.cls));
-        writeRaw(os, vo.range);
-        writeRaw(os, vo.bearing);
-        writeRaw(os, vo.imageHeightPx);
-        writeRaw(os, vo.worldPos.x);
-        writeRaw(os, vo.worldPos.y);
-        writeRaw(os, vo.worldVelocity.x);
-        writeRaw(os, vo.worldVelocity.y);
-        writeRaw(os, vo.occlusion);
+  private:
+    template <class T>
+        requires std::is_scalar_v<T>
+    void put(const T &value)
+    {
+        os_.write(reinterpret_cast<const char *>(&value), sizeof value);
     }
-}
 
-bool
-readFrame(std::istream &is, ros::Stamped<CameraFrame> &msg)
-{
-    std::uint64_t bytes = 0;
-    if (!readHeader(is, msg.header, bytes))
-        return false;
-    msg.bytes = static_cast<std::size_t>(bytes);
-    std::uint32_t count = 0;
-    if (!(readRaw(is, msg.data.width) &&
-          readRaw(is, msg.data.height) && readRaw(is, count)))
-        return false;
-    constexpr std::uint64_t object_bytes =
-        sizeof(std::uint32_t) + sizeof(std::uint8_t) +
-        8 * sizeof(double);
-    if (!plausibleCount(is, count, object_bytes))
-        return false;
-    msg.data.truth.resize(count);
-    for (VisibleObject &vo : msg.data.truth) {
-        std::uint8_t cls = 0;
-        if (!(readRaw(is, vo.truthId) && readRaw(is, cls) &&
-              readRaw(is, vo.range) && readRaw(is, vo.bearing) &&
-              readRaw(is, vo.imageHeightPx) &&
-              readRaw(is, vo.worldPos.x) &&
-              readRaw(is, vo.worldPos.y) &&
-              readRaw(is, vo.worldVelocity.x) &&
-              readRaw(is, vo.worldVelocity.y) &&
-              readRaw(is, vo.occlusion)))
-            return false;
-        // Enum values come off the wire: reject anything outside the
-        // ActorClass range rather than storing a poisoned enum.
-        if (cls > static_cast<std::uint8_t>(ActorClass::Cyclist))
-            return false;
-        vo.cls = static_cast<ActorClass>(cls);
+    template <class T>
+    void put(const std::vector<T> &rows)
+    {
+        put(static_cast<std::uint32_t>(rows.size()));
+        for (const T &row : rows)
+            put(row);
     }
-    return true;
-}
 
-void
-writeGnss(std::ostream &os, const ros::Stamped<GnssFix> &msg)
-{
-    writeHeader(os, msg.header, msg.bytes);
-    writeRaw(os, msg.data.position.x);
-    writeRaw(os, msg.data.position.y);
-    writeRaw(os, msg.data.position.z);
-    writeRaw(os, msg.data.horizontalErr);
-}
-
-bool
-readGnss(std::istream &is, ros::Stamped<GnssFix> &msg)
-{
-    std::uint64_t bytes = 0;
-    if (!readHeader(is, msg.header, bytes))
-        return false;
-    msg.bytes = static_cast<std::size_t>(bytes);
-    return readRaw(is, msg.data.position.x) &&
-           readRaw(is, msg.data.position.y) &&
-           readRaw(is, msg.data.position.z) &&
-           readRaw(is, msg.data.horizontalErr);
-}
-
-void
-writeImu(std::ostream &os, const ros::Stamped<ImuSample> &msg)
-{
-    writeHeader(os, msg.header, msg.bytes);
-    writeRaw(os, msg.data.yawRate);
-    writeRaw(os, msg.data.accelX);
-    writeRaw(os, msg.data.speed);
-}
-
-bool
-readImu(std::istream &is, ros::Stamped<ImuSample> &msg)
-{
-    std::uint64_t bytes = 0;
-    if (!readHeader(is, msg.header, bytes))
-        return false;
-    msg.bytes = static_cast<std::size_t>(bytes);
-    return readRaw(is, msg.data.yawRate) &&
-           readRaw(is, msg.data.accelX) &&
-           readRaw(is, msg.data.speed);
-}
-
-/** Write one channel block if the bag holds that channel. */
-template <typename T, typename WriteFn>
-void
-writeChannel(std::ostream &os, const ros::Bag &bag,
-             const char *topic, Tag tag, WriteFn write_fn)
-{
-    const ros::BagChannel<T> *channel = nullptr;
-    for (const ros::BagChannelBase *base : bag.channels()) {
-        if (base->name() == topic) {
-            channel = dynamic_cast<const ros::BagChannel<T> *>(base);
-            break;
-        }
+    // The field list is shared with BinReader, so it takes mutable
+    // references; the writer only reads through them.
+    template <class T>
+    void put(const T &record)
+    {
+        fields(*this, const_cast<T &>(record));
     }
-    if (!channel || channel->count() == 0)
-        return;
-    writeRaw<std::uint32_t>(os, tag);
-    writeRaw<std::uint64_t>(os, channel->count());
-    for (const auto &msg : channel->messages())
-        write_fn(os, msg);
-}
+
+    std::ostream &os_;
+};
+
+/**
+ * Reads field lists back, failing the stream on a short read, a
+ * vector count the remaining bytes cannot hold (a truncated or
+ * bit-flipped count must fail the load, not drive a multi-gigabyte
+ * resize()) or an ActorClass outside the enum.
+ */
+class BinReader
+{
+  public:
+    explicit BinReader(std::istream &is) : is_(is)
+    {
+        const std::istream::pos_type here = is_.tellg();
+        is_.seekg(0, std::ios::end);
+        end_ = is_.tellg();
+        is_.seekg(here);
+    }
+
+    bool ok() const { return static_cast<bool>(is_); }
+
+    template <class... Ts>
+    void operator()(Ts &...values)
+    {
+        (get(values), ...);
+    }
+
+  private:
+    void fail() { is_.setstate(std::ios::failbit); }
+
+    template <class T>
+        requires std::is_scalar_v<T>
+    void get(T &value)
+    {
+        is_.read(reinterpret_cast<char *>(&value), sizeof value);
+    }
+
+    void get(ActorClass &cls)
+    {
+        std::uint8_t raw = 0;
+        get(raw);
+        if (raw > static_cast<std::uint8_t>(ActorClass::Cyclist))
+            fail();
+        cls = static_cast<ActorClass>(raw);
+    }
+
+    template <class T>
+    void get(std::vector<T> &rows)
+    {
+        std::uint32_t count = 0;
+        get(count);
+        const auto left =
+            static_cast<std::uint64_t>(end_ - is_.tellg());
+        if (count > left / wireSize<T>())
+            fail();
+        rows.resize(is_ ? count : 0);
+        for (T &row : rows)
+            get(row);
+    }
+
+    template <class T>
+    void get(T &record)
+    {
+        fields(*this, record);
+    }
+
+    std::istream &is_;
+    std::istream::pos_type end_;
+};
 
 } // namespace
 
@@ -256,14 +196,21 @@ saveSensorBag(const ros::Bag &bag, const std::string &path)
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
         return false;
-    writeRaw(os, magic);
-    writeRaw(os, version);
-    writeChannel<pc::PointCloud>(os, bag, topics::pointsRaw,
-                                 tagPoints, writePointCloud);
-    writeChannel<CameraFrame>(os, bag, topics::imageRaw, tagImages,
-                              writeFrame);
-    writeChannel<GnssFix>(os, bag, topics::gnss, tagGnss, writeGnss);
-    writeChannel<ImuSample>(os, bag, topics::imu, tagImu, writeImu);
+    BinWriter out(os);
+    out(magic, version);
+    forEachChannel([&]<class T>(std::type_identity<T>,
+                                std::uint32_t tag, const char *topic) {
+        for (const ros::BagChannelBase *base : bag.channels()) {
+            const auto *channel =
+                dynamic_cast<const ros::BagChannel<T> *>(base);
+            if (base->name() != topic || !channel ||
+                channel->count() == 0)
+                continue;
+            out(tag, static_cast<std::uint64_t>(channel->count()));
+            for (const auto &msg : channel->messages())
+                out(msg);
+        }
+    });
     return static_cast<bool>(os);
 }
 
@@ -275,74 +222,58 @@ loadSensorBag(ros::Bag &bag, const std::string &path)
         util::warn("sensor bag '", path, "': cannot open for read");
         return false;
     }
+    BinReader in(is);
     std::uint32_t file_magic = 0, file_version = 0;
-    if (!readRaw(is, file_magic) || file_magic != magic) {
+    in(file_magic, file_version);
+    if (file_magic != magic) {
         util::warn("sensor bag '", path,
                    "': bad magic (not an AVBG file)");
         return false;
     }
-    if (!readRaw(is, file_version) || file_version != version) {
+    if (!in.ok() || file_version != version) {
         util::warn("sensor bag '", path,
                    "': unsupported format version ", file_version,
                    " (expected ", version, ")");
         return false;
     }
 
-    std::uint32_t tag = 0;
-    while (readRaw(is, tag)) {
+    // Any byte after a complete channel starts a new channel header,
+    // so a short trailing tag is a truncation, not a clean end.
+    while (is.peek() != std::char_traits<char>::eof()) {
+        std::uint32_t tag = 0;
         std::uint64_t count = 0;
-        if (!readRaw(is, count)) {
+        in(tag, count);
+        if (!in.ok()) {
             util::warn("sensor bag '", path,
-                       "': truncated channel header (tag ", tag,
-                       ")");
+                       "': truncated channel header (tag ", tag, ")");
             return false;
         }
-        for (std::uint64_t i = 0; i < count; ++i) {
-            bool ok = false;
-            switch (tag) {
-              case tagPoints: {
-                ros::Stamped<pc::PointCloud> msg;
-                ok = readPointCloud(is, msg);
-                if (ok)
-                    bag.channel<pc::PointCloud>(topics::pointsRaw)
-                        .add(std::move(msg));
-                break;
-              }
-              case tagImages: {
-                ros::Stamped<CameraFrame> msg;
-                ok = readFrame(is, msg);
-                if (ok)
-                    bag.channel<CameraFrame>(topics::imageRaw)
-                        .add(std::move(msg));
-                break;
-              }
-              case tagGnss: {
-                ros::Stamped<GnssFix> msg;
-                ok = readGnss(is, msg);
-                if (ok)
-                    bag.channel<GnssFix>(topics::gnss)
-                        .add(std::move(msg));
-                break;
-              }
-              case tagImu: {
-                ros::Stamped<ImuSample> msg;
-                ok = readImu(is, msg);
-                if (ok)
-                    bag.channel<ImuSample>(topics::imu)
-                        .add(std::move(msg));
-                break;
-              }
-              default:
-                util::warn("sensor bag '", path,
-                           "': unknown channel tag ", tag);
-                return false;
+        bool known = false;
+        std::uint64_t parsed = 0;
+        forEachChannel([&]<class T>(std::type_identity<T>,
+                                    std::uint32_t channel_tag,
+                                    const char *topic) {
+            if (channel_tag != tag)
+                return;
+            known = true;
+            for (; parsed < count; ++parsed) {
+                ros::Stamped<T> msg;
+                in(msg);
+                if (!in.ok())
+                    return;
+                bag.channel<T>(topic).add(std::move(msg));
             }
-            if (!ok) {
-                util::warn("sensor bag '", path,
-                           "': truncated or corrupt record ", i,
-                           " of ", count, " in channel tag ", tag);
-                return false;
-            }
+        });
+        if (!known) {
+            util::warn("sensor bag '", path, "': unknown channel tag ",
+                       tag);
+            return false;
+        }
+        if (parsed != count) {
+            util::warn("sensor bag '", path,
+                       "': truncated or corrupt record ", parsed,
+                       " of ", count, " in channel tag ", tag);
+            return false;
         }
     }
     return true;

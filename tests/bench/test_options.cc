@@ -3,6 +3,8 @@
  * BenchOptions tests: typed parsing, the fluent declaration API and
  * — the reason the parser throws instead of aborting — the
  * diagnostics for unknown flags, missing values and type mismatches.
+ * The Flags suite keeps the cases of the util::Flags parser that
+ * BenchOptions replaced, run against BenchOptions.
  */
 
 #include <stdexcept>
@@ -11,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common.hh"
 #include "options.hh"
 
 namespace {
 
 using av::bench::BenchOptions;
 using av::bench::commonOptions;
+using av::bench::parseOrExit;
 
 /** Parse the given argv words against @p options. */
 BenchOptions &
@@ -152,6 +156,73 @@ TEST(BenchOptions, UsageListsEveryDeclaredOption)
          {"--duration", "--seed", "--csv", "--jobs", "--cache-dir",
           "--no-cache", "--transport", "--trace"})
         EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+}
+
+TEST(Flags, EqualsForm)
+{
+    BenchOptions opts = BenchOptions()
+                            .integer("duration", 0, "seconds")
+                            .text("detector", "", "detector");
+    parse(opts, {"--duration=120", "--detector=yolo"});
+    EXPECT_EQ(opts.integer("duration"), 120);
+    EXPECT_EQ(opts.text("detector"), "yolo");
+}
+
+TEST(Flags, SpaceForm)
+{
+    BenchOptions opts = BenchOptions().integer("duration", 0, "s");
+    parse(opts, {"--duration", "90"});
+    EXPECT_EQ(opts.integer("duration"), 90);
+}
+
+TEST(Flags, BareBooleans)
+{
+    BenchOptions opts =
+        BenchOptions().flag("csv", "csv").flag("verbose", "verbose");
+    parse(opts, {"--csv"});
+    EXPECT_TRUE(opts.flag("csv"));
+    EXPECT_FALSE(opts.flag("verbose"));
+    EXPECT_FALSE(opts.given("verbose"));
+}
+
+TEST(Flags, Defaults)
+{
+    BenchOptions opts = BenchOptions()
+                            .integer("x", 7, "int")
+                            .real("y", 2.5, "real")
+                            .text("z", "d", "text");
+    parse(opts, {});
+    EXPECT_EQ(opts.integer("x"), 7);
+    EXPECT_DOUBLE_EQ(opts.real("y"), 2.5);
+    EXPECT_EQ(opts.text("z"), "d");
+    EXPECT_FALSE(opts.given("x"));
+}
+
+TEST(Flags, Positional)
+{
+    BenchOptions opts = BenchOptions().integer("k", 0, "k");
+    parse(opts, {"alpha", "--k=1", "beta"});
+    ASSERT_EQ(opts.positional().size(), 2u);
+    EXPECT_EQ(opts.positional()[0], "alpha");
+    EXPECT_EQ(opts.positional()[1], "beta");
+}
+
+TEST(Flags, DoubleParsing)
+{
+    BenchOptions opts = BenchOptions().real("scale", 1.0, "scale");
+    parse(opts, {"--scale=0.25"});
+    EXPECT_DOUBLE_EQ(opts.real("scale"), 0.25);
+}
+
+TEST(FlagsDeath, UnknownFlagFatal)
+{
+    // Binaries parse through parseOrExit, which turns the thrown
+    // diagnostic into exit status 2.
+    std::vector<char *> argv = {const_cast<char *>("prog"),
+                                const_cast<char *>("--nope")};
+    EXPECT_EXIT(parseOrExit(BenchOptions().flag("yep", "yep"), 2,
+                            argv.data()),
+                ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 } // namespace

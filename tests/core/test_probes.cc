@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/probes.hh"
+#include "core/run_result.hh"
 
 namespace {
 
@@ -158,8 +159,16 @@ TEST(PathTracer, RoutesOriginsToTheRightSeries)
                     .running()
                     .mean(),
                 30.0, 1e-9);
-    EXPECT_NEAR(tracer.worstCaseMean(), 80.0, 1e-9);
-    EXPECT_NEAR(tracer.worstCaseMax(), 80.0, 1e-9);
+    // The worst path is read off the snapshot's path rows.
+    prof::RunResult result;
+    for (const auto path :
+         {prof::Path::Localization, prof::Path::CostmapPoints,
+          prof::Path::CostmapVisionObj,
+          prof::Path::CostmapClusterObj})
+        result.paths.push_back(
+            {prof::pathName(path), tracer.series(path)});
+    EXPECT_NEAR(result.worstCaseMean(), 80.0, 1e-9);
+    EXPECT_NEAR(result.worstCaseMax(), 80.0, 1e-9);
 }
 
 TEST(DropCollection, ReportsPerSubscription)

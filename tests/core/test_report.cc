@@ -59,7 +59,7 @@ TEST(Report, WritesAllFilesWithConsistentContent)
     // the mean column matches the in-memory summary.
     const auto latency =
         readCsv(std::filesystem::path(dir) / "node_latency.csv");
-    const auto summaries = run.nodeLatencies();
+    const auto summaries = prof::snapshotRun(run).nodeLatencies();
     ASSERT_EQ(latency.size(), summaries.size() + 1);
     EXPECT_EQ(latency[0][0], "node");
     for (std::size_t i = 0; i < summaries.size(); ++i) {

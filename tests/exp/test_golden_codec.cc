@@ -1,0 +1,163 @@
+/**
+ * @file
+ * Golden pin of the two on-disk formats' bytes.
+ *
+ * The result-cache entries of three 4 s seed-2020 runs — clean (with
+ * a spaced label), traced, and faulted + degraded + invariants —
+ * and a saved 2 s sensor bag are hashed (FNV-1a 64) and compared
+ * against tests/exp/golden_codec.txt. Together the three runs leave
+ * no cache section empty, so any change to how a field is written
+ * (order, encoding, separator) moves a hash. Regenerate after an
+ * intentional format change (which must also bump its version)
+ * with:
+ *       AVSCOPE_WRITE_GOLDEN=1 ./avscope_tests \
+ *           --gtest_filter='CodecGolden.*'
+ */
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "exp/runner.hh"
+#include "world/bag_io.hh"
+#include "world/recorder.hh"
+
+namespace {
+
+using namespace av;
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+/** "<name> <size> <fnv1a-64 hex>" for one file's bytes. */
+std::string
+pin(const std::string &name, const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    std::ostringstream os;
+    os << name << ' ' << bytes.size() << ' ' << std::hex
+       << std::setw(16) << std::setfill('0') << hash << '\n';
+    return os.str();
+}
+
+/** Compare @p actual with the named golden file (or rewrite it). */
+void
+checkGolden(const std::string &actual, const char *file)
+{
+    const std::string path =
+        std::string(AVSCOPE_SOURCE_DIR) + "/tests/exp/" + file;
+    if (std::getenv("AVSCOPE_WRITE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << actual;
+        GTEST_SKIP() << "golden hashes regenerated: " << path;
+    }
+    const std::string golden = fileBytes(path);
+    ASSERT_FALSE(golden.empty()) << "missing fixture " << path;
+    EXPECT_EQ(golden, actual)
+        << "on-disk bytes changed; if intentional, bump the format "
+           "version and regenerate with AVSCOPE_WRITE_GOLDEN=1";
+}
+
+/** The three runs whose entries together fill every section. */
+std::vector<exp::ExperimentSpec>
+codecRuns()
+{
+    const auto base = exp::spec().durationSeconds(4).seed(2020);
+    auto faulted = base;
+    faulted
+        .faults(fault::FaultPlan()
+                    .lidarBlackout(1500 * sim::oneMs, sim::oneSec)
+                    .cameraBlackout(2 * sim::oneSec, sim::oneSec)
+                    .gpuThrottle(1800 * sim::oneMs, sim::oneSec, 0.5))
+        .degraded()
+        .invariants()
+        .named("faulted");
+    return {exp::ExperimentSpec(base).named("clean run, spaced label"),
+            exp::ExperimentSpec(base).traced().named("traced"),
+            faulted};
+}
+
+TEST(CodecGolden, CacheEntryBytesMatchGolden)
+{
+    const auto specs = codecRuns();
+    exp::Runner runner(exp::RunnerConfig{2, ""});
+    for (const auto &s : specs)
+        runner.submit(s);
+    const auto results = runner.collect();
+
+    const std::string dir = "/tmp/avscope_codec_golden";
+    std::filesystem::remove_all(dir);
+    const exp::ResultCache cache(dir);
+    std::string actual;
+    bool faults = false, violations = false, tracepath = false;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const prof::RunResult &run = *results[i];
+        faults |= !run.faults.empty();
+        violations |= !run.violations.empty();
+        tracepath |= !run.trace.criticalPath.empty() &&
+                     !run.trace.nodes.empty() &&
+                     !run.trace.edges.empty();
+        const std::string key = "run" + std::to_string(i);
+        ASSERT_TRUE(cache.store(key, run));
+        const std::string bytes = fileBytes(cache.entryPath(key));
+        actual += pin(specs[i].label, bytes);
+
+        // Reload and re-store: the entry must reproduce its bytes.
+        const auto reloaded = cache.load(key);
+        ASSERT_TRUE(reloaded.has_value()) << specs[i].label;
+        ASSERT_TRUE(cache.store(key + "-again", *reloaded));
+        EXPECT_EQ(fileBytes(cache.entryPath(key + "-again")), bytes)
+            << specs[i].label << " does not round-trip";
+    }
+    // Guard against a vacuous pin: every optional section is filled
+    // by at least one of the runs.
+    EXPECT_TRUE(faults);
+    EXPECT_TRUE(violations);
+    EXPECT_TRUE(tracepath);
+    std::filesystem::remove_all(dir);
+    checkGolden(actual, "golden_codec.txt");
+}
+
+TEST(CodecGolden, SensorBagBytesMatchGolden)
+{
+    world::ScenarioConfig cfg;
+    cfg.seed = 2020;
+    const world::Scenario scenario(cfg);
+    ros::Bag bag;
+    world::recordDrive(scenario, world::LidarModel(),
+                       world::CameraModel(), world::GnssModel(),
+                       world::ImuModel(), 2 * sim::oneSec,
+                       world::RecorderConfig(), bag);
+
+    const std::string path = "/tmp/avscope_codec_golden.avbg";
+    ASSERT_TRUE(world::saveSensorBag(bag, path));
+    const std::string bytes = fileBytes(path);
+
+    // Load and re-save: the bag must reproduce its bytes.
+    ros::Bag loaded;
+    ASSERT_TRUE(world::loadSensorBag(loaded, path));
+    ASSERT_TRUE(world::saveSensorBag(loaded, path));
+    EXPECT_EQ(fileBytes(path), bytes) << "bag does not round-trip";
+    std::remove(path.c_str());
+    checkGolden(pin("bag_2s", bytes), "golden_codec_bag.txt");
+}
+
+} // namespace

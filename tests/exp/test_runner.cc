@@ -221,6 +221,35 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
              s.faults(fault::FaultPlan().frameLoss(
                  "/points_raw", sim::oneSec, sim::oneSec, 0.25));
          }},
+        {"safety monitor toggle",
+         [](exp::ExperimentSpec &s) {
+             s.config.safety.enabled = true;
+         }},
+        {"safety threshold",
+         [](exp::ExperimentSpec &s) {
+             s.config.safety.deadlineMs += 1.0;
+         }},
+        {"trace toggle", [](exp::ExperimentSpec &s) { s.traced(); }},
+        {"queue-depth override",
+         [](exp::ExperimentSpec &s) {
+             s.queueDepth("/image_raw", "vision_detection", 2);
+         }},
+        {"camera phase",
+         [](exp::ExperimentSpec &s) {
+             s.recorder.cameraPhase += sim::oneMs;
+         }},
+        {"non-NDT node calibration",
+         [](exp::ExperimentSpec &s) {
+             s.config.calibration.euclideanCluster.workScale *= 1.01;
+         }},
+        {"machine power coefficient",
+         [](exp::ExperimentSpec &s) {
+             s.config.machine.power.cpuPerCoreW += 0.5;
+         }},
+        {"transport base latency",
+         [](exp::ExperimentSpec &s) {
+             s.config.transport.baseLatency += sim::oneUs;
+         }},
     };
     for (const auto &c : cases) {
         auto changed = base;

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <memory>
 
-#include "core/characterization.hh"
+#include "core/run_result.hh"
 
 namespace {
 
@@ -108,7 +108,7 @@ TEST_F(StackIntegration, EveryNodeProcessesAndPublishes)
     prof::CharacterizationRun run(drive_, cfg);
     run.execute();
 
-    for (const auto &node : run.nodeLatencies()) {
+    for (const auto &node : prof::snapshotRun(run).nodeLatencies()) {
         EXPECT_GT(node.summary.count, 10u) << node.name;
         EXPECT_GT(node.summary.mean, 0.0) << node.name;
         EXPECT_GE(node.summary.max, node.summary.mean) << node.name;
@@ -155,8 +155,8 @@ TEST_F(StackIntegration, ReproducibleAcrossRuns)
     prof::CharacterizationRun b(drive_, cfg);
     b.execute();
 
-    const auto la = a.nodeLatencies();
-    const auto lb = b.nodeLatencies();
+    const auto la = prof::snapshotRun(a).nodeLatencies();
+    const auto lb = prof::snapshotRun(b).nodeLatencies();
     ASSERT_EQ(la.size(), lb.size());
     for (std::size_t i = 0; i < la.size(); ++i) {
         EXPECT_EQ(la[i].name, lb[i].name);
@@ -182,8 +182,9 @@ TEST_F(StackIntegration, IsolationModeRunsDetectorOnly)
     run.execute();
 
     EXPECT_EQ(run.stack().nodes().size(), 1u);
+    const prof::RunResult isolated = prof::snapshotRun(run);
     const util::SampleSeries *vis_series =
-        run.findNodeLatencySeries("vision_detection");
+        isolated.findNodeSeries("vision_detection");
     ASSERT_NE(vis_series, nullptr);
     const auto vis = vis_series->summarize();
     EXPECT_GT(vis.count, 100u);
@@ -193,8 +194,9 @@ TEST_F(StackIntegration, IsolationModeRunsDetectorOnly)
     full.stack.detector = perception::DetectorKind::Ssd512;
     prof::CharacterizationRun full_run(drive_, full);
     full_run.execute();
+    const prof::RunResult full_result = prof::snapshotRun(full_run);
     const util::SampleSeries *full_series =
-        full_run.findNodeLatencySeries("vision_detection");
+        full_result.findNodeSeries("vision_detection");
     ASSERT_NE(full_series, nullptr);
     const auto fullsum = full_series->summarize();
     EXPECT_LT(vis.mean, fullsum.mean);
@@ -211,10 +213,12 @@ TEST_F(StackIntegration, DetectorChoiceChangesVisionLatency)
     light.stack.detector = perception::DetectorKind::Ssd300;
     prof::CharacterizationRun lr(drive_, light);
     lr.execute();
+    const prof::RunResult heavy_result = prof::snapshotRun(hr);
+    const prof::RunResult light_result = prof::snapshotRun(lr);
     const util::SampleSeries *heavy_series =
-        hr.findNodeLatencySeries("vision_detection");
+        heavy_result.findNodeSeries("vision_detection");
     const util::SampleSeries *light_series =
-        lr.findNodeLatencySeries("vision_detection");
+        light_result.findNodeSeries("vision_detection");
     ASSERT_NE(heavy_series, nullptr);
     ASSERT_NE(light_series, nullptr);
     EXPECT_GT(heavy_series->running().mean(),

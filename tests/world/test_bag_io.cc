@@ -150,6 +150,24 @@ TEST(BagIo, RejectsTruncatedFile)
     std::remove(path.c_str());
 }
 
+TEST(BagIo, RejectsPartialTrailingChannelTag)
+{
+    // A complete bag plus two stray bytes: they begin a channel tag
+    // that never finishes, so the load must report a truncated
+    // channel header instead of treating the short read as a clean
+    // end of file.
+    const ros::Bag original = recordShortDrive();
+    const std::string path = tempPath("trailing_tag");
+    ASSERT_TRUE(saveSensorBag(original, path));
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::app);
+        os.write("\x01\x00", 2);
+    }
+    ros::Bag bag;
+    EXPECT_FALSE(loadSensorBag(bag, path));
+    std::remove(path.c_str());
+}
+
 template <typename T>
 void
 putRaw(std::ostream &os, const T &value)
