@@ -56,7 +56,11 @@ CharacterizationRun::CharacterizationRun(
     stack_ = std::make_unique<stack::AutowareStack>(
         *graph_, drive_->map, config_.stack, config_.calibration,
         drive_->initialPose);
-    tracer_ = std::make_unique<PathTracer>(*graph_);
+    // pathSeries() reads these two topics' publish logs. Declared in
+    // every configuration, so the topic set (and the staleness rows)
+    // is the same when a stack section is off.
+    graph_->topic<perception::PoseEstimate>(perception::topics::ndtPose);
+    graph_->topic<perception::Costmap>(perception::topics::costmap);
     util_ = std::make_unique<UtilizationMonitor>(
         *eq_, *machine_, config_.samplePeriod);
     power_ = std::make_unique<PowerMonitor>(*eq_, *machine_,

@@ -113,14 +113,15 @@ class CharacterizationRun
     void execute();
 
     const stack::AutowareStack &stack() const { return *stack_; }
-    const PathTracer &paths() const { return *tracer_; }
     const UtilizationMonitor &utilization() const { return *util_; }
     const PowerMonitor &power() const { return *power_; }
     const StalenessMonitor &staleness() const { return *staleness_; }
 
     /**
-     * The run's single recording surface: the publish log is always
-     * on; the full event stream only when RunConfig::trace is set.
+     * The run's single recording surface: the publish and
+     * activation logs are always on (snapshotRun derives the node
+     * and path latencies from them); the full event stream only
+     * when RunConfig::trace is set.
      */
     const trace::Recorder &recorder() const { return recorder_; }
 
@@ -178,14 +179,14 @@ class CharacterizationRun
   private:
     std::shared_ptr<const DriveData> drive_;
     RunConfig config_;
-    std::unique_ptr<sim::EventQueue> eq_;
-    /** Declared before machine_/graph_: both hold raw pointers to
-     *  it, so it must be destroyed after them. */
+    /** Declared first: the machine and graph hold raw pointers to
+     *  it and callbacks still pending in the queue may hold open
+     *  spans, so it must be destroyed after all of them. */
     trace::Recorder recorder_;
+    std::unique_ptr<sim::EventQueue> eq_;
     std::unique_ptr<hw::Machine> machine_;
     std::unique_ptr<ros::RosGraph> graph_;
     std::unique_ptr<stack::AutowareStack> stack_;
-    std::unique_ptr<PathTracer> tracer_;
     std::unique_ptr<UtilizationMonitor> util_;
     std::unique_ptr<PowerMonitor> power_;
     std::unique_ptr<StalenessMonitor> staleness_;

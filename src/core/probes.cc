@@ -1,7 +1,5 @@
 #include "core/probes.hh"
 
-#include "perception/objects.hh"
-
 namespace av::prof {
 
 UtilizationMonitor::UtilizationMonitor(sim::EventQueue &eq,
@@ -92,58 +90,6 @@ pathName(Path path)
       case Path::CostmapClusterObj: return "costmap_cluster_obj";
     }
     return "?";
-}
-
-PathTracer::PathTracer(ros::RosGraph &graph)
-{
-    series_.emplace(Path::Localization, util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapPoints,
-                    util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapVisionObj,
-                    util::SampleSeries(1u << 15));
-    series_.emplace(Path::CostmapClusterObj,
-                    util::SampleSeries(1u << 15));
-
-    auto &eq = graph.eventQueue();
-
-    graph.topic<perception::PoseEstimate>(perception::topics::ndtPose)
-        .addTap([this, &eq](
-                    const ros::Stamped<perception::PoseEstimate>
-                        &msg) {
-            if (msg.header.origins.lidar)
-                record(Path::Localization, msg.header.origins.lidar,
-                       eq.now());
-        });
-
-    graph.topic<perception::Costmap>(perception::topics::costmap)
-        .addTap([this,
-                 &eq](const ros::Stamped<perception::Costmap> &msg) {
-            const ros::Origins &o = msg.header.origins;
-            if (o.camera) {
-                // Object layer (fused lineage): both Table IV
-                // object paths end here.
-                record(Path::CostmapVisionObj, o.camera, eq.now());
-                if (o.lidar)
-                    record(Path::CostmapClusterObj, o.lidar,
-                           eq.now());
-            } else if (o.lidar) {
-                // Points layer: LiDAR-only lineage.
-                record(Path::CostmapPoints, o.lidar, eq.now());
-            }
-        });
-}
-
-void
-PathTracer::record(Path path, sim::Tick origin, sim::Tick now)
-{
-    if (now >= origin)
-        series_.at(path).add(sim::ticksToMs(now - origin));
-}
-
-const util::SampleSeries &
-PathTracer::series(Path path) const
-{
-    return series_.at(path);
 }
 
 std::vector<DropRow>

@@ -6,12 +6,13 @@
  *  - UtilizationMonitor: atop-equivalent, 1 Hz per-node CPU share +
  *    nvidia-smi-equivalent GPU residency (Table V);
  *  - PowerMonitor: 1 Hz CPU/GPU watts (Table VI);
- *  - PathTracer: end-to-end computation-path latency via the
- *    sensor-origin timestamps carried in message headers (Fig. 6,
- *    Table IV);
- *  - DropMonitor: per-topic dropped-message accounting (Table III);
- *  - CounterProbe: PAPI-equivalent µarch counters per node
- *    (Table VII, Fig. 7).
+ *  - collectDrops: per-subscription dropped messages (Table III);
+ *  - collectCounters: PAPI-equivalent µarch counters per node
+ *    (Table VII, Fig. 7);
+ *  - StalenessMonitor, RecoveryProbe: read the recorder's publish log.
+ *
+ * Node and path latency (Fig. 5, 6) are derived from the run's
+ * trace::Recorder in core/run_result.hh.
  */
 
 #ifndef AVSCOPE_CORE_PROBES_HH
@@ -122,23 +123,6 @@ enum class Path {
 };
 
 const char *pathName(Path path);
-
-/**
- * Records end-to-end latency per computation path by tapping the
- * terminal topics and reading the origin stamps.
- */
-class PathTracer
-{
-  public:
-    explicit PathTracer(ros::RosGraph &graph);
-
-    const util::SampleSeries &series(Path path) const;
-
-  private:
-    std::map<Path, util::SampleSeries> series_;
-
-    void record(Path path, sim::Tick origin, sim::Tick now);
-};
 
 /** One topic/subscriber drop row (Table III). */
 struct DropRow

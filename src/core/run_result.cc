@@ -6,7 +6,10 @@ namespace av::prof {
 
 namespace {
 
-/** The four traced paths in reporting order. */
+/** Retained samples per latency row. */
+constexpr std::size_t kCapacity = 1u << 15;
+
+/** The four paths in reporting order (= Path order). */
 constexpr Path kPaths[] = {
     Path::Localization,
     Path::CostmapPoints,
@@ -110,29 +113,87 @@ RunResult::violationsOf(stack::InvariantKind kind) const
     return n;
 }
 
+std::vector<NamedSeries>
+nodeSeries(const trace::Recorder &recorder,
+           const std::vector<perception::PerceptionNode *> &nodes)
+{
+    namespace t = perception::topics;
+    std::vector<NamedSeries> out;
+    std::vector<std::pair<trace::Id, trace::Id>> rows; // node, trigger
+    const auto add = [&](std::string name, trace::Id node,
+                         trace::Id trigger) { // trigger 0 = any
+        out.push_back({std::move(name), util::SampleSeries(kCapacity)});
+        rows.emplace_back(node, trigger);
+    };
+    for (const perception::PerceptionNode *node : nodes) {
+        const trace::Id id = recorder.find(node->name());
+        if (node->name() == "costmap_generator") {
+            add("costmap_generator_obj", id,
+                recorder.find(t::predictedObjects));
+            add("costmap_generator_points", id,
+                recorder.find(t::pointsNoGround));
+            continue;
+        }
+        add(node->name(), id, 0);
+    }
+    for (const trace::ActivationRecord &act : recorder.activations()) {
+        if (!act.published)
+            continue;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const auto [node, trigger] = rows[i];
+            if (node == act.node && (trigger == 0 || trigger == act.topic)) {
+                out[i].series.add(sim::ticksToMs(act.end - act.start));
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+std::vector<NamedSeries>
+pathSeries(const trace::Recorder &recorder)
+{
+    std::vector<NamedSeries> out;
+    for (const Path path : kPaths)
+        out.push_back({pathName(path), util::SampleSeries(kCapacity)});
+    const auto record = [&out](Path path, sim::Tick origin, sim::Tick now) {
+        if (now >= origin)
+            out[static_cast<std::size_t>(path)].series.add(
+                sim::ticksToMs(now - origin));
+    };
+    namespace t = perception::topics;
+    if (const auto *log = recorder.publishLog(t::ndtPose))
+        for (const trace::PublishRecord &pub : *log)
+            if (pub.originLidar)
+                record(Path::Localization, pub.originLidar, pub.tick);
+    if (const auto *log = recorder.publishLog(t::costmap)) {
+        for (const trace::PublishRecord &pub : *log) {
+            if (pub.originCamera) { // object layer (fused lineage)
+                record(Path::CostmapVisionObj, pub.originCamera,
+                       pub.tick);
+                if (pub.originLidar)
+                    record(Path::CostmapClusterObj, pub.originLidar,
+                           pub.tick);
+            } else if (pub.originLidar) { // points layer
+                record(Path::CostmapPoints, pub.originLidar, pub.tick);
+            }
+        }
+    }
+    return out;
+}
+
 RunResult
 snapshotRun(const CharacterizationRun &run, std::string label)
 {
     RunResult out;
     out.label = std::move(label);
 
-    for (const perception::PerceptionNode *node :
-         run.stack().nodes()) {
-        if (node->name() == "costmap_generator") {
-            const auto *costmap = static_cast<
-                const perception::CostmapGeneratorNode *>(node);
-            out.nodes.push_back({"costmap_generator_obj",
-                                 costmap->latencySeries()});
-            out.nodes.push_back({"costmap_generator_points",
-                                 costmap->pointsLatencySeries()});
-            continue;
-        }
-        out.nodes.push_back({node->name(), node->latencySeries()});
-    }
-
-    for (const Path path : kPaths)
-        out.paths.push_back({pathName(path),
-                             run.paths().series(path)});
+    // Copied, not moved: a copy keeps only the retained samples, not
+    // each series' construction-time reserve, and results outlive runs.
+    const auto nodes = nodeSeries(run.recorder(), run.stack().nodes());
+    const auto paths = pathSeries(run.recorder());
+    out.nodes.assign(nodes.begin(), nodes.end());
+    out.paths.assign(paths.begin(), paths.end());
 
     out.drops = run.drops();
     out.counters = run.counters();

@@ -116,7 +116,7 @@ struct RunResult
     const util::SampleSeries *
     findNodeSeries(const std::string &name) const;
 
-    /** Series of one computation path; nullptr when untraced. */
+    /** Series of one computation path; nullptr when absent. */
     const util::SampleSeries *findPathSeries(Path path) const;
 
     /** Per-node summaries in stack order (Fig. 5 rows). */
@@ -137,6 +137,27 @@ struct RunResult
     /** GPU active seconds attributed to @p owner; 0 when unknown. */
     double gpuSecondsOf(const std::string &owner) const;
 };
+
+/**
+ * The Fig. 5 rows of @p nodes from the recorder's activation log:
+ * one sample (end − start, ms) per activation that published, in
+ * dispatch order; costmap_generator splits into _obj and _points
+ * rows by trigger topic. Callbacks that only cache their input add
+ * no sample, nor do tracker coasts (published outside any span).
+ */
+std::vector<NamedSeries>
+nodeSeries(const trace::Recorder &recorder,
+           const std::vector<perception::PerceptionNode *> &nodes);
+
+/**
+ * The four Fig. 6 rows, in Path order, from the /ndt_pose and
+ * /semantics/costmap publish logs: sample = publish tick − sensor
+ * origin (ms), skipped when the origin is later. A costmap with a
+ * camera origin ends the vision-object path (and the cluster-object
+ * path if it has a LiDAR origin too), one with only a LiDAR origin
+ * the points path.
+ */
+std::vector<NamedSeries> pathSeries(const trace::Recorder &recorder);
 
 /**
  * Snapshot a finished run into a detached RunResult.

@@ -1,7 +1,5 @@
 #include "perception/node_base.hh"
 
-#include "sim/ticks.hh"
-
 namespace av::perception {
 
 PerceptionNode::PerceptionNode(ros::RosGraph &graph, std::string name,
@@ -9,8 +7,7 @@ PerceptionNode::PerceptionNode(ros::RosGraph &graph, std::string name,
     : ros::Node(graph, std::move(name)), config_(config),
       arch_(config.cache, config.branch, config.pipeline,
             config.tracePeriod),
-      latency_(1u << 15), jitterRng_(std::hash<std::string>{}(
-                              this->name()))
+      jitterRng_(std::hash<std::string>{}(this->name()))
 {
     arch_.setOpScale(config_.workScale);
 }
@@ -42,14 +39,6 @@ PerceptionNode::finishWorkOnCpu(std::function<void()> then)
 {
     const uarch::InvocationCost cost = arch_.endInvocation();
     machine().cpu().submit(makeCpuTask(cost, std::move(then)));
-}
-
-void
-PerceptionNode::recordLatency(sim::Tick arrival)
-{
-    const sim::Tick now = graph_.eventQueue().now();
-    if (now >= arrival)
-        latency_.add(sim::ticksToMs(now - arrival));
 }
 
 } // namespace av::perception

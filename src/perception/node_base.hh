@@ -6,8 +6,9 @@
  * the machine: a handler runs its algorithm functionally (in zero
  * virtual time, instrumented through the profiler), then converts
  * the recorded work into a CPU task (and optionally GPU phases) on
- * the shared machine. Each node also keeps its own latency
- * distribution — the paper's per-node chrono probes (§III-B).
+ * the shared machine. A node's latency (the paper's per-node chrono
+ * probes, §III-B) is derived from the run's trace::Recorder
+ * activation log (prof::nodeSeries).
  */
 
 #ifndef AVSCOPE_PERCEPTION_NODE_BASE_HH
@@ -19,7 +20,6 @@
 #include "ros/ros.hh"
 #include "uarch/profiler.hh"
 #include "util/random.hh"
-#include "util/stats.hh"
 
 namespace av::perception {
 
@@ -54,12 +54,6 @@ class PerceptionNode : public ros::Node
   public:
     PerceptionNode(ros::RosGraph &graph, std::string name,
                    const NodeConfig &config = NodeConfig());
-
-    /** Latency distribution (arrival -> output ready), in ms. */
-    const util::SampleSeries &latencySeries() const
-    {
-        return latency_;
-    }
 
     /** Persistent µarch state (Table VII / Fig. 7 source). */
     const uarch::NodeArchState &arch() const { return arch_; }
@@ -102,9 +96,6 @@ class PerceptionNode : public ros::Node
     hw::CpuTask makeCpuTask(const uarch::InvocationCost &cost,
                             std::function<void()> on_complete);
 
-    /** Record one processed-message latency sample. */
-    void recordLatency(sim::Tick arrival);
-
     /** Derive an output header continuing @p input's lineage. */
     ros::Header
     deriveHeader(const ros::Header &input) const
@@ -130,7 +121,6 @@ class PerceptionNode : public ros::Node
   private:
     NodeConfig config_;
     uarch::NodeArchState arch_;
-    util::SampleSeries latency_;
     util::Rng jitterRng_;
 };
 

@@ -36,10 +36,7 @@ VoxelGridFilterNode::VoxelGridFilterNode(ros::RosGraph &graph,
                 share(pc::voxelGridDownsample(msg.data, leaf_,
                                               profiler()));
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, out, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, out, header, done = std::move(done)] {
                 // Loan the payload: byteSize() is hoisted because
                 // argument evaluation order is unspecified and the
                 // move hollows out *out.
@@ -168,10 +165,7 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
             lastStamp_ = msg.header.stamp;
 
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, estimate, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, estimate, header, done = std::move(done)] {
                 pub_.publish(header, estimate, 96);
                 done();
             });
@@ -199,10 +193,7 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
             auto split = share(
                 rayGroundFilter(msg.data, filter_, profiler()));
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, split, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, split, header, done = std::move(done)] {
                 const std::size_t ngBytes =
                     split->noGround.byteSize();
                 const std::size_t gBytes = split->ground.byteSize();
@@ -267,10 +258,7 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
 
             const auto cost = finishWork();
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            const auto publish = [this, list, header, arrival,
-                                  done = std::move(done)] {
-                recordLatency(arrival);
+            const auto publish = [this, list, header, done = std::move(done)] {
                 const std::size_t bytes = list->byteSize();
                 pub_.publish(header, std::move(*list), bytes);
                 done();
@@ -363,12 +351,9 @@ VisionDetectorNode::VisionDetectorNode(
                 makeCpuTask(post_cost, nullptr)));
 
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
             hw::runPhases(
                 machine(), std::move(phases),
-                [this, detections, header, arrival,
-                 done = std::move(done)] {
-                    recordLatency(arrival);
+                [this, detections, header, done = std::move(done)] {
                     const std::size_t bytes =
                         detections->byteSize();
                     pub_.publish(header, std::move(*detections),
@@ -429,10 +414,7 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                                            fusion_, profiler()));
             ++lidarOnly_;
             const ros::Header header = deriveHeader(msg.header);
-            const auto arrival = now;
-            finishWorkOnCpu([this, fused, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, fused, header, done = std::move(done)] {
                 const std::size_t bytes = fused->byteSize();
                 pub_.publish(header, std::move(*fused), bytes);
                 done();
@@ -463,10 +445,7 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                 header.origins = header.origins.merged(
                     lastLidar_->header.origins);
 
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, fused, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, fused, header, done = std::move(done)] {
                 const std::size_t bytes = fused->byteSize();
                 pub_.publish(header, std::move(*fused), bytes);
                 done();
@@ -496,10 +475,7 @@ ImmUkfPdaNode::ImmUkfPdaNode(ros::RosGraph &graph,
             auto tracked = share(tracker_.update(
                 msg.data, msg.header.stamp, profiler()));
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, tracked, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, tracked, header, done = std::move(done)] {
                 const std::size_t bytes = tracked->byteSize();
                 pub_.publish(header, std::move(*tracked), bytes);
                 done();
@@ -555,10 +531,7 @@ TrackRelayNode::TrackRelayNode(ros::RosGraph &graph,
             profiler().addOps(ops);
             auto list = share(msg.data);
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, list, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, list, header, done = std::move(done)] {
                 const std::size_t bytes = list->byteSize();
                 pub_.publish(header, std::move(*list), bytes);
                 done();
@@ -583,10 +556,7 @@ NaiveMotionPredictNode::NaiveMotionPredictNode(
             auto predicted = share(
                 predictMotion(msg.data, predict_, profiler()));
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            finishWorkOnCpu([this, predicted, header, arrival,
-                             done = std::move(done)] {
-                recordLatency(arrival);
+            finishWorkOnCpu([this, predicted, header, done = std::move(done)] {
                 const std::size_t bytes = predicted->byteSize();
                 pub_.publish(header, std::move(*predicted), bytes);
                 done();
@@ -600,7 +570,7 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
                                            const NodeConfig &config,
                                            const CostmapConfig &costmap)
     : PerceptionNode(graph, "costmap_generator", config),
-      costmap_(costmap), pointsLatency_(1u << 15),
+      costmap_(costmap),
       pub_(graph.advertise<Costmap>(topics::costmap, name()))
 {
     subscribe<PoseEstimate>(
@@ -627,10 +597,7 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
             auto task = makeCpuTask(cost, nullptr);
             task.owner = "costmap_generator_obj";
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            task.onComplete = [this, map, header, arrival,
-                               done = std::move(done)] {
-                recordLatency(arrival);
+            task.onComplete = [this, map, header, done = std::move(done)] {
                 const std::size_t bytes = map->byteSize();
                 pub_.publish(header, std::move(*map), bytes);
                 done();
@@ -653,14 +620,7 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
             auto task = makeCpuTask(cost, nullptr);
             task.owner = "costmap_generator_points";
             const auto header = deriveHeader(msg.header);
-            const auto arrival = this->graph().eventQueue().now();
-            task.onComplete = [this, map, header, arrival,
-                               done = std::move(done)] {
-                const sim::Tick now =
-                    this->graph().eventQueue().now();
-                if (now >= arrival)
-                    pointsLatency_.add(
-                        sim::ticksToMs(now - arrival));
+            task.onComplete = [this, map, header, done = std::move(done)] {
                 const std::size_t bytes = map->byteSize();
                 pub_.publish(header, std::move(*map), bytes);
                 done();

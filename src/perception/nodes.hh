@@ -277,9 +277,8 @@ class NaiveMotionPredictNode : public PerceptionNode
 
 /**
  * costmap_generator: two callbacks, profiled separately as the
- * paper does (costmap_generator_obj / costmap_generator_points).
- * The object callback owns the node's main latency series; the
- * points callback has its own.
+ * paper does (costmap_generator_obj / costmap_generator_points —
+ * the latency rows split by trigger topic).
  */
 class CostmapGeneratorNode : public PerceptionNode
 {
@@ -289,16 +288,9 @@ class CostmapGeneratorNode : public PerceptionNode
                          const CostmapConfig &costmap =
                              CostmapConfig());
 
-    /** Latency of the points callback (obj is latencySeries()). */
-    const util::SampleSeries &pointsLatencySeries() const
-    {
-        return pointsLatency_;
-    }
-
   private:
     CostmapConfig costmap_;
     std::optional<PoseEstimate> pose_;
-    util::SampleSeries pointsLatency_;
     ros::Publisher<Costmap> pub_;
 };
 

@@ -104,37 +104,28 @@ Node::tryDispatch()
         return;
     SubscriptionBase *best = nullptr;
     for (const auto &sub : subs_) {
-        if (!sub->hasPending())
+        if (sub->queued() == 0)
             continue;
         if (!best || sub->headArrival() < best->headArrival())
             best = sub.get();
     }
     if (!best)
         return;
-    trace::Recorder *rec = graph_.traceRecorder();
-    if (rec && rec->enabled()) {
-        // The activation span opens at dispatch and closes when the
-        // handler's simulated execution calls done(). The Span rides
-        // in a shared_ptr because done() is a copyable std::function
-        // and the span handle is move-only.
-        auto span =
-            std::make_shared<trace::Span>(rec->beginActivation(
-                rec->intern(name_), rec->intern(best->topicName()),
-                best->headSeq(), best->headArrival(),
-                graph_.eventQueue().now()));
-        busy_ = true;
-        best->dispatchHead([this, span] {
-            AV_ASSERT(busy_,
-                      "done() called while node idle: ", name_);
-            span->end(graph_.eventQueue().now());
-            busy_ = false;
-            tryDispatch();
-        });
-        return;
-    }
+    // The activation span opens at dispatch and closes when the
+    // handler's simulated execution calls done(). The Span rides in
+    // a shared_ptr because done() is a copyable std::function and
+    // the span handle is move-only.
+    std::shared_ptr<trace::Span> span;
+    if (trace::Recorder *rec = graph_.traceRecorder())
+        span = std::make_shared<trace::Span>(rec->beginActivation(
+            rec->intern(name_), rec->intern(best->topicName()),
+            best->headSeq(), best->headArrival(),
+            graph_.eventQueue().now()));
     busy_ = true;
-    best->dispatchHead([this] {
+    best->dispatchHead([this, span] {
         AV_ASSERT(busy_, "done() called while node idle: ", name_);
+        if (span)
+            span->end(graph_.eventQueue().now());
         busy_ = false;
         tryDispatch();
     });

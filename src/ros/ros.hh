@@ -247,7 +247,8 @@ class SubscriptionBase
     {}
     virtual ~SubscriptionBase() = default;
 
-    virtual bool hasPending() const = 0;
+    /** Messages waiting in the queue. */
+    virtual std::size_t queued() const = 0;
     /** Arrival time of the oldest queued message (valid if pending). */
     virtual sim::Tick headArrival() const = 0;
     /** Sequence number of the oldest queued message (valid if
@@ -466,7 +467,7 @@ class Subscription final : public SubscriptionBase
         node_->tryDispatch();
     }
 
-    bool hasPending() const override { return !pending_.empty(); }
+    std::size_t queued() const override { return pending_.size(); }
 
     sim::Tick
     headArrival() const override

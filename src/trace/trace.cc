@@ -53,12 +53,22 @@ Recorder::name(Id id) const
     return names_[id];
 }
 
+Id
+Recorder::find(const std::string &name) const
+{
+    const auto it = ids_.find(name);
+    return it == ids_.end() ? 0 : it->second;
+}
+
 void
 Recorder::recordPublish(Id topic, Id publisher, std::uint64_t seq,
                         sim::Tick stamp, sim::Tick origin_lidar,
                         sim::Tick origin_camera, sim::Tick now)
 {
-    publishes_[topic].push_back(PublishRecord{now, stamp, seq});
+    publishes_[topic].push_back(
+        PublishRecord{now, stamp, seq, origin_lidar, origin_camera});
+    if (const auto open = open_.find(publisher); open != open_.end())
+        activations_[open->second].published = true;
     if (!enabled_)
         return;
     Event ev;
@@ -93,31 +103,23 @@ Span
 Recorder::beginActivation(Id node, Id topic, std::uint64_t seq,
                           sim::Tick arrival, sim::Tick now)
 {
-    if (!enabled_)
-        return Span();
-    Event ev;
-    ev.kind = EventKind::Activation;
-    ev.tick = now;
-    ev.topic = topic;
-    ev.seq = seq;
-    ev.node = node;
-    ev.arrival = arrival;
-    ev.start = now;
-    ev.end = now; // patched by endActivation
-    events_.push_back(ev);
-    return Span(this, events_.size() - 1);
+    AV_ASSERT(open_.count(node) == 0,
+              "second open activation of node ", name(node));
+    activations_.push_back(
+        ActivationRecord{node, topic, seq, arrival, now, now, false});
+    open_[node] = activations_.size() - 1;
+    return Span(this, activations_.size() - 1);
 }
 
 void
 Recorder::endActivation(std::size_t index, sim::Tick now)
 {
-    AV_ASSERT(index < events_.size(),
+    AV_ASSERT(index < activations_.size(),
               "activation span index out of range");
-    Event &ev = events_[index];
-    AV_ASSERT(ev.kind == EventKind::Activation,
-              "span index does not name an activation");
-    if (now > ev.start)
-        ev.end = now;
+    ActivationRecord &act = activations_[index];
+    if (now > act.start)
+        act.end = now;
+    open_.erase(act.node);
 }
 
 void
@@ -160,15 +162,8 @@ Recorder::publishLog(Id topic) const
 const std::vector<PublishRecord> *
 Recorder::publishLog(const std::string &topic) const
 {
-    const auto it = ids_.find(topic);
-    return it == ids_.end() ? nullptr : publishLog(it->second);
-}
-
-const PublishRecord *
-Recorder::lastPublish(Id topic) const
-{
-    const std::vector<PublishRecord> *log = publishLog(topic);
-    return (log && !log->empty()) ? &log->back() : nullptr;
+    const Id id = find(topic);
+    return id == 0 ? nullptr : publishLog(id);
 }
 
 const PublishRecord *
@@ -182,6 +177,15 @@ std::vector<Event>
 Recorder::canonicalEvents() const
 {
     std::vector<Event> out = events_;
+    // Appending the activations keeps the sorted order: events of
+    // different kinds never compare equal, and the sort is stable.
+    if (enabled_)
+        for (const ActivationRecord &a : activations_)
+            out.push_back(Event{.kind = EventKind::Activation,
+                                .tick = a.start, .topic = a.topic,
+                                .seq = a.seq, .node = a.node,
+                                .arrival = a.arrival,
+                                .start = a.start, .end = a.end});
     std::stable_sort(
         out.begin(), out.end(),
         [this](const Event &a, const Event &b) {

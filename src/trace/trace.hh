@@ -14,14 +14,15 @@
  *
  * Two retention tiers:
  *
- *  - The per-topic *publish log* ({tick, stamp, seq} per publication)
- *    is always on once a recorder is attached. It is cheap, and it is
- *    the data source the staleness and recovery probes read — their
- *    bespoke header-tap buffers were deleted in favour of this one
- *    recording path.
+ *  - The per-topic *publish log* and the *activation log* are
+ *    always on once a recorder is attached. They are cheap, and the
+ *    run's latency rows (Fig. 5, Fig. 6) and its staleness and
+ *    recovery probes are all derived from them — no private buffers,
+ *    no topic taps.
  *  - The full *event stream* (deliveries, activations, CPU tasks,
  *    GPU kernels) is retained only when tracing is enabled
- *    (RunConfig::trace), keeping untraced replays lean.
+ *    (RunConfig::trace), keeping untraced replays lean. Activation
+ *    events are rendered from the activation log.
  *
  * Determinism: the recorder is write-only with respect to the
  * simulation — recording never schedules events, reads the host
@@ -94,6 +95,21 @@ struct PublishRecord
     sim::Tick tick = 0;  ///< when publish() ran
     sim::Tick stamp = 0; ///< the message header's stamp
     std::uint64_t seq = 0;
+    sim::Tick originLidar = 0;  ///< header lineage (0 = none)
+    sim::Tick originCamera = 0;
+};
+
+/** One node activation (dispatch -> done) in the activation log;
+ *  `published` = the node published while the span was open. */
+struct ActivationRecord
+{
+    Id node = 0;
+    Id topic = 0; ///< the trigger message's topic
+    std::uint64_t seq = 0;
+    sim::Tick arrival = 0; ///< the trigger's arrival
+    sim::Tick start = 0;   ///< dispatch
+    sim::Tick end = 0;     ///< done(); == start until closed
+    bool published = false;
 };
 
 class Recorder;
@@ -160,11 +176,15 @@ class Recorder
     /** The string behind @p id. */
     const std::string &name(Id id) const;
 
+    /** The Id of @p name; 0 when never interned. */
+    Id find(const std::string &name) const;
+
     // ---- emission surface ---------------------------------------
 
     /**
-     * Record one publication. Always feeds the publish log; appends
-     * a full event only when tracing is enabled.
+     * Record one publication. Always feeds the publish log and marks
+     * the publisher's open activation (if any) as having published;
+     * appends a full event only when tracing is enabled.
      * @param publisher the advertising node (0 = external source:
      *        bag replay, probes)
      */
@@ -178,8 +198,9 @@ class Recorder
 
     /**
      * Open an activation span: @p node starts processing the
-     * (topic, seq) message that arrived at @p arrival. Returns an
-     * inert Span when tracing is disabled.
+     * (topic, seq) message that arrived at @p arrival. Always
+     * appends to the activation log; a node has at most one span
+     * open at a time.
      */
     Span beginActivation(Id node, Id topic, std::uint64_t seq,
                          sim::Tick arrival, sim::Tick now);
@@ -191,7 +212,7 @@ class Recorder
     /** Record one executed GPU kernel of @p owner. */
     void recordGpuKernel(Id owner, sim::Tick started, sim::Tick now);
 
-    // ---- always-on publish log (probe surface) ------------------
+    // ---- always-on logs (probe surface) -------------------------
 
     /** All publications of @p topic in publish order; nullptr when
      *  the topic never published. */
@@ -200,13 +221,21 @@ class Recorder
     publishLog(const std::string &topic) const;
 
     /** Newest publication of @p topic; nullptr before the first. */
-    const PublishRecord *lastPublish(Id topic) const;
     const PublishRecord *lastPublish(const std::string &topic) const;
+
+    /** Every activation in dispatch order. */
+    const std::vector<ActivationRecord> &activations() const
+    {
+        return activations_;
+    }
 
     // ---- full event stream (trace mode) -------------------------
 
     /** Events retained so far (0 when tracing is disabled). */
-    std::uint64_t eventCount() const { return events_.size(); }
+    std::uint64_t eventCount() const
+    {
+        return enabled_ ? events_.size() + activations_.size() : 0;
+    }
 
     /**
      * The event stream in byte-stable canonical order: sorted by
@@ -222,8 +251,10 @@ class Recorder
     bool enabled_ = false;
     std::vector<std::string> names_;
     std::map<std::string, Id> ids_;
-    std::vector<Event> events_;
+    std::vector<Event> events_; ///< every kind but Activation
     std::map<Id, std::vector<PublishRecord>> publishes_;
+    std::vector<ActivationRecord> activations_;
+    std::map<Id, std::size_t> open_; ///< node -> its open activation
 };
 
 } // namespace av::trace

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the profiling probes against hand-driven machines
  * and message graphs (no full stack): utilization and power
- * sampling, path tracing over synthetic lineages, drop collection.
+ * sampling, the path view over synthetic lineages, drop
+ * collection.
  */
 
 #include <gtest/gtest.h>
@@ -111,10 +112,11 @@ TEST(PowerMonitor, BusyCoreRaisesPower)
                 0.3);
 }
 
-TEST(PathTracer, RoutesOriginsToTheRightSeries)
+TEST(PathView, RoutesOriginsToTheRightSeries)
 {
     Rig rig;
-    prof::PathTracer tracer(*rig.graph);
+    trace::Recorder recorder;
+    rig.graph->setTraceRecorder(&recorder);
 
     auto pose_pub = rig.graph->advertise<perception::PoseEstimate>(
         perception::topics::ndtPose);
@@ -140,33 +142,38 @@ TEST(PathTracer, RoutesOriginsToTheRightSeries)
         h.origins.lidar = 170 * oneMs; // 30 ms -> points path
         costmap_pub.publish(h, perception::Costmap{}, 64);
     });
+    rig.eq.schedule(250 * oneMs, [&] {
+        ros::Header h;
+        h.stamp = rig.eq.now();
+        h.origins.lidar = 260 * oneMs; // published before its origin
+        costmap_pub.publish(h, perception::Costmap{}, 64);
+    });
     rig.eq.runUntil(300 * oneMs);
 
-    EXPECT_EQ(tracer.series(prof::Path::Localization).count(), 1u);
-    EXPECT_NEAR(tracer.series(prof::Path::Localization)
-                    .running()
-                    .mean(),
+    prof::RunResult result;
+    result.paths = prof::pathSeries(recorder);
+    ASSERT_EQ(result.paths.size(), 4u);
+    const auto series = [&result](prof::Path path) {
+        const util::SampleSeries *s = result.findPathSeries(path);
+        EXPECT_NE(s, nullptr) << prof::pathName(path);
+        return s ? *s : util::SampleSeries();
+    };
+
+    EXPECT_EQ(series(prof::Path::Localization).count(), 1u);
+    EXPECT_NEAR(series(prof::Path::Localization).running().mean(),
                 40.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapClusterObj)
-                    .running()
-                    .mean(),
-                80.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapVisionObj)
-                    .running()
-                    .mean(),
+    EXPECT_EQ(series(prof::Path::CostmapClusterObj).count(), 1u);
+    EXPECT_NEAR(
+        series(prof::Path::CostmapClusterObj).running().mean(), 80.0,
+        1e-9);
+    EXPECT_EQ(series(prof::Path::CostmapVisionObj).count(), 1u);
+    EXPECT_NEAR(series(prof::Path::CostmapVisionObj).running().mean(),
                 60.0, 1e-9);
-    EXPECT_NEAR(tracer.series(prof::Path::CostmapPoints)
-                    .running()
-                    .mean(),
+    // The 250 ms publication predates its origin: not counted.
+    EXPECT_EQ(series(prof::Path::CostmapPoints).count(), 1u);
+    EXPECT_NEAR(series(prof::Path::CostmapPoints).running().mean(),
                 30.0, 1e-9);
     // The worst path is read off the snapshot's path rows.
-    prof::RunResult result;
-    for (const auto path :
-         {prof::Path::Localization, prof::Path::CostmapPoints,
-          prof::Path::CostmapVisionObj,
-          prof::Path::CostmapClusterObj})
-        result.paths.push_back(
-            {prof::pathName(path), tracer.series(path)});
     EXPECT_NEAR(result.worstCaseMean(), 80.0, 1e-9);
     EXPECT_NEAR(result.worstCaseMax(), 80.0, 1e-9);
 }

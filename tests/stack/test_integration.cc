@@ -108,7 +108,8 @@ TEST_F(StackIntegration, EveryNodeProcessesAndPublishes)
     prof::CharacterizationRun run(drive_, cfg);
     run.execute();
 
-    for (const auto &node : prof::snapshotRun(run).nodeLatencies()) {
+    const prof::RunResult result = prof::snapshotRun(run);
+    for (const auto &node : result.nodeLatencies()) {
         EXPECT_GT(node.summary.count, 10u) << node.name;
         EXPECT_GT(node.summary.mean, 0.0) << node.name;
         EXPECT_GE(node.summary.max, node.summary.mean) << node.name;
@@ -118,8 +119,9 @@ TEST_F(StackIntegration, EveryNodeProcessesAndPublishes)
          {prof::Path::Localization, prof::Path::CostmapPoints,
           prof::Path::CostmapVisionObj,
           prof::Path::CostmapClusterObj}) {
-        EXPECT_GT(run.paths().series(path).count(), 20u)
-            << prof::pathName(path);
+        const util::SampleSeries *series = result.findPathSeries(path);
+        ASSERT_NE(series, nullptr) << prof::pathName(path);
+        EXPECT_GT(series->count(), 20u) << prof::pathName(path);
     }
     // Machine did real work and the monitors saw it.
     EXPECT_GT(run.utilization().totalCpu().mean(), 0.05);

@@ -1,0 +1,10 @@
+// A measurement probe growing a private recording path.
+#include "ros/ros.hh"
+
+void
+watch(av::ros::RosGraph &graph, int &count)
+{
+    graph.topic<int>("/a").addTap([&](const auto &) { ++count; });
+    graph.findTopic("/b")->addHeaderTap(
+        [&](const av::ros::Header &) { ++count; });
+}

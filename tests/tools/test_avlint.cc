@@ -124,6 +124,19 @@ TEST(Avlint, PrintFlaggedInLibraryCodeOnly)
     EXPECT_TRUE(in_bench.empty());
 }
 
+TEST(Avlint, ProbeTapFlaggedInCoreOnly)
+{
+    const auto in_core = lintFile(fixture("probe_tap.cc"),
+                                  "src/core/probe_tap.cc");
+    EXPECT_EQ(ruleLines(in_core),
+              (Pairs{{"probe-tap", 7}, {"probe-tap", 8}}));
+
+    // The watchdog and safety monitor act on taps; they stay legal.
+    const auto in_stack = lintFile(fixture("probe_tap.cc"),
+                                   "src/stack/probe_tap.cc");
+    EXPECT_TRUE(in_stack.empty());
+}
+
 TEST(Avlint, MutableGlobalFlaggedAtNamespaceScope)
 {
     const auto in_src = lintFile(fixture("mutable_global.cc"),
@@ -278,13 +291,15 @@ TEST(Avlint, FileLevelSuppressionSilencesWholeFile)
 TEST(Avlint, RuleCatalogIsStable)
 {
     const auto names = av::lint::ruleNames();
-    EXPECT_EQ(names.size(), 11u);
+    EXPECT_EQ(names.size(), 12u);
     EXPECT_NE(std::find(names.begin(), names.end(), "wall-clock"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "mutable-loan"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(),
                         "swallowed-exception"),
+              names.end());
+    EXPECT_NE(std::find(names.begin(), names.end(), "probe-tap"),
               names.end());
 }
 

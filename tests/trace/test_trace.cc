@@ -1,8 +1,9 @@
 /**
  * @file
  * Recorder unit tests: interning, the two retention tiers (publish
- * log always on, event stream only when enabled), Span RAII
- * semantics and the byte-stable canonical event order.
+ * and activation logs always on, event stream only when enabled),
+ * Span RAII semantics, output crediting and the byte-stable
+ * canonical event order.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +45,8 @@ TEST(TraceRecorder, PublishLogAlwaysOnEventStreamGated)
     EXPECT_EQ(log->front().tick, 12 * oneMs);
     EXPECT_EQ(log->front().stamp, 10 * oneMs);
     EXPECT_EQ(log->front().seq, 7u);
+    EXPECT_EQ(log->front().originLidar, 0u);
+    EXPECT_EQ(log->front().originCamera, 10 * oneMs);
     // Tier 2: no events retained.
     EXPECT_EQ(rec.eventCount(), 0u);
 
@@ -107,14 +110,47 @@ TEST(TraceSpan, EndIsIdempotent)
     EXPECT_EQ(events[0].end, 4 * oneMs);
 }
 
-TEST(TraceSpan, DisabledRecorderHandsOutInertSpans)
+TEST(TraceSpan, DisabledRecorderKeepsOnlyTheActivationLog)
 {
     trace::Recorder rec;
-    trace::Span span = rec.beginActivation(
-        rec.intern("n"), rec.intern("/t"), 1, 0, oneMs);
-    EXPECT_FALSE(span.open());
+    const trace::Id node = rec.intern("n");
+    const trace::Id out = rec.intern("/out");
+    trace::Span span =
+        rec.beginActivation(node, rec.intern("/t"), 1, 0, oneMs);
+    EXPECT_TRUE(span.open());
+    rec.recordPublish(out, node, 0, oneMs, 0, 0, 2 * oneMs);
     span.end(2 * oneMs);
+    EXPECT_FALSE(span.open());
+    // Tier 1: the activation is logged, credited with the output.
+    ASSERT_EQ(rec.activations().size(), 1u);
+    EXPECT_EQ(rec.activations()[0].start, oneMs);
+    EXPECT_EQ(rec.activations()[0].end, 2 * oneMs);
+    EXPECT_TRUE(rec.activations()[0].published);
+    // Tier 2: no events retained.
     EXPECT_EQ(rec.eventCount(), 0u);
+    EXPECT_TRUE(rec.canonicalEvents().empty());
+}
+
+TEST(TraceSpan, OnlyTheOpenSpanOfThePublisherIsCredited)
+{
+    trace::Recorder rec;
+    const trace::Id a = rec.intern("a");
+    const trace::Id b = rec.intern("b");
+    const trace::Id in = rec.intern("/in");
+    const trace::Id out = rec.intern("/out");
+    // Published with no span open (a periodic publication).
+    rec.recordPublish(out, a, 0, 0, 0, 0, 0);
+    trace::Span sa = rec.beginActivation(a, in, 1, 0, oneMs);
+    trace::Span sb = rec.beginActivation(b, in, 1, 0, oneMs);
+    rec.recordPublish(out, a, 1, 0, 0, 0, 2 * oneMs);
+    sa.end(3 * oneMs);
+    sb.end(3 * oneMs);
+    // After the span closed: credited to nobody.
+    rec.recordPublish(out, a, 2, 0, 0, 0, 4 * oneMs);
+    ASSERT_EQ(rec.activations().size(), 2u);
+    EXPECT_TRUE(rec.activations()[0].published);
+    EXPECT_FALSE(rec.activations()[1].published);
+    EXPECT_EQ(rec.publishLog(out)->size(), 3u);
 }
 
 TEST(TraceRecorder, CanonicalOrderSortsByTickTopicNameSeqKindNode)

@@ -51,6 +51,10 @@
  *                     std::current_exception pass; narrow typed
  *                     handlers are exempt (they encode a decision
  *                     about one specific failure)
+ *   probe-tap         addTap/addHeaderTap in src/core — measurement
+ *                     probes read the run's trace::Recorder, never a
+ *                     private topic tap (src/stack's watchdog and
+ *                     safety monitor act on taps and are exempt)
  *
  * A diagnostic on line N is silenced by `// avlint: allow(<rule>)` on
  * the same line, or on a comment-only line directly above. A

@@ -373,6 +373,27 @@ rulePrintInLibrary(const SourceFile &f, Diags &out)
 }
 
 // ---------------------------------------------------------------
+// probe-tap: measurement code in src/core reads the run's
+// trace::Recorder; it never installs its own topic tap. A private
+// tap is a second recording path that can disagree with the first.
+// src/stack (watchdog, safety monitor) acts on what it taps and is
+// outside the rule.
+// ---------------------------------------------------------------
+
+void
+ruleProbeTap(const SourceFile &f, Diags &out)
+{
+    if (!startsWith(f.relPath(), "src/core/"))
+        return;
+    for (const Token &t : f.tokens())
+        if (t.kind == TokenKind::Identifier &&
+            (t.text == "addTap" || t.text == "addHeaderTap"))
+            emit(out, f, t.line, "probe-tap",
+                 "'" + t.text + "' in src/core; derive the measurement"
+                 " from the run's trace::Recorder instead");
+}
+
+// ---------------------------------------------------------------
 // mutable-global: namespace-scope mutable variables in src/.
 // Shared mutable state is what lets one experiment's replay observe
 // another's — the failure mode the thread-parallel Runner must
@@ -778,7 +799,7 @@ ruleNames()
         "unordered-iter",    "raw-new-delete",
         "print-in-library",  "mutable-global",
         "unseeded-random",   "mutable-loan",
-        "swallowed-exception",
+        "swallowed-exception", "probe-tap",
     };
 }
 
@@ -797,6 +818,7 @@ lintSource(const SourceFile &file, const SourceFile *companion)
     ruleUnseededRandom(file, all);
     ruleMutableLoan(file, all);
     ruleSwallowedException(file, all);
+    ruleProbeTap(file, all);
 
     Diags kept;
     for (Diagnostic &d : all)
