@@ -9,22 +9,6 @@
 
 namespace av::bench {
 
-namespace {
-
-std::vector<ros::TransportMode>
-parseTransportModes(const BenchOptions &options)
-{
-    const std::string &name = options.text("transport");
-    if (name == "both")
-        return {ros::TransportMode::Copy, ros::TransportMode::Loan};
-    ros::TransportMode mode;
-    AV_ASSERT(ros::transportModeFromName(name, mode),
-              "--transport must be copy, loan or both; got ", name);
-    return {mode};
-}
-
-} // namespace
-
 BenchOptions
 parseOrExit(BenchOptions options, int argc, char **argv)
 {
@@ -60,19 +44,12 @@ BenchEnv::BenchEnv(int argc, char **argv, BenchOptions options)
     AV_ASSERT(seconds > 0, "duration must be positive");
     duration_ = static_cast<sim::Tick>(seconds) * sim::oneSec;
     seed_ = static_cast<std::uint64_t>(options_.integer("seed"));
-    transportModes_ = parseTransportModes(options_);
 }
 
 exp::ExperimentSpec
 BenchEnv::spec() const
 {
-    // Under "both" the base spec rides the new (Loan) path; benches
-    // comparing transports override the mode per submission.
-    return exp::spec()
-        .duration(duration_)
-        .seed(seed_)
-        .transportMode(transportModes_.back())
-        .traced(trace_);
+    return exp::spec().duration(duration_).seed(seed_).traced(trace_);
 }
 
 exp::ExperimentSpec
@@ -97,8 +74,6 @@ BenchEnv::run(perception::DetectorKind kind)
 void
 assertZeroCopy(const prof::RunResult &run)
 {
-    if (run.transportMode != "loan")
-        return;
     AV_ASSERT(run.transport.payloadCopies ==
                   run.transport.forcedCopies,
               "zero-copy contract violated in '", run.label,

@@ -10,12 +10,6 @@
  *   --jobs <n>       worker threads (default: hardware concurrency)
  *   --cache-dir <d>  result-cache directory (default results/cache)
  *   --no-cache       disable the result cache
- *   --transport <m>  intra-process transport: loan (default,
- *                    zero-copy), copy (v1 deep-copy path), or both
- *                    (run each experiment under both and compare —
- *                    simulated results must match byte-for-byte;
- *                    only host-side work and the copy counters
- *                    differ)
  *   --trace          retain the full trace event stream: every spec
  *                    from spec() carries .traced(), so each result
  *                    arrives with its execution DAG attached
@@ -96,21 +90,6 @@ class BenchEnv
     sim::Tick duration() const { return duration_; }
     std::uint64_t seed() const { return seed_; }
 
-    /**
-     * Transport modes selected by --transport: one mode normally,
-     * Copy then Loan (old then new) under "both".
-     */
-    const std::vector<ros::TransportMode> &transportModes() const
-    {
-        return transportModes_;
-    }
-
-    /** True when --transport both asked for a comparison. */
-    bool comparingTransports() const
-    {
-        return transportModes_.size() > 1;
-    }
-
     /** Base spec carrying the --duration / --seed flags. */
     exp::ExperimentSpec spec() const;
 
@@ -138,15 +117,13 @@ class BenchEnv
     bool trace_ = false;
     sim::Tick duration_ = 0;
     std::uint64_t seed_ = 2020;
-    std::vector<ros::TransportMode> transportModes_;
     exp::Runner runner_;
 };
 
 /**
- * Assert the zero-copy contract on a finished run: in Loan mode
- * every deep payload copy must have been forced by a transport
- * fault, and a clean (unfaulted) run must have made none at all.
- * No-op for Copy-mode runs.
+ * Assert the zero-copy contract on a finished run: every deep
+ * payload copy must have been forced by a transport fault, and a
+ * clean (unfaulted) run must have made none at all.
  */
 void assertZeroCopy(const prof::RunResult &run);
 

@@ -45,103 +45,43 @@ main(int argc, char **argv)
         desc.addRow({prof::pathName(path), description});
     env.print(desc);
 
-    // Submit every (detector, transport) pair up front so replays
-    // fan out across the worker pool; under --transport both each
-    // experiment runs once per transport.
-    const auto &modes = env.transportModes();
-    const bool comparing = env.comparingTransports();
-    std::vector<std::vector<std::size_t>> jobs(modes.size());
-    for (std::size_t m = 0; m < modes.size(); ++m)
-        for (const auto kind : bench::detectors) {
-            auto spec = env.spec(kind).transportMode(modes[m]);
-            if (comparing)
-                spec.named(spec.label + " [" +
-                           ros::transportModeName(modes[m]) + "]");
-            jobs[m].push_back(env.runner().submit(spec));
-        }
+    // Submit every detector up front so replays fan out across the
+    // worker pool.
+    std::vector<std::size_t> jobs;
+    for (const auto kind : bench::detectors)
+        jobs.push_back(env.runner().submit(env.spec(kind)));
 
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-        for (std::size_t i = 0; i < jobs[m].size(); ++i) {
-            const auto kind = bench::detectors[i];
-            const prof::RunResult &run =
-                env.runner().result(jobs[m][i]);
-            bench::assertZeroCopy(run);
-            std::string title =
-                std::string(
-                    "Fig. 6 — end-to-end path latency (ms), with ") +
-                perception::detectorName(kind);
-            if (comparing)
-                title += std::string(" (") + run.transportMode +
-                         " transport)";
-            util::Table table(title, {"path", "n", "min", "q1",
-                                      "mean", "q3", "p99", "max"});
-            std::string worst_path;
-            double worst_mean = -1.0;
-            for (const auto &[path, description] : pathRows) {
-                const util::SampleSeries *series =
-                    run.findPathSeries(path);
-                AV_ASSERT(series != nullptr, "untraced path");
-                const auto s = series->summarize();
-                table.addRow({prof::pathName(path),
-                              std::to_string(s.count),
-                              util::Table::num(s.min),
-                              util::Table::num(s.q1),
-                              util::Table::num(s.mean),
-                              util::Table::num(s.q3),
-                              util::Table::num(s.p99),
-                              util::Table::num(s.max)});
-                if (s.mean > worst_mean) {
-                    worst_mean = s.mean;
-                    worst_path = prof::pathName(path);
-                }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const auto kind = bench::detectors[i];
+        const prof::RunResult &run = env.runner().result(jobs[i]);
+        bench::assertZeroCopy(run);
+        util::Table table(
+            std::string("Fig. 6 — end-to-end path latency (ms), with ") +
+                perception::detectorName(kind),
+            {"path", "n", "min", "q1", "mean", "q3", "p99", "max"});
+        std::string worst_path;
+        double worst_mean = -1.0;
+        for (const auto &[path, description] : pathRows) {
+            const util::SampleSeries *series = run.findPathSeries(path);
+            AV_ASSERT(series != nullptr, "untraced path");
+            const auto s = series->summarize();
+            table.addRow({prof::pathName(path), std::to_string(s.count),
+                          util::Table::num(s.min),
+                          util::Table::num(s.q1),
+                          util::Table::num(s.mean),
+                          util::Table::num(s.q3),
+                          util::Table::num(s.p99),
+                          util::Table::num(s.max)});
+            if (s.mean > worst_mean) {
+                worst_mean = s.mean;
+                worst_path = prof::pathName(path);
             }
-            env.print(table);
-            std::printf(
-                "end-to-end latency (worst path): %s, mean "
-                "%.1f ms, p99 %.1f ms -> %s the 100 ms budget\n\n",
-                worst_path.c_str(), worst_mean, run.worstCaseP99(),
-                run.worstCaseP99() > 100.0 ? "EXCEEDS" : "meets");
         }
-    }
-
-    if (comparing) {
-        // Old vs new: the simulated latencies must agree exactly —
-        // the transports differ only in host-side payload handling,
-        // which the copy counters expose.
-        util::Table cmp("Transport comparison — copy vs loan "
-                        "(identical sim results, host copies "
-                        "eliminated)",
-                        {"detector", "worst mean (ms)", "worst p99 "
-                         "(ms)", "deliveries", "copies[copy]",
-                         "copies[loan]", "loaned[loan]"});
-        for (std::size_t i = 0; i < bench::detectors.size(); ++i) {
-            const prof::RunResult &oldRun =
-                env.runner().result(jobs[0][i]);
-            const prof::RunResult &newRun =
-                env.runner().result(jobs[1][i]);
-            AV_ASSERT(oldRun.worstCaseMean() ==
-                              newRun.worstCaseMean() &&
-                          oldRun.worstCaseP99() ==
-                              newRun.worstCaseP99(),
-                      "copy and loan transports diverged on "
-                      "simulated latency for ",
-                      perception::detectorName(
-                          bench::detectors[i]));
-            AV_ASSERT(oldRun.transport.deliveries ==
-                          newRun.transport.deliveries,
-                      "copy and loan transports delivered "
-                      "different message counts");
-            cmp.addRow(
-                {perception::detectorName(bench::detectors[i]),
-                 util::Table::num(newRun.worstCaseMean()),
-                 util::Table::num(newRun.worstCaseP99()),
-                 std::to_string(newRun.transport.deliveries),
-                 std::to_string(oldRun.transport.payloadCopies),
-                 std::to_string(newRun.transport.payloadCopies),
-                 std::to_string(
-                     newRun.transport.loanedDeliveries)});
-        }
-        env.print(cmp);
+        env.print(table);
+        std::printf("end-to-end latency (worst path): %s, mean "
+                    "%.1f ms, p99 %.1f ms -> %s the 100 ms budget\n\n",
+                    worst_path.c_str(), worst_mean, run.worstCaseP99(),
+                    run.worstCaseP99() > 100.0 ? "EXCEEDS" : "meets");
     }
 
     std::cout

@@ -50,8 +50,6 @@ writeTransportJson(std::ostream &os,
         os << "    {\n";
         os << "      \"label\": \"" << jsonEscape(run.label)
            << "\",\n";
-        os << "      \"transport_mode\": \"" << run.transportMode
-           << "\",\n";
         os << "      \"worst_path_mean_ms\": "
            << run.worstCaseMean() << ",\n";
         os << "      \"worst_path_p99_ms\": " << run.worstCaseP99()

@@ -1,11 +1,11 @@
 /**
  * @file
  * Transport microbenchmark: the host-side cost of the minros
- * intra-process transport, old (Copy) vs new (Loan) path.
+ * intra-process transport (the loaned, zero-copy path).
  *
- *  - fan-out: publish large payloads to several subscribers under
- *    both TransportModes, reporting wall-clock and the transport
- *    counters (Loan must record zero payload copies)
+ *  - fan-out: publish large payloads to several subscribers,
+ *    reporting wall-clock and the transport counters (the loan must
+ *    record zero payload copies)
  *  - ring: raw SpscRing throughput, single-threaded and with a real
  *    producer/consumer thread pair (the lock-free protocol's
  *    cross-thread case; TSan proves it clean)
@@ -31,7 +31,7 @@ namespace {
 
 using namespace av;
 
-/** A payload heavy enough that deep copies dominate: ~1 MiB. */
+/** A payload heavy enough that a deep copy would dominate: ~1 MiB. */
 struct Blob
 {
     std::vector<std::uint64_t> words;
@@ -51,16 +51,13 @@ seconds(Clock::time_point a, Clock::time_point b)
  * subscribers and drain the event queue; returns wall seconds.
  */
 double
-fanOut(ros::TransportMode mode, std::size_t messages,
-       std::size_t words, unsigned subs,
+fanOut(std::size_t messages, std::size_t words, unsigned subs,
        ros::TransportCounters &countersOut)
 {
     sim::EventQueue eq;
     hw::MachineConfig mcfg;
     hw::Machine machine(eq, mcfg);
-    ros::TransportConfig tc;
-    tc.mode = mode;
-    ros::RosGraph graph(machine, tc);
+    ros::RosGraph graph(machine);
 
     std::vector<std::unique_ptr<ros::Node>> nodes;
     std::size_t consumed = 0;
@@ -179,30 +176,18 @@ main(int argc, char **argv)
                 "subscribers%s\n",
                 messages, words, subs, smoke ? " (smoke)" : "");
 
-    for (const ros::TransportMode mode :
-         {ros::TransportMode::Copy, ros::TransportMode::Loan}) {
-        ros::TransportCounters counters;
-        const double wall = fanOut(mode, messages, words, subs,
-                                   counters);
-        std::printf("  fan-out [%4s]: %8.2f ms wall, %llu "
-                    "deliveries, %llu payload copies, %llu loaned\n",
-                    ros::transportModeName(mode), wall * 1e3,
-                    static_cast<unsigned long long>(
-                        counters.deliveries),
-                    static_cast<unsigned long long>(
-                        counters.payloadCopies),
-                    static_cast<unsigned long long>(
-                        counters.loanedDeliveries));
-        if (mode == ros::TransportMode::Copy)
-            AV_ASSERT(counters.payloadCopies ==
-                          messages * subs,
-                      "copy mode must deep-copy per delivery");
-        else
-            AV_ASSERT(counters.payloadCopies == 0 &&
-                          counters.loanedDeliveries ==
-                              messages * subs,
-                      "loan mode must not copy payloads");
-    }
+    ros::TransportCounters counters;
+    const double wall = fanOut(messages, words, subs, counters);
+    std::printf("  fan-out [loan]: %8.2f ms wall, %llu deliveries, "
+                "%llu payload copies, %llu loaned\n",
+                wall * 1e3,
+                static_cast<unsigned long long>(counters.deliveries),
+                static_cast<unsigned long long>(counters.payloadCopies),
+                static_cast<unsigned long long>(
+                    counters.loanedDeliveries));
+    AV_ASSERT(counters.payloadCopies == 0 &&
+                  counters.loanedDeliveries == messages * subs,
+              "the loaned transport must not copy payloads");
 
     std::printf("  ring 1-thread: %8.2f M ops/s\n",
                 ringSingleThread(ops) / 1e6);

@@ -257,8 +257,6 @@ commonOptions()
         .text("cache-dir", exp::defaultCacheDir(),
               "result-cache directory")
         .flag("no-cache", "disable the result cache")
-        .text("transport", "loan",
-              "intra-process transport: loan, copy or both")
         .flag("trace",
               "record the execution DAG and report the critical "
               "path per run");

@@ -20,7 +20,7 @@
  *    are unit-testable (tests/bench/test_options.cc). BenchEnv turns
  *    the exception into exit(2) for the actual binaries.
  *  - The common flag set (--duration/--seed/--csv/--jobs/--cache-dir/
- *    --no-cache/--transport/--trace) is declared once in
+ *    --no-cache/--trace) is declared once in
  *    commonOptions() and shared by every bench.
  */
 
@@ -113,7 +113,7 @@ class BenchOptions
 
 /**
  * The flag set every bench shares: --duration, --seed, --csv,
- * --jobs, --cache-dir, --no-cache, --transport, --trace. Benches
+ * --jobs, --cache-dir, --no-cache, --trace. Benches
  * chain their extras onto the returned builder.
  */
 BenchOptions commonOptions();

@@ -19,83 +19,31 @@ main(int argc, char **argv)
 {
     bench::BenchEnv env(argc, argv);
 
-    const auto &modes = env.transportModes();
-    const bool comparing = env.comparingTransports();
-    std::vector<std::vector<std::size_t>> jobs(modes.size());
-    for (std::size_t m = 0; m < modes.size(); ++m)
-        for (const auto kind : bench::detectors) {
-            auto spec = env.spec(kind).transportMode(modes[m]);
-            if (comparing)
-                spec.named(spec.label + " [" +
-                           ros::transportModeName(modes[m]) + "]");
-            jobs[m].push_back(env.runner().submit(spec));
-        }
+    std::vector<std::size_t> jobs;
+    for (const auto kind : bench::detectors)
+        jobs.push_back(env.runner().submit(env.spec(kind)));
 
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-        for (std::size_t i = 0; i < jobs[m].size(); ++i) {
-            const auto kind = bench::detectors[i];
-            const prof::RunResult &run =
-                env.runner().result(jobs[m][i]);
-            bench::assertZeroCopy(run);
-            std::string title =
-                std::string("Table III — dropped messages, with ") +
-                perception::detectorName(kind);
-            if (comparing)
-                title += std::string(" (") + run.transportMode +
-                         " transport)";
-            util::Table table(title,
-                              {"topic", "subscribed by", "delivered",
-                               "dropped", "drop rate"});
-            for (const auto &row : run.drops) {
-                if (row.delivered == 0)
-                    continue;
-                // The paper's table lists topics with at least one
-                // drop plus /image_raw (its headline row) always.
-                if (row.dropped == 0 && row.topic != "/image_raw")
-                    continue;
-                table.addRow({row.topic, row.node,
-                              std::to_string(row.delivered),
-                              std::to_string(row.dropped),
-                              util::Table::pct(row.dropRate())});
-            }
-            env.print(table);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const prof::RunResult &run = env.runner().result(jobs[i]);
+        bench::assertZeroCopy(run);
+        util::Table table(
+            std::string("Table III — dropped messages, with ") +
+                perception::detectorName(bench::detectors[i]),
+            {"topic", "subscribed by", "delivered", "dropped",
+             "drop rate"});
+        for (const auto &row : run.drops) {
+            if (row.delivered == 0)
+                continue;
+            // The paper's table lists topics with at least one drop
+            // plus /image_raw (its headline row) always.
+            if (row.dropped == 0 && row.topic != "/image_raw")
+                continue;
+            table.addRow({row.topic, row.node,
+                          std::to_string(row.delivered),
+                          std::to_string(row.dropped),
+                          util::Table::pct(row.dropRate())});
         }
-    }
-
-    if (comparing) {
-        // Drop-oldest semantics must be transport-invariant: the
-        // loaned path replaces the copies, not the queue behaviour.
-        util::Table cmp("Transport comparison — drop semantics "
-                        "preserved (copy vs loan)",
-                        {"detector", "delivered", "dropped",
-                         "copies[copy]", "copies[loan]"});
-        for (std::size_t i = 0; i < bench::detectors.size(); ++i) {
-            const prof::RunResult &oldRun =
-                env.runner().result(jobs[0][i]);
-            const prof::RunResult &newRun =
-                env.runner().result(jobs[1][i]);
-            AV_ASSERT(oldRun.drops.size() == newRun.drops.size(),
-                      "transports disagree on drop table size");
-            std::uint64_t delivered = 0, dropped = 0;
-            for (std::size_t r = 0; r < newRun.drops.size(); ++r) {
-                const auto &a = oldRun.drops[r];
-                const auto &b = newRun.drops[r];
-                AV_ASSERT(a.topic == b.topic && a.node == b.node &&
-                              a.delivered == b.delivered &&
-                              a.dropped == b.dropped,
-                          "transports disagree on drops for ",
-                          b.topic, " -> ", b.node);
-                delivered += b.delivered;
-                dropped += b.dropped;
-            }
-            cmp.addRow(
-                {perception::detectorName(bench::detectors[i]),
-                 std::to_string(delivered),
-                 std::to_string(dropped),
-                 std::to_string(oldRun.transport.payloadCopies),
-                 std::to_string(newRun.transport.payloadCopies)});
-        }
-        env.print(cmp);
+        env.print(table);
     }
 
     std::cout

@@ -223,8 +223,6 @@ snapshotRun(const CharacterizationRun &run, std::string label)
         out.staleness.push_back({row.topic, row.ageMs});
     out.resilience = run.resilienceCounters();
     out.violations = run.safetyViolations();
-    out.transportMode =
-        ros::transportModeName(run.config().transport.mode);
     out.transport = run.graph().transportCounters();
     out.trace = run.traceSummary();
     return out;

@@ -81,13 +81,10 @@ struct RunResult
      */
     std::vector<stack::SafetyViolation> violations;
 
-    /** Transport mode the run used ("copy" / "loan"). */
-    std::string transportMode;
-
     /**
      * Host-side payload accounting summed over every topic: the
-     * receipts behind the zero-copy contract (a clean Loan-mode run
-     * has transport.payloadCopies == 0). Deterministic — counts
+     * receipts behind the zero-copy contract (a clean run has
+     * transport.payloadCopies == 0). Deterministic — counts
      * follow the simulated message flow.
      */
     ros::TransportCounters transport;
@@ -97,7 +94,7 @@ struct RunResult
      * per-node slack, bottleneck classes, traced edges. Empty with
      * trace.enabled == false when the run was untraced. A pure
      * function of the deterministic event stream, so it serializes
-     * byte-identically across worker counts and transport modes.
+     * byte-identically across worker counts.
      */
     trace::Summary trace;
 

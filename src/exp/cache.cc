@@ -15,7 +15,7 @@ namespace av::exp {
 namespace {
 
 constexpr const char *kMagic = "avscope-result";
-constexpr int kVersion = 5; // v5: safety-violations section
+constexpr int kVersion = 6; // v6: transport line drops the mode name
 
 // ---- token wrappers ---------------------------------------------
 
@@ -27,12 +27,6 @@ struct Rest
 
 /** A token that may be empty, written as "-" (terminal topic). */
 struct Dash
-{
-    std::string &text;
-};
-
-/** A transport mode name, validated on read. */
-struct ModeName
 {
     std::string &text;
 };
@@ -49,7 +43,7 @@ using NamedValue = std::pair<std::string, double>;
  * tokens: `line` is a keyword and its values, `list` a keyword, a
  * row count and one row per line. Doubles are bit-exact, so a
  * reloaded result re-serializes byte-identically — which is what the
- * cross-jobs and cross-transport determinism tests compare. Names,
+ * cross-jobs and cache-state determinism tests compare. Names,
  * topics, labels and bottleneck classes are token-safe by
  * construction (violation subjects are topics or "actor_<id>").
  */
@@ -74,7 +68,7 @@ fields(Ar &ar, T &r)
         ar.list("resilience", r.resilience);
         ar.list("faults", r.faults);
         ar.list("violations", r.violations);
-        ar.line("transport", ModeName{r.transportMode}, r.transport);
+        ar.line("transport", r.transport);
         ar.line("trace", r.trace.enabled, r.trace.events,
                 r.trace.criticalPathMs, Dash{r.trace.terminalTopic});
         ar.list("tracepath", r.trace.criticalPath);
@@ -188,7 +182,6 @@ class Writer
     void put(std::string &text) { token(text); }
     void put(Rest rest) { os_ << ' ' << rest.text; }
     void put(Dash d) { token(d.text.empty() ? "-" : d.text); }
-    void put(ModeName mode) { token(mode.text); }
     void put(fault::FaultKind k) { token(fault::faultKindName(k)); }
     void put(stack::InvariantKind k) { token(stack::invariantName(k)); }
 
@@ -310,14 +303,6 @@ class Reader
     {
         if ((is_ >> d.text) && d.text == "-")
             d.text.clear();
-    }
-
-    void get(ModeName mode)
-    {
-        ros::TransportMode parsed;
-        if (!(is_ >> mode.text) ||
-            !ros::transportModeFromName(mode.text, parsed))
-            fail();
     }
 
     void get(fault::FaultKind &kind)

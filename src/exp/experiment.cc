@@ -167,7 +167,6 @@ fold(Hasher &h, const ros::TransportConfig &c)
     h.tag("transport");
     h.u64(c.baseLatency);
     h.f64(c.bandwidthGBs);
-    h.u64(static_cast<std::uint64_t>(c.mode));
 }
 
 void
@@ -239,8 +238,9 @@ cacheKey(const ExperimentSpec &spec)
     // field set or the result file format changes, so stale cache
     // entries miss instead of misloading. v5: safety-invariant
     // thresholds, violations section in the result file,
-    // content-derived fault Rng salts.
-    h.tag("avscope-exp-v5");
+    // content-derived fault Rng salts. v6: the transport mode is
+    // gone from the key and from the result file.
+    h.tag("avscope-exp-v6");
     foldDrive(h, spec);
     fold(h, spec.config.stack);
     fold(h, spec.config.machine);

@@ -105,19 +105,6 @@ struct ExperimentSpec
         return *this;
     }
 
-    /**
-     * Select the intra-process transport path (cache-key salted).
-     * Loan is the default zero-copy path; Copy reproduces the v1
-     * per-subscriber deep-copy transport for old-vs-new comparison.
-     * Simulated results are identical either way — only host-side
-     * work (and the copy counters) differ.
-     */
-    ExperimentSpec &transportMode(ros::TransportMode mode)
-    {
-        config.transport.mode = mode;
-        return *this;
-    }
-
     /** Arm a fault schedule against the replay (cache-key salted). */
     ExperimentSpec &faults(const fault::FaultPlan &plan)
     {

@@ -15,32 +15,6 @@ Origins::merged(const Origins &o) const
     return out;
 }
 
-const char *
-transportModeName(TransportMode mode)
-{
-    switch (mode) {
-    case TransportMode::Copy:
-        return "copy";
-    case TransportMode::Loan:
-        return "loan";
-    }
-    util::panic("unknown TransportMode");
-}
-
-bool
-transportModeFromName(const std::string &name, TransportMode &out)
-{
-    if (name == "copy") {
-        out = TransportMode::Copy;
-        return true;
-    }
-    if (name == "loan") {
-        out = TransportMode::Loan;
-        return true;
-    }
-    return false;
-}
-
 void
 TransportFaults::addPolicy(const std::string &topic, Policy policy)
 {

@@ -95,39 +95,17 @@ template <typename T>
 using MessagePtr = std::shared_ptr<const Stamped<T>>;
 
 /**
- * How messages move between nodes inside one process.
- *
- *  - Copy: the v1 semantics — every delivery deep-copies the payload
- *    (one private Stamped<T> per subscriber per duplicate), modeling
- *    a serialize+copy middleware. Kept selectable so old-vs-new is
- *    benchmarkable forever.
- *  - Loan: the v2 zero-copy path — the publisher's message moves
- *    into one immutable shared payload and subscribers borrow it.
- *
- * The *simulated* cost model is identical in both modes: transport
- * delay is still proportional to the serialized size (the paper's
- * "communication cost is part of every path"), so figures and
- * tables are byte-identical across modes; only host-side work and
- * allocation change.
+ * Inter-node communication cost parameters. Messages move between
+ * nodes on one path: the publisher's message moves into one
+ * immutable shared payload that subscribers borrow (zero-copy). The
+ * *simulated* cost is still proportional to the serialized size (the
+ * paper's "communication cost is part of every path"); only host-side
+ * work and allocation are saved.
  */
-enum class TransportMode {
-    Copy,
-    Loan,
-};
-
-/** Stable name for reports/flags ("copy" / "loan"). */
-const char *transportModeName(TransportMode mode);
-
-/** Parse a transport-mode name; false when unknown. */
-bool transportModeFromName(const std::string &name,
-                           TransportMode &out);
-
-/** Inter-node communication cost parameters. */
 struct TransportConfig
 {
     sim::Tick baseLatency = 150 * sim::oneUs; ///< notify + wakeup
     double bandwidthGBs = 2.0; ///< intra-host serialize/copy rate
-    TransportMode mode = TransportMode::Loan; ///< copy vs zero-copy
 };
 
 /**
@@ -140,17 +118,16 @@ struct TransportCounters
 {
     std::uint64_t published = 0;  ///< messages entering publish()
     std::uint64_t deliveries = 0; ///< per-subscriber deliveries
-    /** Deep payload copies made by the transport (Copy mode, or
-     *  fault-forced private copies in Loan mode). */
+    /** Deep payload copies made by the transport: the private
+     *  copies a duplicating fault forces. */
     std::uint64_t payloadCopies = 0;
     /** Deliveries that shared the publisher's immutable payload. */
     std::uint64_t loanedDeliveries = 0;
-    /** Publishes that moved the payload without any copy (Loan
-     *  mode; includes the single-subscriber fast path). */
+    /** Publishes that moved the payload without any copy
+     *  (includes the single-subscriber fast path). */
     std::uint64_t movedPublishes = 0;
     /** Copies forced by transport faults (duplicate deliveries must
-     *  not alias the loaned buffer). Subset of payloadCopies when
-     *  in Loan mode. */
+     *  not alias the loaned buffer). Equals payloadCopies. */
     std::uint64_t forcedCopies = 0;
 
     void
@@ -562,14 +539,14 @@ class Topic final : public TopicBase
      * transport fault suppresses delivery — the publisher produced
      * the message; the wire lost it.
      *
-     * Ownership: the message is *loaned* to the transport. In Loan
-     * mode it moves into one immutable shared payload that every
-     * subscriber borrows (zero per-subscriber copies; with exactly
-     * one subscriber the move is the whole transfer). In Copy mode
-     * — and for fault-duplicated deliveries, which model a second,
-     * independent trip through the wire — each delivery gets a
-     * private deep copy. Either way the caller's object is consumed:
-     * touching it after publish is a bug (avlint: mutable-loan).
+     * Ownership: the message is *loaned* to the transport. It moves
+     * into one immutable shared payload that every subscriber
+     * borrows (zero per-subscriber copies; with exactly one
+     * subscriber the move is the whole transfer). Only
+     * fault-duplicated deliveries, which model a second, independent
+     * trip through the wire, get a private deep copy each. Either way
+     * the caller's object is consumed: touching it after publish is a
+     * bug (avlint: mutable-loan).
      */
     void
     publish(Message msg)
@@ -612,9 +589,7 @@ class Topic final : public TopicBase
         // first: bags record messages at rest (arrival 0), exactly
         // as v1 did.
         msg.arrival = eq_.now() + delay;
-        const unsigned copies = 1 + bad.duplicates;
-        if (transport_.mode == TransportMode::Loan &&
-            bad.duplicates == 0) {
+        if (bad.duplicates == 0) {
             // Zero-copy path: seal the payload once (a move — for
             // a point cloud this steals the buffer) and loan it to
             // every subscriber.
@@ -628,12 +603,14 @@ class Topic final : public TopicBase
             }
             return;
         }
+        // A duplicating fault: every trip through the wire gets its
+        // own private copy, so no delivery aliases another.
+        const unsigned copies = 1 + bad.duplicates;
         for (Subscription<T> *sub : subs_) {
             for (unsigned i = 0; i < copies; ++i) {
                 ++counters_.deliveries;
                 ++counters_.payloadCopies;
-                if (transport_.mode == TransportMode::Loan)
-                    ++counters_.forcedCopies;
+                ++counters_.forcedCopies;
                 scheduleDelivery(
                     sub, std::make_shared<const Stamped<T>>(msg),
                     delay);

@@ -71,7 +71,7 @@ struct TopologySnapshot
 /**
  * Enumerate @p graph's registered topology. Every subscription edge
  * appears exactly once (a subscription lives under exactly one
- * topic), regardless of fan-out or transport mode.
+ * topic), regardless of fan-out.
  */
 TopologySnapshot topologySnapshot(const RosGraph &graph);
 

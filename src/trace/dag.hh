@@ -17,8 +17,8 @@
  * dispatch) is split from the compute share (dispatch → output).
  *
  * Everything here is a pure function of the recorder's canonical
- * event stream, so analyses are byte-identical across worker counts
- * and transport modes.
+ * event stream, so analyses are byte-identical across worker
+ * counts.
  */
 
 #ifndef AVSCOPE_TRACE_DAG_HH

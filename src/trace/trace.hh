@@ -28,8 +28,7 @@
  * simulation — recording never schedules events, reads the host
  * clock or perturbs timing. canonicalEvents() returns the stream in
  * a byte-stable canonical order (tick, topic, seq, kind, node), so
- * traced results serialize identically for any worker count and
- * either transport mode.
+ * traced results serialize identically for any worker count.
  */
 
 #ifndef AVSCOPE_TRACE_TRACE_HH
@@ -240,7 +239,7 @@ class Recorder
     /**
      * The event stream in byte-stable canonical order: sorted by
      * (tick, topic name, seq, kind, node name). Identical for any
-     * worker count and either transport mode of the same replay.
+     * worker count of the same replay.
      */
     std::vector<Event> canonicalEvents() const;
 

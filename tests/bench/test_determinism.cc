@@ -13,7 +13,7 @@
  * replays; cache-path determinism is covered by tests/exp.
  */
 
-#include <filesystem>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +23,7 @@
 
 #include "exp/runner.hh"
 #include "findings.hh"
+#include "test_dir.hh"
 
 namespace {
 
@@ -67,11 +68,11 @@ TEST(Determinism, FindingsReportIndependentOfWorkerCount)
     EXPECT_EQ(serial, parallel);
 }
 
-/** Serialize @p result through a scratch cache; return the bytes. */
+/** Serialize @p result through a cache rooted at @p dir. */
 std::string
-resultBytes(const av::prof::RunResult &result, const char *key)
+resultBytes(const std::string &dir, const av::prof::RunResult &result,
+            const char *key)
 {
-    const std::string dir = "/tmp/avscope_determinism_faults";
     const av::exp::ResultCache cache(dir);
     EXPECT_TRUE(cache.store(key, result));
     std::ifstream is(cache.entryPath(key), std::ios::binary);
@@ -80,13 +81,33 @@ resultBytes(const av::prof::RunResult &result, const char *key)
     return os.str();
 }
 
+/**
+ * The forcedCopies counter of a serialized entry's transport line
+ * ("transport <published> <deliveries> <payloadCopies>
+ * <loanedDeliveries> <movedPublishes> <forcedCopies>").
+ */
+std::uint64_t
+forcedCopies(const std::string &bytes)
+{
+    const auto line = bytes.find("\ntransport ");
+    EXPECT_NE(line, std::string::npos);
+    std::istringstream is(bytes.substr(line + 1));
+    std::string word;
+    std::uint64_t counters[6] = {};
+    is >> word;
+    for (std::uint64_t &c : counters)
+        is >> c;
+    EXPECT_TRUE(is) << "malformed transport line";
+    return counters[5];
+}
+
 TEST(Determinism, FaultedRunsByteIdenticalAcrossWorkerCounts)
 {
     namespace exp = av::exp;
     namespace fault = av::fault;
     using av::sim::oneMs;
     using av::sim::oneSec;
-    std::filesystem::remove_all("/tmp/avscope_determinism_faults");
+    const std::string dir = av::test::freshTestDir();
 
     // A schedule mixing every stochastic fault mechanism: seeded
     // frame loss, duplication/corruption draws, a crash/respawn
@@ -113,10 +134,6 @@ TEST(Determinism, FaultedRunsByteIdenticalAcrossWorkerCounts)
                 .seed(2020)
                 .faults(plan)
                 .degraded()
-                // Pin the v2 loaned transport explicitly: faulted
-                // runs (duplication forces private copies) must stay
-                // byte-identical across worker counts on it.
-                .transportMode(av::ros::TransportMode::Loan)
                 .named(av::perception::detectorName(kind)));
 
     exp::Runner serial(exp::RunnerConfig{1, ""});
@@ -132,17 +149,18 @@ TEST(Determinism, FaultedRunsByteIdenticalAcrossWorkerCounts)
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::string tag = std::to_string(i);
-        const std::string a = resultBytes(*from_serial[i],
-                                          ("serial-" + tag).c_str());
+        const std::string a = resultBytes(
+            dir, *from_serial[i], ("serial-" + tag).c_str());
         const std::string b = resultBytes(
-            *from_parallel[i], ("parallel-" + tag).c_str());
+            dir, *from_parallel[i], ("parallel-" + tag).c_str());
         ASSERT_FALSE(a.empty());
         EXPECT_EQ(a, b) << "faulted run " << i
                         << " differs across worker counts";
         // The entry must carry fault outcomes, not an empty table,
-        // and record which transport replayed it.
+        // and its transport line must count the private copies the
+        // duplicated /detection/image_detector/objects forced.
         EXPECT_NE(a.find("faults 5"), std::string::npos);
-        EXPECT_NE(a.find("transport loan"), std::string::npos);
+        EXPECT_GT(forcedCopies(a), 0u);
     }
 }
 
@@ -152,7 +170,7 @@ TEST(Determinism, ChaosCellsByteIdenticalAcrossWorkerCounts)
     namespace fault = av::fault;
     using av::sim::oneMs;
     using av::sim::oneSec;
-    std::filesystem::remove_all("/tmp/avscope_determinism_faults");
+    const std::string dir = av::test::freshTestDir();
 
     // A compound cell with the safety monitor armed: the serialized
     // entry carries timestamped violations, and those — like every
@@ -188,9 +206,9 @@ TEST(Determinism, ChaosCellsByteIdenticalAcrossWorkerCounts)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::string tag = std::to_string(i);
         const std::string a = resultBytes(
-            *from_serial[i], ("chaos-serial-" + tag).c_str());
+            dir, *from_serial[i], ("chaos-serial-" + tag).c_str());
         const std::string b = resultBytes(
-            *from_parallel[i], ("chaos-parallel-" + tag).c_str());
+            dir, *from_parallel[i], ("chaos-parallel-" + tag).c_str());
         ASSERT_FALSE(a.empty());
         EXPECT_EQ(a, b) << "chaos cell " << i
                         << " differs across worker counts";
@@ -203,72 +221,32 @@ TEST(Determinism, ChaosCellsByteIdenticalAcrossWorkerCounts)
     EXPECT_TRUE(any_violation);
 }
 
-/** Serialize through a scratch cache rooted at @p dir. */
-std::string
-tracedBytes(const std::string &dir, const av::prof::RunResult &result,
-            const char *key)
-{
-    const av::exp::ResultCache cache(dir);
-    EXPECT_TRUE(cache.store(key, result));
-    std::ifstream is(cache.entryPath(key), std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-/** The serialized trace section ("\ntrace " up to "\nend"). */
-std::string
-traceSection(const std::string &bytes)
-{
-    const auto begin = bytes.find("\ntrace ");
-    const auto end = bytes.rfind("\nend");
-    EXPECT_NE(begin, std::string::npos);
-    EXPECT_NE(end, std::string::npos);
-    return bytes.substr(begin, end - begin);
-}
-
-TEST(Determinism, TracedRunsByteIdenticalAcrossJobsAndTransports)
+TEST(Determinism, TracedRunsByteIdenticalAcrossJobs)
 {
     namespace exp = av::exp;
-    const std::string dir = "/tmp/avscope_determinism_trace";
-    std::filesystem::remove_all(dir);
-
-    const auto traced = [](av::ros::TransportMode mode) {
-        return exp::spec()
+    const std::string dir = av::test::freshTestDir();
+    const auto traced =
+        exp::spec()
             .detector(av::perception::DetectorKind::Ssd512)
             .durationSeconds(4)
             .seed(2020)
             .traced()
-            .transportMode(mode)
             .named("traced determinism");
-    };
 
     // Same traced spec through a serial and a 4-worker Runner: the
     // whole result file — trace events, critical path, slack rows,
     // edges — must not differ by a byte.
     exp::Runner serial(exp::RunnerConfig{1, ""});
     exp::Runner parallel(exp::RunnerConfig{4, ""});
-    const auto loan = traced(av::ros::TransportMode::Loan);
-    const std::string a = tracedBytes(
-        dir, serial.result(serial.submit(loan)), "jobs1");
-    const std::string b = tracedBytes(
-        dir, parallel.result(parallel.submit(loan)), "jobs4");
+    const std::string a = resultBytes(
+        dir, serial.result(serial.submit(traced)), "jobs1");
+    const std::string b = resultBytes(
+        dir, parallel.result(parallel.submit(traced)), "jobs4");
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "traced run differs across worker counts";
     // The entry must actually carry a trace, not an untraced stub.
     EXPECT_NE(a.find("\ntrace 1 "), std::string::npos);
     EXPECT_NE(a.find("tracepath"), std::string::npos);
-
-    // Copy vs loan transport: the simulated trace is identical; the
-    // full files legitimately differ (transport mode + counters), so
-    // compare the serialized trace section alone.
-    const std::string c = tracedBytes(
-        dir,
-        serial.result(
-            serial.submit(traced(av::ros::TransportMode::Copy))),
-        "copy");
-    EXPECT_EQ(traceSection(a), traceSection(c))
-        << "trace diverged between loan and copy transports";
 }
 
 } // namespace

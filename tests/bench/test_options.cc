@@ -53,12 +53,12 @@ TEST(BenchOptions, TypedValuesAndDefaults)
 {
     BenchOptions opts = commonOptions();
     parse(opts, {"--duration", "8", "--csv", "--jobs=3",
-                 "--transport", "copy", "positional"});
+                 "--cache-dir", "scratch/cache", "positional"});
 
     EXPECT_EQ(opts.integer("duration"), 8);
     EXPECT_TRUE(opts.flag("csv"));
     EXPECT_EQ(opts.integer("jobs"), 3);
-    EXPECT_EQ(opts.text("transport"), "copy");
+    EXPECT_EQ(opts.text("cache-dir"), "scratch/cache");
     // Untouched options keep their declared fallbacks.
     EXPECT_EQ(opts.integer("seed"), 2020);
     EXPECT_FALSE(opts.flag("no-cache"));
@@ -99,7 +99,16 @@ TEST(BenchOptions, UnknownFlagDiagnosticNamesFlagAndUsage)
     EXPECT_NE(what.find("unknown flag --bogus"), std::string::npos);
     // The usage text rides along so a typo shows the real flags.
     EXPECT_NE(what.find("--duration"), std::string::npos);
-    EXPECT_NE(what.find("--transport"), std::string::npos);
+    EXPECT_NE(what.find("--cache-dir"), std::string::npos);
+
+    // The removed transport switch is an unknown flag now, not a
+    // silently accepted no-op.
+    const std::string removed = diagnostic([] {
+        BenchOptions opts = commonOptions();
+        parse(opts, {"--transport", "loan"});
+    });
+    EXPECT_NE(removed.find("unknown flag --transport"),
+              std::string::npos);
 }
 
 TEST(BenchOptions, TypeMismatchDiagnosticNamesTheValue)
@@ -154,7 +163,7 @@ TEST(BenchOptions, UsageListsEveryDeclaredOption)
     const std::string usage = commonOptions().usage();
     for (const char *flag :
          {"--duration", "--seed", "--csv", "--jobs", "--cache-dir",
-          "--no-cache", "--transport", "--trace"})
+          "--no-cache", "--trace"})
         EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 

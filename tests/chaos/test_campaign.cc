@@ -21,15 +21,11 @@
 
 #include "chaos/chaos.hh"
 #include "stack/safety.hh"
+#include "test_dir.hh"
 
 namespace {
 
 using namespace av;
-
-/** Shared on-disk cache: chaos tests deliberately reuse it so the
- *  suite warms its own replays (each test still passes standalone,
- *  just slower). */
-const char *kCacheDir = "/tmp/avscope_chaos_tests";
 
 /** The small seeded campaign every execution test runs. */
 chaos::CampaignSpec
@@ -216,11 +212,10 @@ TEST(Campaign, FrontierFoldsPerKind)
 
 TEST(Campaign, WorkerCountIndependentAndCacheWarmOnRerun)
 {
-    std::filesystem::remove_all(kCacheDir);
-    const std::string cold = std::string(kCacheDir) + "_cold";
-    std::filesystem::remove_all(cold);
+    const std::string cacheDir = test::freshTestDir();
+    const std::string cold = test::freshTestDir("cold");
 
-    exp::Runner serial(exp::RunnerConfig{1, kCacheDir});
+    exp::Runner serial(exp::RunnerConfig{1, cacheDir});
     chaos::CampaignRunner first(serial, testCampaign());
     const std::string serial_digest = digest(first.run());
 
@@ -238,7 +233,7 @@ TEST(Campaign, WorkerCountIndependentAndCacheWarmOnRerun)
     EXPECT_EQ(wide.executed(), testCampaign().cells);
 
     // Warm cache: the re-run replays nothing.
-    exp::Runner warm(exp::RunnerConfig{2, kCacheDir});
+    exp::Runner warm(exp::RunnerConfig{2, cacheDir});
     chaos::CampaignRunner third(warm, testCampaign());
     EXPECT_EQ(digest(third.run()), serial_digest);
     EXPECT_EQ(warm.executed(), 0u);
@@ -247,7 +242,7 @@ TEST(Campaign, WorkerCountIndependentAndCacheWarmOnRerun)
 
 TEST(Campaign, MinimizerShrinksAndReachesAFixedPoint)
 {
-    exp::Runner runner(exp::RunnerConfig{2, kCacheDir});
+    exp::Runner runner(exp::RunnerConfig{2, test::freshTestDir()});
     chaos::CampaignRunner campaign(runner, testCampaign());
     const chaos::CellOutcome *violated_cell = nullptr;
     for (const chaos::CellOutcome &out : campaign.run())
@@ -290,7 +285,7 @@ TEST(Campaign, MinimalReproMatchesGolden)
         std::string(AVSCOPE_SOURCE_DIR) +
         "/tests/chaos/golden_repro.txt";
 
-    exp::Runner runner(exp::RunnerConfig{2, kCacheDir});
+    exp::Runner runner(exp::RunnerConfig{2, test::freshTestDir()});
     chaos::CampaignRunner campaign(runner, testCampaign());
     const chaos::CellOutcome *violated_cell = nullptr;
     for (const chaos::CellOutcome &out : campaign.run())

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/report.hh"
+#include "test_dir.hh"
 
 namespace {
 
@@ -43,8 +44,7 @@ TEST(Report, WritesAllFilesWithConsistentContent)
     prof::CharacterizationRun run(drive, cfg);
     run.execute();
 
-    const std::string dir = "/tmp/avscope_report_test";
-    std::filesystem::remove_all(dir);
+    const std::string dir = av::test::freshTestDir();
     ASSERT_TRUE(prof::writeRunReport(run, dir));
 
     for (const char *name :

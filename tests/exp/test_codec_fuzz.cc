@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hh"
+#include "test_dir.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "world/bag_io.hh"
@@ -170,8 +171,7 @@ TEST(CodecFuzz, CacheEntryMutantsMissOrReserializeStably)
     exp::Runner runner(exp::RunnerConfig{1, ""});
     const prof::RunResult &run = runner.result(runner.submit(spec));
 
-    const std::string dir = "/tmp/avscope_codec_fuzz";
-    std::filesystem::remove_all(dir);
+    const std::string dir = test::freshTestDir();
     const exp::ResultCache cache(dir);
     ASSERT_TRUE(cache.store("corpus", run));
     const std::string corpus = fileBytes(cache.entryPath("corpus"));
@@ -245,8 +245,9 @@ TEST(CodecFuzz, SensorBagMutantsFailOrReserializeStably)
                        world::CameraModel(), world::GnssModel(),
                        world::ImuModel(), sim::oneSec / 5,
                        world::RecorderConfig(), bag);
-    const std::string path = "/tmp/avscope_codec_fuzz.avbg";
-    const std::string again = "/tmp/avscope_codec_fuzz_again.avbg";
+    const std::string dir = test::freshTestDir();
+    const std::string path = dir + "/corpus.avbg";
+    const std::string again = dir + "/again.avbg";
     ASSERT_TRUE(world::saveSensorBag(bag, path));
     const std::string corpus = fileBytes(path);
     const auto counts = bagCounts(bag);

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hh"
+#include "test_dir.hh"
 #include "world/bag_io.hh"
 #include "world/recorder.hh"
 
@@ -103,8 +104,7 @@ TEST(CodecGolden, CacheEntryBytesMatchGolden)
         runner.submit(s);
     const auto results = runner.collect();
 
-    const std::string dir = "/tmp/avscope_codec_golden";
-    std::filesystem::remove_all(dir);
+    const std::string dir = test::freshTestDir();
     const exp::ResultCache cache(dir);
     std::string actual;
     bool faults = false, violations = false, tracepath = false;
@@ -147,7 +147,7 @@ TEST(CodecGolden, SensorBagBytesMatchGolden)
                        world::ImuModel(), 2 * sim::oneSec,
                        world::RecorderConfig(), bag);
 
-    const std::string path = "/tmp/avscope_codec_golden.avbg";
+    const std::string path = test::freshTestDir() + "/bag.avbg";
     ASSERT_TRUE(world::saveSensorBag(bag, path));
     const std::string bytes = fileBytes(path);
 

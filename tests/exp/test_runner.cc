@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,20 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hh"
+#include "test_dir.hh"
 #include "util/random.hh"
 
 namespace {
 
 using namespace av;
-
-/** Throw-away cache directory, recreated empty per call. */
-std::string
-freshDir(const char *name)
-{
-    const std::string path = std::string("/tmp/avscope_exp_") + name;
-    std::filesystem::remove_all(path);
-    return path;
-}
 
 std::string
 fileBytes(const std::string &path)
@@ -71,7 +64,7 @@ detectorSweep()
 TEST(Runner, ParallelRunByteIdenticalToSerial)
 {
     const auto specs = detectorSweep();
-    const std::string dir = freshDir("serialize");
+    const std::string dir = test::freshTestDir("serialize");
 
     exp::Runner serial(exp::RunnerConfig{1, ""});
     exp::Runner parallel(exp::RunnerConfig{3, ""});
@@ -102,7 +95,7 @@ TEST(Runner, ParallelRunByteIdenticalToSerial)
 
 TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)
 {
-    const std::string dir = freshDir("cache");
+    const std::string dir = test::freshTestDir("cache");
     const auto spec = exp::spec()
                           .durationSeconds(6)
                           .seed(7)
@@ -124,7 +117,7 @@ TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)
     EXPECT_EQ(warm.cacheHits(), 1u);
     EXPECT_EQ(second.label, "cached experiment");
 
-    const std::string scratch = freshDir("cache_compare");
+    const std::string scratch = test::freshTestDir("cache_compare");
     EXPECT_EQ(serialized(scratch, "first", first),
               serialized(scratch, "second", second));
 }
@@ -176,10 +169,6 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
         {"transport bandwidth",
          [](exp::ExperimentSpec &s) {
              s.config.transport.bandwidthGBs *= 2.0;
-         }},
-        {"transport mode",
-         [](exp::ExperimentSpec &s) {
-             s.transportMode(ros::TransportMode::Copy);
          }},
         {"node calibration",
          [](exp::ExperimentSpec &s) {
@@ -268,43 +257,69 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
     EXPECT_NE(exp::driveKey(other_seed), exp::driveKey(base));
 }
 
-TEST(Runner, TransportModesProduceIdenticalSimulatedResults)
+TEST(Runner, CleanReplayMakesNoPayloadCopies)
 {
-    // The copy-vs-loan switch is host-side only: the same drive
-    // replayed under both transports must measure the same
-    // latencies, drops, counters, power — everything except the
-    // transport accounting itself (mode name + copy counters).
-    auto loanSpec =
-        exp::spec().durationSeconds(6).seed(11).named("same");
-    auto copySpec = loanSpec;
-    loanSpec.transportMode(ros::TransportMode::Loan);
-    copySpec.transportMode(ros::TransportMode::Copy);
-    ASSERT_NE(exp::cacheKey(loanSpec), exp::cacheKey(copySpec));
+    // The loaned transport moves every message without a host-side
+    // copy; only a duplicating fault forces one. A clean replay must
+    // therefore report zero copies on a real message flow.
+    const auto spec =
+        exp::spec().durationSeconds(6).seed(11).named("clean replay");
+    exp::Runner runner(exp::RunnerConfig{1, ""});
+    const prof::RunResult &run = runner.result(runner.submit(spec));
+    EXPECT_EQ(run.transport.payloadCopies, 0u);
+    EXPECT_EQ(run.transport.forcedCopies, 0u);
+    EXPECT_GT(run.transport.deliveries, 0u);
+    EXPECT_EQ(run.transport.loanedDeliveries, run.transport.deliveries);
 
-    exp::Runner runner(exp::RunnerConfig{2, ""});
-    const std::size_t loanJob = runner.submit(loanSpec);
-    const std::size_t copyJob = runner.submit(copySpec);
-    prof::RunResult loan = runner.result(loanJob);
-    prof::RunResult copy = runner.result(copyJob);
+    // The counters survive a cache round trip byte-identically.
+    const std::string dir = test::freshTestDir();
+    const exp::ResultCache cache(dir);
+    const std::string stored = serialized(dir, "clean", run);
+    const std::optional<prof::RunResult> loaded = cache.load("clean");
+    ASSERT_TRUE(loaded.has_value());
+    const ros::TransportCounters &a = run.transport;
+    const ros::TransportCounters &b = loaded->transport;
+    EXPECT_EQ(a.published, b.published);
+    EXPECT_EQ(a.deliveries, b.deliveries);
+    EXPECT_EQ(a.payloadCopies, b.payloadCopies);
+    EXPECT_EQ(a.loanedDeliveries, b.loanedDeliveries);
+    EXPECT_EQ(a.movedPublishes, b.movedPublishes);
+    EXPECT_EQ(a.forcedCopies, b.forcedCopies);
+    EXPECT_EQ(serialized(dir, "reloaded", *loaded), stored);
+}
 
-    EXPECT_EQ(loan.transportMode, "loan");
-    EXPECT_EQ(copy.transportMode, "copy");
-    // The loaned path really eliminated the per-subscriber copies
-    // the v1 path made — on the same message flow.
-    EXPECT_EQ(loan.transport.payloadCopies, 0u);
-    EXPECT_GT(copy.transport.payloadCopies, 0u);
-    EXPECT_EQ(loan.transport.deliveries, copy.transport.deliveries);
-    EXPECT_EQ(loan.transport.published, copy.transport.published);
+TEST(Runner, V5EntryWithTransportModeIsRejected)
+{
+    // A v5 entry named its transport mode on the transport line. The
+    // mode is gone in v6, so such an entry must be a miss, not a
+    // result whose counters are read off by one token.
+    prof::RunResult result;
+    result.label = "old entry";
+    result.transport.published = 3;
+    result.transport.deliveries = 3;
+    result.transport.loanedDeliveries = 3;
+    result.transport.movedPublishes = 3;
+    const std::string dir = test::freshTestDir();
+    const exp::ResultCache cache(dir);
+    std::string bytes = serialized(dir, "entry", result);
+    ASSERT_TRUE(cache.load("entry").has_value());
 
-    // Blank the transport accounting on both and the serialized
-    // results must be byte-identical.
-    loan.transportMode.clear();
-    copy.transportMode.clear();
-    loan.transport = ros::TransportCounters{};
-    copy.transport = ros::TransportCounters{};
-    const std::string dir = freshDir("transport_modes");
-    EXPECT_EQ(serialized(dir, "loan", loan),
-              serialized(dir, "copy", copy));
+    const std::string v6Header = "avscope-result 6\n";
+    ASSERT_EQ(bytes.rfind(v6Header, 0), 0u);
+    bytes.replace(0, v6Header.size(), "avscope-result 5\n");
+    const auto transport = bytes.find("\ntransport ");
+    ASSERT_NE(transport, std::string::npos);
+    bytes.insert(transport + std::string("\ntransport").size(),
+                 " loan");
+    {
+        std::ofstream os(cache.entryPath("entry"),
+                         std::ios::binary | std::ios::trunc);
+        os << bytes;
+    }
+    ASSERT_NE(fileBytes(cache.entryPath("entry"))
+                  .find("\ntransport loan 3 3 0 3 3 0\n"),
+              std::string::npos);
+    EXPECT_FALSE(cache.load("entry").has_value());
 }
 
 TEST(Runner, ThrowingExperimentPropagatesWithoutDeadlock)
@@ -382,7 +397,7 @@ TEST(Runner, WatchdogReportsStalledJobWithoutKillingSlot)
 
 TEST(Runner, CorruptedCacheEntryIsAMiss)
 {
-    const std::string dir = freshDir("corrupt");
+    const std::string dir = test::freshTestDir("corrupt");
     const auto spec =
         exp::spec().durationSeconds(6).seed(9).named("corruptable");
 
@@ -435,7 +450,7 @@ TEST(Runner, ReadingQuantilesLeavesTheSerializedEntryUnchanged)
             (void)read.worstCaseP99();
     }
     (void)read.paths[0].series.summarize();
-    const std::string dir = freshDir("quantile_reads");
+    const std::string dir = test::freshTestDir("quantile_reads");
     EXPECT_EQ(serialized(dir, "plain", plain),
               serialized(dir, "read", read));
 }

@@ -137,6 +137,20 @@ TEST(Avlint, ProbeTapFlaggedInCoreOnly)
     EXPECT_TRUE(in_stack.empty());
 }
 
+TEST(Avlint, TmpPathFlaggedInTestsOnly)
+{
+    const auto in_tests = lintFile(fixture("tmp_path.cc"),
+                                   "tests/fixture/tmp_path.cc");
+    EXPECT_EQ(ruleLines(in_tests),
+              (Pairs{{"tmp-path", 8}, {"tmp-path", 9}}));
+
+    // Library code is lexed with literals blanked and is outside the
+    // rule's scope.
+    const auto in_src = lintFile(fixture("tmp_path.cc"),
+                                 "src/fixture/tmp_path.cc");
+    EXPECT_TRUE(in_src.empty());
+}
+
 TEST(Avlint, MutableGlobalFlaggedAtNamespaceScope)
 {
     const auto in_src = lintFile(fixture("mutable_global.cc"),
@@ -291,7 +305,7 @@ TEST(Avlint, FileLevelSuppressionSilencesWholeFile)
 TEST(Avlint, RuleCatalogIsStable)
 {
     const auto names = av::lint::ruleNames();
-    EXPECT_EQ(names.size(), 12u);
+    EXPECT_EQ(names.size(), 13u);
     EXPECT_NE(std::find(names.begin(), names.end(), "wall-clock"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "mutable-loan"),
@@ -300,6 +314,8 @@ TEST(Avlint, RuleCatalogIsStable)
                         "swallowed-exception"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "probe-tap"),
+              names.end());
+    EXPECT_NE(std::find(names.begin(), names.end(), "tmp-path"),
               names.end());
 }
 

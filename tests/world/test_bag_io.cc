@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "test_dir.hh"
 #include "world/bag_io.hh"
 #include "world/recorder.hh"
 
@@ -20,7 +21,7 @@ using namespace av::world;
 std::string
 tempPath(const char *name)
 {
-    return std::string("/tmp/avscope_") + name + ".avbg";
+    return test::freshTestDir(name) + "/" + name + ".avbg";
 }
 
 ros::Bag
@@ -230,7 +231,7 @@ TEST(BagIo, RejectsOutOfRangeActorClass)
 TEST(BagIo, MissingFileFails)
 {
     ros::Bag bag;
-    EXPECT_FALSE(loadSensorBag(bag, "/tmp/avscope_nonexistent.avbg"));
+    EXPECT_FALSE(loadSensorBag(bag, tempPath("nonexistent")));
     EXPECT_FALSE(
         saveSensorBag(bag, "/nonexistent_dir/bag.avbg"));
 }

@@ -55,6 +55,13 @@
  *                     probes read the run's trace::Recorder, never a
  *                     private topic tap (src/stack's watchdog and
  *                     safety monitor act on taps and are exempt)
+ *   tmp-path          a string literal starting with /tmp/ under
+ *                     tests/ — a fixed scratch path is shared by
+ *                     every test process (ctest -j) and checkout on
+ *                     the host; take a per-test directory from
+ *                     tests/test_dir.hh. tests/ is lexed with string
+ *                     literals kept and runs only this rule; the
+ *                     other rules keep their scopes
  *
  * A diagnostic on line N is silenced by `// avlint: allow(<rule>)` on
  * the same line, or on a comment-only line directly above. A
@@ -160,17 +167,26 @@ std::vector<Diagnostic> lintSource(const SourceFile &file,
                                    const SourceFile *companion);
 
 /**
+ * Run the tests/ rule set over @p file: tmp-path only. @p file must
+ * be built with keep_strings, since the rule reads string literals.
+ * Suppressions are already applied to the returned list.
+ */
+std::vector<Diagnostic> lintTestSource(const SourceFile &file);
+
+/**
  * Load @p fs_path from disk and lint it as @p rel_path. Looks for a
- * sibling .hh next to a .cc automatically.
+ * sibling .hh next to a .cc automatically. A @p rel_path under
+ * tests/ gets lintTestSource instead of lintSource.
  */
 std::vector<Diagnostic> lintFile(const std::string &fs_path,
                                  const std::string &rel_path);
 
 /**
- * Lint the whole repo rooted at @p root: src/, bench/, examples/ and
- * tools/ (tests/ hosts intentionally-violating fixtures). Results
- * are sorted by (file, line, rule) — never filesystem traversal
- * order — so output is byte-stable across platforms and runs.
+ * Lint the whole repo rooted at @p root: src/, bench/, examples/,
+ * tools/ and tests/ (minus tests/tools/fixtures/, which hosts
+ * intentionally-violating sources). Results are sorted by (file,
+ * line, rule) — never filesystem traversal order — so output is
+ * byte-stable across platforms and runs.
  */
 std::vector<Diagnostic> lintTree(const std::string &root);
 

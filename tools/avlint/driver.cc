@@ -58,6 +58,9 @@ lintFile(const std::string &fs_path, const std::string &rel_path)
     if (!content)
         return {Diagnostic{rel_path, 0, "io-error",
                            "cannot read file"}};
+    if (rel_path.rfind("tests/", 0) == 0)
+        return lintTestSource(
+            SourceFile(rel_path, *content, /*keep_strings=*/true));
     const SourceFile file(rel_path, *content);
 
     std::optional<SourceFile> companion;
@@ -72,17 +75,21 @@ std::vector<Diagnostic>
 lintTree(const std::string &root)
 {
     static const char *const subdirs[] = {"src", "bench", "examples",
-                                          "tools"};
+                                          "tools", "tests"};
+    const fs::path fixtures = fs::path(root) / "tests/tools/fixtures";
     std::vector<fs::path> files;
     for (const char *sub : subdirs) {
         const fs::path dir = fs::path(root) / sub;
         if (!fs::exists(dir))
             continue;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(dir))
-            if (entry.is_regular_file() &&
-                lintableExtension(entry.path()))
-                files.push_back(entry.path());
+        for (auto it = fs::recursive_directory_iterator(dir);
+             it != fs::recursive_directory_iterator(); ++it) {
+            if (it->path() == fixtures)
+                it.disable_recursion_pending();
+            else if (it->is_regular_file() &&
+                     lintableExtension(it->path()))
+                files.push_back(it->path());
+        }
     }
     std::sort(files.begin(), files.end());
     // A tree with nothing to lint means the root is wrong; a silent

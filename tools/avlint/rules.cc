@@ -394,6 +394,26 @@ ruleProbeTap(const SourceFile &f, Diags &out)
 }
 
 // ---------------------------------------------------------------
+// tmp-path: a test naming a fixed /tmp/ path shares it with every
+// other test process (ctest -j runs them concurrently) and every
+// checkout on the host, so one test's cleanup can delete another's
+// files. Tests take a per-test directory from tests/test_dir.hh.
+// Needs a file lexed with keep_strings.
+// ---------------------------------------------------------------
+
+void
+ruleTmpPath(const SourceFile &f, Diags &out)
+{
+    if (!startsWith(f.relPath(), "tests/"))
+        return;
+    for (const Token &t : f.tokens())
+        if (t.kind == TokenKind::String && startsWith(t.text, "/tmp/"))
+            emit(out, f, t.line, "tmp-path",
+                 "fixed scratch path '" + t.text + "' in a test; use"
+                 " av::test::freshTestDir()");
+}
+
+// ---------------------------------------------------------------
 // mutable-global: namespace-scope mutable variables in src/.
 // Shared mutable state is what lets one experiment's replay observe
 // another's — the failure mode the thread-parallel Runner must
@@ -788,6 +808,18 @@ ruleSwallowedException(const SourceFile &f, Diags &out)
     }
 }
 
+/** Drop suppressed findings and sort the rest. */
+std::vector<Diagnostic>
+unsuppressed(const SourceFile &file, Diags all)
+{
+    Diags kept;
+    for (Diagnostic &d : all)
+        if (!file.suppressed(d.rule, d.line))
+            kept.push_back(std::move(d));
+    sortDiagnostics(kept);
+    return kept;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -800,6 +832,7 @@ ruleNames()
         "print-in-library",  "mutable-global",
         "unseeded-random",   "mutable-loan",
         "swallowed-exception", "probe-tap",
+        "tmp-path",
     };
 }
 
@@ -819,13 +852,15 @@ lintSource(const SourceFile &file, const SourceFile *companion)
     ruleMutableLoan(file, all);
     ruleSwallowedException(file, all);
     ruleProbeTap(file, all);
+    return unsuppressed(file, std::move(all));
+}
 
-    Diags kept;
-    for (Diagnostic &d : all)
-        if (!file.suppressed(d.rule, d.line))
-            kept.push_back(std::move(d));
-    sortDiagnostics(kept);
-    return kept;
+std::vector<Diagnostic>
+lintTestSource(const SourceFile &file)
+{
+    Diags all;
+    ruleTmpPath(file, all);
+    return unsuppressed(file, std::move(all));
 }
 
 void
