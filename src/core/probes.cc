@@ -110,24 +110,14 @@ collectDrops(const ros::RosGraph &graph)
 }
 
 StalenessMonitor::StalenessMonitor(ros::RosGraph &graph,
-                                   const trace::Recorder &recorder,
-                                   sim::Tick period,
-                                   std::vector<std::string> topics)
-    : eq_(graph.eventQueue()), recorder_(recorder), period_(period),
-      task_(graph.eventQueue(), period,
+                                   const trace::Recorder &recorder)
+    : eq_(graph.eventQueue()), recorder_(recorder),
+      task_(graph.eventQueue(), kPeriod,
             [this](std::uint64_t) { sample(); })
 {
-    if (topics.empty()) {
-        namespace t = perception::topics;
-        topics = {t::ndtPose,      t::lidarObjects,
-                  t::imageObjects, t::fusedObjects,
-                  t::trackedObjects, t::objects, t::costmap};
-    }
-    for (const std::string &name : topics) {
-        if (!graph.findTopic(name))
-            continue; // absent subsystem: no row, not "stale"
-        rows_.emplace_back(name);
-    }
+    for (const char *name : perception::topics::watched)
+        if (graph.findTopic(name)) // absent: no row, not "stale"
+            rows_.emplace_back(name);
 }
 
 void
@@ -139,9 +129,7 @@ StalenessMonitor::sample()
             recorder_.lastPublish(row.topic);
         if (!last)
             continue;
-        row.lastStamp = last->stamp;
-        row.seen = true;
-        row.ageMs.add(sim::ticksToMs(now - row.lastStamp));
+        row.ageMs.add(sim::ticksToMs(now - last->stamp));
     }
 }
 

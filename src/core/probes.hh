@@ -159,9 +159,7 @@ collectCounters(const std::vector<perception::PerceptionNode *> &nodes);
 struct StalenessRow
 {
     std::string topic;
-    util::SampleSeries ageMs; ///< sampled now - lastStamp, in ms
-    sim::Tick lastStamp = 0;
-    bool seen = false;
+    util::SampleSeries ageMs; ///< sampled now - newest stamp, in ms
 
     explicit StalenessRow(std::string name)
         : topic(std::move(name)), ageMs(1u << 12)
@@ -169,10 +167,11 @@ struct StalenessRow
 };
 
 /**
- * Samples the age of each watched topic's newest publication on a
- * fixed period — the distribution a health monitor would alarm on.
- * Topics are sampled only after their first publication, so a
- * disabled subsystem reads as absent, not stale.
+ * Samples the age of each watched topic's newest publication
+ * (perception::topics::watched) every 100 ms — the distribution a
+ * health monitor would alarm on. Topics are sampled only after their
+ * first publication, so a disabled subsystem reads as absent, not
+ * stale.
  *
  * Reads the recorder's always-on publish log instead of installing
  * bespoke header taps: av::trace::Recorder is the single recording
@@ -181,18 +180,16 @@ struct StalenessRow
 class StalenessMonitor
 {
   public:
+    static constexpr sim::Tick kPeriod = 100 * sim::oneMs;
+
     /**
      * @param recorder the run's recorder (must be attached to
      *        @p graph and outlive this probe)
-     * @param topics watched topic names; empty selects the standard
-     *        inter-node set (poses, detections, tracks, costmap)
      */
     StalenessMonitor(ros::RosGraph &graph,
-                     const trace::Recorder &recorder,
-                     sim::Tick period = 100 * sim::oneMs,
-                     std::vector<std::string> topics = {});
+                     const trace::Recorder &recorder);
 
-    void start() { task_.start(period_); }
+    void start() { task_.start(kPeriod); }
     void stop() { task_.stop(); }
 
     const std::vector<StalenessRow> &rows() const { return rows_; }
@@ -202,7 +199,6 @@ class StalenessMonitor
 
     sim::EventQueue &eq_;
     const trace::Recorder &recorder_;
-    sim::Tick period_;
     std::vector<StalenessRow> rows_;
     sim::PeriodicTask task_;
 };

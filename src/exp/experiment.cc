@@ -82,8 +82,6 @@ fold(Hasher &h, const stack::DegradationOptions &c)
     h.u64(c.trackerCoastAfter);
     h.u64(c.trackerCoastPeriod);
     h.u64(c.ndtReseedAfter);
-    h.u64(c.watchdogPeriod);
-    h.u64(c.watchdogStaleAfter);
 }
 
 void
@@ -239,8 +237,9 @@ cacheKey(const ExperimentSpec &spec)
     // entries miss instead of misloading. v5: safety-invariant
     // thresholds, violations section in the result file,
     // content-derived fault Rng salts. v6: the transport mode is
-    // gone from the key and from the result file.
-    h.tag("avscope-exp-v6");
+    // gone from the key and from the result file. v7: the watchdog's
+    // period and stale threshold are constants, gone from the key.
+    h.tag("avscope-exp-v7");
     foldDrive(h, spec);
     fold(h, spec.config.stack);
     fold(h, spec.config.machine);

@@ -49,6 +49,12 @@ inline constexpr const char *objects = "/detection/objects";
 inline constexpr const char *predictedObjects =
     "/prediction/motion_predictor/objects";
 inline constexpr const char *costmap = "/semantics/costmap";
+/** The inter-node topics every staleness watcher samples (the
+ *  staleness probe, the stack watchdog, the safety monitor's
+ *  liveness check), in report order. */
+inline constexpr const char *watched[] = {
+    ndtPose,        lidarObjects, imageObjects, fusedObjects,
+    trackedObjects, objects,      costmap};
 } // namespace topics
 
 /**

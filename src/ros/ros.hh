@@ -274,13 +274,6 @@ class TopicBase
     }
 
     /**
-     * Observe every publication's header synchronously, regardless
-     * of payload type (staleness probes, watchdogs).
-     */
-    virtual void addHeaderTap(
-        std::function<void(const Header &)> tap) = 0;
-
-    /**
      * Node names that advertised this topic, in advertise order.
      * Empty for topics only ever published externally (bag replay,
      * probes) — those never pass a publisher name.
@@ -520,24 +513,17 @@ class Topic final : public TopicBase
     }
 
     /**
-     * Observe every publication synchronously with zero simulated
-     * cost (bag recording, probes).
+     * Observe every publication's payload synchronously with zero
+     * simulated cost (bag recording). Measurement reads the trace
+     * recorder's publish log instead (avlint: probe-tap).
      */
     void addTap(Tap tap) { taps_.push_back(std::move(tap)); }
 
-    void
-    addHeaderTap(std::function<void(const Header &)> tap) override
-    {
-        addTap([tap = std::move(tap)](const Message &msg) {
-            tap(msg.header);
-        });
-    }
-
     /**
      * Publish. Subscribers receive the message after the transport
-     * delay for its size. Taps observe the publication even when a
-     * transport fault suppresses delivery — the publisher produced
-     * the message; the wire lost it.
+     * delay for its size. Taps and the recorder's publish log observe
+     * the publication even when a transport fault suppresses delivery
+     * — the publisher produced the message; the wire lost it.
      *
      * Ownership: the message is *loaned* to the transport. It moves
      * into one immutable shared payload that every subscriber

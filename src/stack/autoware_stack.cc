@@ -59,10 +59,7 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
             graph, calibration.costmapGenerator);
     }
     if (deg.enabled) {
-        WatchdogConfig wd;
-        wd.period = deg.watchdogPeriod;
-        wd.staleAfter = deg.watchdogStaleAfter;
-        watchdog_ = std::make_unique<StackWatchdog>(graph, wd);
+        watchdog_ = std::make_unique<StackWatchdog>(graph);
         watchdog_->start();
     }
 

@@ -35,9 +35,6 @@ struct DegradationOptions
     sim::Tick trackerCoastPeriod = 100 * sim::oneMs;
     /** NDT reseeds from GNSS after a localization gap this long. */
     sim::Tick ndtReseedAfter = 500 * sim::oneMs;
-    /** Watchdog sampling period / per-topic silence threshold. */
-    sim::Tick watchdogPeriod = 100 * sim::oneMs;
-    sim::Tick watchdogStaleAfter = 500 * sim::oneMs;
 };
 
 /** Which parts of the stack to launch. */

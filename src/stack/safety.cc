@@ -2,7 +2,7 @@
 
 #include "perception/nodes.hh"
 #include "stack/autoware_stack.hh"
-#include "stack/watchdog.hh"
+#include "util/logging.hh"
 #include "world/scenario.hh"
 
 namespace av::stack {
@@ -53,54 +53,39 @@ SafetyMonitor::SafetyMonitor(ros::RosGraph &graph,
                              const world::Scenario &scenario,
                              const SafetyOptions &options,
                              sim::Tick horizon)
-    : graph_(graph), stack_(stack), scenario_(scenario),
-      options_(options), horizon_(horizon),
+    : graph_(graph), recorder_(graph.traceRecorder()), stack_(stack),
+      scenario_(scenario), options_(options), horizon_(horizon),
       task_(graph.eventQueue(), options.samplePeriod,
             [this](std::uint64_t) { sample(); })
 {
-    // Liveness pulses over the watchdog's inter-node topic set.
-    // Reserve up front: taps capture pointers into pulses_.
-    const std::vector<std::string> watched =
-        StackWatchdog::defaultTopics();
-    pulses_.reserve(watched.size());
-    for (const std::string &name : watched) {
-        ros::TopicBase *topic = graph.findTopic(name);
-        if (!topic)
-            continue; // subsystem disabled; invariant not in force
-        pulses_.push_back(TopicPulse{name, 0, false, false});
-        TopicPulse *pulse = &pulses_.back();
-        topic->addHeaderTap([pulse](const ros::Header &header) {
-            pulse->lastStamp = header.stamp;
-            pulse->seen = true;
-        });
-    }
-    // E2E deadline on the terminal topic: the costmap when present,
-    // else the predicted-objects output.
-    terminalTopic_ = perception::topics::costmap;
-    ros::TopicBase *terminal = graph.findTopic(terminalTopic_);
-    if (!terminal) {
+    AV_ASSERT(recorder_, "the safety monitor reads the trace recorder");
+    for (const char *name : perception::topics::watched)
+        if (graph.findTopic(name)) // absent: invariant not in force
+            pulses_.push_back(TopicPulse{name, false});
+    // E2E deadline on the terminal topic: the costmap when a node
+    // publishes it (the topic is declared even when the generator
+    // is off), else the predicted-objects output.
+    const ros::TopicBase *costmap =
+        graph.findTopic(perception::topics::costmap);
+    if (costmap && !costmap->advertisers().empty())
+        terminalTopic_ = perception::topics::costmap;
+    else if (graph.findTopic(perception::topics::objects))
         terminalTopic_ = perception::topics::objects;
-        terminal = graph.findTopic(terminalTopic_);
-    }
-    if (terminal)
-        terminal->addHeaderTap([this](const ros::Header &header) {
-            onTerminal(header);
-        });
-    else
-        terminalTopic_.clear();
 }
 
 void
 SafetyMonitor::start()
 {
-    running_ = true;
+    // Publications before the monitor runs are not judged.
+    const auto *log = recorder_->publishLog(terminalTopic_);
+    terminalCursor_ = log ? log->size() : 0;
     task_.start(options_.samplePeriod);
 }
 
 void
 SafetyMonitor::stop()
 {
-    running_ = false;
+    drainTerminal(); // publications since the last sample
     task_.stop();
 }
 
@@ -131,6 +116,9 @@ void
 SafetyMonitor::sample()
 {
     const sim::Tick now = graph_.eventQueue().now();
+    // Each terminal publication is judged at its own tick, so the
+    // drain runs even past the horizon.
+    drainTerminal();
     // Past the horizon the bag has stopped feeding the stack: every
     // topic legitimately falls silent while the ground-truth ego
     // keeps moving, so judging invariants there would manufacture
@@ -224,9 +212,11 @@ void
 SafetyMonitor::sampleLiveness(sim::Tick now)
 {
     for (TopicPulse &pulse : pulses_) {
-        if (!pulse.seen)
+        const trace::PublishRecord *last =
+            recorder_->lastPublish(pulse.topic);
+        if (!last)
             continue; // silence before first publication ≠ outage
-        const sim::Tick age = now - pulse.lastStamp;
+        const sim::Tick age = now - last->stamp;
         if (age > options_.livenessAfter) {
             if (!pulse.inViolation)
                 record(InvariantKind::PipelineLiveness, now,
@@ -240,21 +230,28 @@ SafetyMonitor::sampleLiveness(sim::Tick now)
 }
 
 void
-SafetyMonitor::onTerminal(const ros::Header &header)
+SafetyMonitor::drainTerminal()
 {
-    if (!running_)
+    const auto *log = recorder_->publishLog(terminalTopic_);
+    if (!log)
         return;
-    if (header.origins.lidar == 0)
+    for (; terminalCursor_ < log->size(); ++terminalCursor_)
+        judgeTerminal((*log)[terminalCursor_]);
+}
+
+void
+SafetyMonitor::judgeTerminal(const trace::PublishRecord &pub)
+{
+    if (pub.originLidar == 0)
         return; // not derived from a LiDAR scan: no E2E lineage
-    const sim::Tick now = graph_.eventQueue().now();
-    if (horizon_ != 0 && now > horizon_)
+    if (horizon_ != 0 && pub.tick > horizon_)
         return; // drain-grace publications are expected to be late
-    const double e2e = sim::ticksToMs(now - header.origins.lidar);
+    const double e2e = sim::ticksToMs(pub.tick - pub.originLidar);
     if (e2e > options_.deadlineMs) {
         ++missStreak_;
         if (missStreak_ >= options_.deadlineMissStreak &&
             !deadlineInViolation_) {
-            record(InvariantKind::DeadlineStreak, now,
+            record(InvariantKind::DeadlineStreak, pub.tick,
                    terminalTopic_,
                    static_cast<double>(missStreak_),
                    static_cast<double>(options_.deadlineMissStreak));

@@ -21,9 +21,11 @@
  *
  * Violations are recorded as timestamped, token-safe records that
  * serialize into the result cache; av::chaos classifies campaign
- * cells by them. The monitor is a pure observer (taps + a periodic
- * sample on the shared EventQueue, no ros::Node, no simulated cost),
- * so enabling it cannot perturb any measurement.
+ * cells by them. The monitor is a pure observer: liveness and the
+ * deadline read the run's trace::Recorder publish log (header stamps
+ * and lineage), the rest reads node state, all from a periodic
+ * sample on the shared EventQueue — no ros::Node, no simulated cost
+ * — so enabling it cannot perturb any measurement.
  */
 
 #ifndef AVSCOPE_STACK_SAFETY_HH
@@ -35,6 +37,7 @@
 
 #include "ros/ros.hh"
 #include "sim/periodic.hh"
+#include "trace/trace.hh"
 
 namespace av::world {
 class Scenario;
@@ -80,8 +83,8 @@ struct SafetyOptions
     double deadlineMs = 100.0;
     /** DeadlineStreak: tolerated consecutive misses. */
     std::uint64_t deadlineMissStreak = 10;
-    /** PipelineLiveness: silence beyond this escalates (> watchdog
-     *  staleAfter, which merely counts). */
+    /** PipelineLiveness: silence beyond this escalates (> the
+     *  watchdog's kStaleAfter, which merely counts). */
     sim::Tick livenessAfter = 2 * sim::oneSec;
 };
 
@@ -102,10 +105,16 @@ struct SafetyViolation
 std::string violationLabel(const SafetyViolation &violation);
 
 /**
- * The monitor. Construct after the stack (taps attach to existing
- * topics; disabled subsystems are skipped per invariant), start()
- * before the replay. Each invariant re-arms only after its condition
- * clears, so one sustained breach yields one violation record.
+ * The monitor. Construct after the stack on a graph with its
+ * trace::Recorder attached (disabled subsystems are skipped per
+ * invariant), start() before the replay. Each invariant re-arms only
+ * after its condition clears, so one sustained breach yields one
+ * violation record.
+ *
+ * DeadlineStreak judges every terminal publication logged between
+ * start() and stop(), at its own publish tick: each sample() and
+ * stop() first drains the log from a cursor, so the records keep the
+ * order they would have had if judged at publication.
  *
  * @p horizon is the end of sensor input (the drive duration):
  * invariants are only judged while the bag is still feeding the
@@ -145,12 +154,10 @@ class SafetyMonitor
         bool inViolation = false;
     };
 
-    /** Per-topic liveness state. */
+    /** Per-topic liveness latch. */
     struct TopicPulse
     {
         std::string topic;
-        sim::Tick lastStamp = 0;
-        bool seen = false;
         bool inViolation = false;
     };
 
@@ -158,26 +165,29 @@ class SafetyMonitor
     void sampleLocalization(sim::Tick now);
     void sampleContinuity(sim::Tick now);
     void sampleLiveness(sim::Tick now);
-    void onTerminal(const ros::Header &header);
+    /** Judge the terminal publications logged since the last drain. */
+    void drainTerminal();
+    void judgeTerminal(const trace::PublishRecord &pub);
     void record(InvariantKind kind, sim::Tick time,
                 const std::string &subject, double value,
                 double bound);
 
     ros::RosGraph &graph_;
+    const trace::Recorder *recorder_;
     const AutowareStack &stack_;
     const world::Scenario &scenario_;
     SafetyOptions options_;
     sim::Tick horizon_ = 0; ///< end of sensor input; 0 = none
-    bool running_ = false;
     sim::PeriodicTask task_;
     std::vector<SafetyViolation> violations_;
-    /** Liveness pulse per watched topic; taps point into this. */
+    /** Liveness latch per watched topic. */
     std::vector<TopicPulse> pulses_;
     /** Continuity state per truth-actor id (sorted map semantics via
      *  linear scan: actor counts are tens, not thousands). */
     std::vector<std::pair<std::uint32_t, ActorCover>> covers_;
-    /** DeadlineStreak state on the terminal topic. */
+    /** DeadlineStreak state on the terminal topic ("" = none). */
     std::string terminalTopic_;
+    std::size_t terminalCursor_ = 0; ///< next publish-log index
     std::uint64_t missStreak_ = 0;
     bool deadlineInViolation_ = false;
     /** LocalizationError re-arm latch. */

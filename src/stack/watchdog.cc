@@ -1,64 +1,31 @@
 #include "stack/watchdog.hh"
 
 #include "perception/nodes.hh"
+#include "util/logging.hh"
 
 namespace av::stack {
 
-std::vector<std::string>
-StackWatchdog::defaultTopics()
-{
-    namespace t = perception::topics;
-    return {t::ndtPose,        t::lidarObjects, t::imageObjects,
-            t::fusedObjects,   t::trackedObjects, t::objects,
-            t::costmap};
-}
-
-StackWatchdog::StackWatchdog(ros::RosGraph &graph,
-                             const WatchdogConfig &config,
-                             std::vector<std::string> topics)
-    : ros::Node(graph, "stack_watchdog"), config_(config),
-      task_(graph.eventQueue(), config.period,
+StackWatchdog::StackWatchdog(ros::RosGraph &graph)
+    : eq_(graph.eventQueue()), recorder_(graph.traceRecorder()),
+      task_(graph.eventQueue(), kPeriod,
             [this](std::uint64_t) { sample(); })
 {
-    if (topics.empty())
-        topics = defaultTopics();
-    // Reserve up front: taps capture pointers into watched_.
-    watched_.reserve(topics.size());
-    for (const std::string &name : topics) {
-        ros::TopicBase *topic = graph.findTopic(name);
-        if (!topic)
-            continue; // subsystem disabled; nothing to watch
-        watched_.push_back(WatchedTopic{name, 0, false, false, 0});
-        WatchedTopic *state = &watched_.back();
-        topic->addHeaderTap([state](const ros::Header &header) {
-            state->lastStamp = header.stamp;
-            state->seen = true;
-        });
-    }
-}
-
-void
-StackWatchdog::start()
-{
-    task_.start(config_.period);
-}
-
-void
-StackWatchdog::stop()
-{
-    task_.stop();
+    AV_ASSERT(recorder_, "the stack watchdog reads the trace recorder");
+    for (const char *name : perception::topics::watched)
+        if (graph.findTopic(name)) // absent: subsystem disabled
+            watched_.push_back(WatchedTopic{name, false, 0});
 }
 
 void
 StackWatchdog::sample()
 {
-    if (down())
-        return;
-    const sim::Tick now = graph().eventQueue().now();
+    const sim::Tick now = eq_.now();
     for (WatchedTopic &w : watched_) {
-        if (!w.seen)
+        const trace::PublishRecord *last =
+            recorder_->lastPublish(w.topic);
+        if (!last)
             continue; // silence before first publication ≠ outage
-        const bool stale_now = now - w.lastStamp > config_.staleAfter;
+        const bool stale_now = now - last->stamp > kStaleAfter;
         if (stale_now && !w.stale)
             ++w.staleEvents;
         w.stale = stale_now;

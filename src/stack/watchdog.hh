@@ -4,12 +4,15 @@
  *
  * A real AV safety monitor (Autoware's health checker, the paper's
  * deadline framing in §IV) watches for pipeline stages going silent.
- * This node taps the key inter-node topics, samples their publication
- * age on a fixed period, and counts *stale transitions* — a topic that
- * was flowing and then exceeded the stale threshold. Degradation
- * responses elsewhere in the stack (LiDAR-only fusion, tracker
- * coasting, NDT reseeding) are the reactions; the watchdog is the
- * detector and the metric source.
+ * The watchdog samples the publication age of the inter-node topics
+ * (perception::topics::watched) every 100 ms, reading each topic's
+ * newest header stamp from the run's trace::Recorder, and counts
+ * *stale transitions* — a topic that was flowing and then stayed
+ * silent for more than 500 ms. Degradation responses elsewhere in
+ * the stack (LiDAR-only fusion, tracker coasting, NDT reseeding) are
+ * the reactions; the watchdog is the detector and the metric source.
+ * It is a pure observer: no ros::Node, no subscription, no simulated
+ * cost.
  */
 
 #ifndef AVSCOPE_STACK_WATCHDOG_HH
@@ -24,47 +27,30 @@
 
 namespace av::stack {
 
-/** Watchdog tuning. */
-struct WatchdogConfig
-{
-    sim::Tick period = 100 * sim::oneMs;     ///< sampling interval
-    sim::Tick staleAfter = 500 * sim::oneMs; ///< silence threshold
-};
-
 /** Per-topic watchdog state (reporting view). */
 struct WatchedTopic
 {
     std::string topic;
-    sim::Tick lastStamp = 0;        ///< latest publication stamp
-    bool seen = false;              ///< published at least once
     bool stale = false;             ///< currently beyond threshold
     std::uint64_t staleEvents = 0;  ///< fresh->stale transitions
 };
 
 /**
- * The watchdog node. Construct after the stack so the watched topics
+ * The watchdog. Construct after the stack so the watched topics
  * exist; topics absent from the graph (disabled subsystems) are
- * skipped. Registered as a node so it is visible in the graph — and
- * crashable like everything else.
+ * skipped. The graph must have its trace::Recorder attached.
  */
-class StackWatchdog : public ros::Node
+class StackWatchdog
 {
   public:
-    /**
-     * @param topics topic names to watch; empty selects the default
-     *        inter-node set (poses, detections, tracks, costmap)
-     */
-    StackWatchdog(ros::RosGraph &graph,
-                  const WatchdogConfig &config = WatchdogConfig(),
-                  std::vector<std::string> topics = {});
+    static constexpr sim::Tick kPeriod = 100 * sim::oneMs;
+    static constexpr sim::Tick kStaleAfter = 500 * sim::oneMs;
 
-    /** The default watched-topic set. */
-    static std::vector<std::string> defaultTopics();
+    explicit StackWatchdog(ros::RosGraph &graph);
 
-    void start();
-    void stop();
+    void start() { task_.start(kPeriod); }
 
-    /** Per-topic state, in construction order. */
+    /** Per-topic state, in perception::topics::watched order. */
     const std::vector<WatchedTopic> &watched() const
     {
         return watched_;
@@ -76,7 +62,8 @@ class StackWatchdog : public ros::Node
   private:
     void sample();
 
-    WatchdogConfig config_;
+    sim::EventQueue &eq_;
+    const trace::Recorder *recorder_;
     std::vector<WatchedTopic> watched_;
     sim::PeriodicTask task_;
 };

@@ -2,10 +2,11 @@
  * @file
  * Golden pin of the two on-disk formats' bytes.
  *
- * The result-cache entries of three 4 s seed-2020 runs — clean (with
- * a spaced label), traced, and faulted + degraded + invariants —
- * and a saved 2 s sensor bag are hashed (FNV-1a 64) and compared
- * against tests/exp/golden_codec.txt. Together the three runs leave
+ * The result-cache entries of four seed-2020 runs — three of 4 s
+ * (clean with a spaced label, traced, faulted + degraded +
+ * invariants) and a 12 s escalated run that fires all four invariant
+ * kinds — and a saved 2 s sensor bag are hashed (FNV-1a 64) and
+ * compared against tests/exp/golden_codec.txt. Together the runs leave
  * no cache section empty, so any change to how a field is written
  * (order, encoding, separator) moves a hash. Regenerate after an
  * intentional format change (which must also bump its version)
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -77,7 +79,7 @@ checkGolden(const std::string &actual, const char *file)
            "version and regenerate with AVSCOPE_WRITE_GOLDEN=1";
 }
 
-/** The three runs whose entries together fill every section. */
+/** The four runs whose entries together fill every section. */
 std::vector<exp::ExperimentSpec>
 codecRuns()
 {
@@ -91,9 +93,26 @@ codecRuns()
         .degraded()
         .invariants()
         .named("faulted");
+    // Thresholds tight enough that all four invariant kinds fire,
+    // so the entry pins every way the safety monitor observes.
+    stack::SafetyOptions strict;
+    strict.deadlineMs = 60.0;
+    strict.deadlineMissStreak = 3;
+    strict.livenessAfter = 700 * sim::oneMs;
+    strict.maxLocalizationError = 1.0;
+    strict.trackLossSamples = 3;
+    auto escalated = base;
+    escalated.durationSeconds(12)
+        .detector(perception::DetectorKind::Ssd512)
+        .faults(fault::FaultPlan()
+                    .lidarBlackout(3 * sim::oneSec, 1500 * sim::oneMs)
+                    .gpuThrottle(6 * sim::oneSec, 2 * sim::oneSec, 0.3))
+        .degraded()
+        .invariants(strict)
+        .named("escalated");
     return {exp::ExperimentSpec(base).named("clean run, spaced label"),
             exp::ExperimentSpec(base).traced().named("traced"),
-            faulted};
+            faulted, escalated};
 }
 
 TEST(CodecGolden, CacheEntryBytesMatchGolden)
@@ -108,10 +127,13 @@ TEST(CodecGolden, CacheEntryBytesMatchGolden)
     const exp::ResultCache cache(dir);
     std::string actual;
     bool faults = false, violations = false, tracepath = false;
+    std::set<stack::InvariantKind> kinds;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const prof::RunResult &run = *results[i];
         faults |= !run.faults.empty();
         violations |= !run.violations.empty();
+        for (const stack::SafetyViolation &v : run.violations)
+            kinds.insert(v.kind);
         tracepath |= !run.trace.criticalPath.empty() &&
                      !run.trace.nodes.empty() &&
                      !run.trace.edges.empty();
@@ -132,6 +154,9 @@ TEST(CodecGolden, CacheEntryBytesMatchGolden)
     EXPECT_TRUE(faults);
     EXPECT_TRUE(violations);
     EXPECT_TRUE(tracepath);
+    // Every invariant kind is pinned, so a change to how the safety
+    // monitor observes the stack cannot slip past a vacuous entry.
+    EXPECT_EQ(kinds.size(), 4u);
     std::filesystem::remove_all(dir);
     checkGolden(actual, "golden_codec.txt");
 }

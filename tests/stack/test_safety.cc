@@ -3,8 +3,9 @@
  * Tests for the safety-invariant monitor (src/stack/safety.hh):
  * name round-trips, a clean replay staying violation-free, each
  * invariant class firing under the fault that provokes it, the
- * latched one-record-per-breach semantics, and violations riding
- * through RunResult.
+ * latched one-record-per-breach semantics, the deadline's terminal
+ * topic and its drain at stop(), and violations riding through
+ * RunResult.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include "core/characterization.hh"
 #include "core/run_result.hh"
 #include "fault/fault.hh"
+#include "stack/autoware_stack.hh"
 #include "stack/safety.hh"
 #include "world/recorder.hh"
+#include "world/scenario.hh"
 
 namespace {
 
@@ -161,6 +164,75 @@ TEST(SafetyMonitor, TightDeadlineTriggersStreakViolation)
     EXPECT_EQ(prof::snapshotRun(run).violationsOf(
                   stack::InvariantKind::DeadlineStreak),
               1u);
+}
+
+TEST(SafetyMonitor, DeadlineFallsBackToObjectsWithoutCostmap)
+{
+    world::ScenarioConfig scenario;
+    auto drive = prof::makeDrive(scenario, 6 * oneSec);
+
+    stack::SafetyOptions tight;
+    tight.deadlineMs = 1.0;
+    tight.deadlineMissStreak = 5;
+    prof::RunConfig cfg = safeConfig(tight);
+    // The costmap topic is still declared, but nobody publishes it:
+    // the deadline must follow the predicted-objects output instead.
+    cfg.stack.enableCostmap = false;
+    prof::CharacterizationRun run(drive, cfg);
+    run.execute();
+
+    const auto violations = run.safetyViolations();
+    std::size_t streaks = 0;
+    for (const stack::SafetyViolation &v : violations)
+        if (v.kind == stack::InvariantKind::DeadlineStreak) {
+            ++streaks;
+            EXPECT_EQ(v.subject, perception::topics::objects);
+        }
+    EXPECT_EQ(streaks, 1u);
+}
+
+TEST(SafetyMonitor, StopJudgesPublicationsAfterTheLastSample)
+{
+    trace::Recorder recorder; // outlives the graph's topics
+    sim::EventQueue eq;
+    const hw::MachineConfig mcfg;
+    hw::Machine machine{eq, mcfg};
+    ros::RosGraph graph{machine};
+    graph.setTraceRecorder(&recorder);
+    auto pub = graph.advertise<int>(perception::topics::costmap,
+                                    "costmap_generator");
+    stack::StackOptions off;
+    off.enableVision = false;
+    off.enableLocalization = false;
+    off.enableLidarDetection = false;
+    off.enableTracking = false;
+    off.enableCostmap = false;
+    const stack::AutowareStack stack(graph, pc::PointCloud(), off);
+    const world::Scenario scenario;
+
+    stack::SafetyOptions options;
+    options.enabled = true;
+    options.deadlineMs = 1.0;
+    options.deadlineMissStreak = 1;
+    stack::SafetyMonitor monitor(graph, stack, scenario, options, 0);
+    monitor.start();
+    // Samples at 100 ms and 200 ms; the publication lands between
+    // the last sample and stop().
+    eq.schedule(250 * oneMs, [&] {
+        ros::Header h;
+        h.stamp = eq.now();
+        h.origins.lidar = 10 * oneMs;
+        pub.publish(h, 0, 64);
+    });
+    eq.runUntil(280 * oneMs);
+    EXPECT_TRUE(monitor.violations().empty());
+    monitor.stop();
+
+    ASSERT_EQ(monitor.violations().size(), 1u);
+    const stack::SafetyViolation &v = monitor.violations()[0];
+    EXPECT_EQ(v.kind, stack::InvariantKind::DeadlineStreak);
+    EXPECT_EQ(v.time, 250 * oneMs);
+    EXPECT_EQ(v.subject, perception::topics::costmap);
 }
 
 TEST(SafetyMonitor, ViolationsRideThroughRunResult)

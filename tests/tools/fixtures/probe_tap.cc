@@ -5,6 +5,4 @@ void
 watch(av::ros::RosGraph &graph, int &count)
 {
     graph.topic<int>("/a").addTap([&](const auto &) { ++count; });
-    graph.findTopic("/b")->addHeaderTap(
-        [&](const av::ros::Header &) { ++count; });
 }

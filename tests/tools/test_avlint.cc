@@ -124,17 +124,21 @@ TEST(Avlint, PrintFlaggedInLibraryCodeOnly)
     EXPECT_TRUE(in_bench.empty());
 }
 
-TEST(Avlint, ProbeTapFlaggedInCoreOnly)
+TEST(Avlint, ProbeTapFlaggedInCoreAndStack)
 {
     const auto in_core = lintFile(fixture("probe_tap.cc"),
                                   "src/core/probe_tap.cc");
-    EXPECT_EQ(ruleLines(in_core),
-              (Pairs{{"probe-tap", 7}, {"probe-tap", 8}}));
+    EXPECT_EQ(ruleLines(in_core), (Pairs{{"probe-tap", 7}}));
 
-    // The watchdog and safety monitor act on taps; they stay legal.
+    // The watchdog and safety monitor read the recorder too.
     const auto in_stack = lintFile(fixture("probe_tap.cc"),
                                    "src/stack/probe_tap.cc");
-    EXPECT_TRUE(in_stack.empty());
+    EXPECT_EQ(ruleLines(in_stack), (Pairs{{"probe-tap", 7}}));
+
+    // The bag recorder keeps payloads; src/ros is outside the rule.
+    const auto in_ros = lintFile(fixture("probe_tap.cc"),
+                                 "src/ros/probe_tap.cc");
+    EXPECT_TRUE(in_ros.empty());
 }
 
 TEST(Avlint, TmpPathFlaggedInTestsOnly)

@@ -51,10 +51,11 @@
  *                     std::current_exception pass; narrow typed
  *                     handlers are exempt (they encode a decision
  *                     about one specific failure)
- *   probe-tap         addTap/addHeaderTap in src/core — measurement
- *                     probes read the run's trace::Recorder, never a
- *                     private topic tap (src/stack's watchdog and
- *                     safety monitor act on taps and are exempt)
+ *   probe-tap         addTap in src/core or src/stack — measurement
+ *                     probes, the watchdog and the safety monitor
+ *                     read the run's trace::Recorder, never a
+ *                     private topic tap (src/ros's Bag::record,
+ *                     which keeps payloads, is outside the rule)
  *   tmp-path          a string literal starting with /tmp/ under
  *                     tests/ — a fixed scratch path is shared by
  *                     every test process (ctest -j) and checkout on

@@ -373,24 +373,24 @@ rulePrintInLibrary(const SourceFile &f, Diags &out)
 }
 
 // ---------------------------------------------------------------
-// probe-tap: measurement code in src/core reads the run's
-// trace::Recorder; it never installs its own topic tap. A private
-// tap is a second recording path that can disagree with the first.
-// src/stack (watchdog, safety monitor) acts on what it taps and is
-// outside the rule.
+// probe-tap: measurement code in src/core and the observers in
+// src/stack (watchdog, safety monitor) read the run's
+// trace::Recorder; they never install their own topic tap. A
+// private tap is a second recording path that can disagree with the
+// first. src/ros's Bag::record, which keeps payloads, stays legal.
 // ---------------------------------------------------------------
 
 void
 ruleProbeTap(const SourceFile &f, Diags &out)
 {
-    if (!startsWith(f.relPath(), "src/core/"))
+    if (!startsWith(f.relPath(), "src/core/") &&
+        !startsWith(f.relPath(), "src/stack/"))
         return;
     for (const Token &t : f.tokens())
-        if (t.kind == TokenKind::Identifier &&
-            (t.text == "addTap" || t.text == "addHeaderTap"))
+        if (t.kind == TokenKind::Identifier && t.text == "addTap")
             emit(out, f, t.line, "probe-tap",
-                 "'" + t.text + "' in src/core; derive the measurement"
-                 " from the run's trace::Recorder instead");
+                 "'addTap' in a probe or watcher; read the run's"
+                 " trace::Recorder instead");
 }
 
 // ---------------------------------------------------------------
