@@ -1,14 +1,9 @@
 /**
  * @file
  * Transport microbenchmark: the host-side cost of the minros
- * intra-process transport (the loaned, zero-copy path).
- *
- *  - fan-out: publish large payloads to several subscribers,
- *    reporting wall-clock and the transport counters (the loan must
- *    record zero payload copies)
- *  - ring: raw SpscRing throughput, single-threaded and with a real
- *    producer/consumer thread pair (the lock-free protocol's
- *    cross-thread case; TSan proves it clean)
+ * intra-process transport (the loaned, zero-copy path). It publishes
+ * large payloads to several subscribers and reports wall-clock and
+ * the transport counters; the loan must record zero payload copies.
  *
  * --smoke shrinks every size so the binary doubles as a sanitizer
  * smoke test: scripts/check.sh runs it under ASan/UBSan and TSan.
@@ -18,13 +13,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "common.hh"
 #include "hw/machine.hh"
 #include "ros/ros.hh"
-#include "ros/spsc_ring.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -91,63 +84,6 @@ fanOut(std::size_t messages, std::size_t words, unsigned subs,
     return seconds(t0, t1);
 }
 
-/** Single-threaded push/pop pairs; returns ops (push+pop) per sec. */
-double
-ringSingleThread(std::size_t ops)
-{
-    ros::SpscRing<std::uint64_t> ring(64);
-    std::uint64_t sink = 0;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-        ring.pushDropOldest(i);
-        std::uint64_t out = 0;
-        ring.pop(&out);
-        sink += out;
-    }
-    const auto t1 = Clock::now();
-    AV_ASSERT(sink > 0 || ops == 0, "ring lost everything");
-    return static_cast<double>(ops) / seconds(t0, t1);
-}
-
-/**
- * Real producer/consumer thread pair: the producer pushes @p ops
- * values with tryPush (spinning on full), the consumer pops until it
- * has read all of them. Exercises the cross-thread acquire/release
- * protocol — the TSan target.
- */
-double
-ringTwoThreads(std::size_t ops)
-{
-    ros::SpscRing<std::uint64_t> ring(1024);
-    std::uint64_t sum = 0;
-    const auto t0 = Clock::now();
-    std::thread producer([&ring, ops] {
-        for (std::size_t i = 1; i <= ops; ++i) {
-            std::uint64_t value = i;
-            while (!ring.tryPush(value))
-                std::this_thread::yield();
-        }
-    });
-    std::thread consumer([&ring, &sum, ops] {
-        std::size_t got = 0;
-        while (got < ops) {
-            std::uint64_t out = 0;
-            if (ring.pop(&out)) {
-                sum += out;
-                ++got;
-            } else {
-                std::this_thread::yield();
-            }
-        }
-    });
-    producer.join();
-    consumer.join();
-    const auto t1 = Clock::now();
-    AV_ASSERT(sum == ops * (ops + 1) / 2,
-              "ring dropped or duplicated values cross-thread");
-    return static_cast<double>(ops) / seconds(t0, t1);
-}
-
 } // namespace
 
 int
@@ -158,8 +94,7 @@ main(int argc, char **argv)
             .flag("smoke", "shrink every size not given explicitly")
             .integer("messages", 2000, "fan-out messages")
             .integer("words", 1 << 17, "u64 words per payload")
-            .integer("subs", 3, "fan-out subscribers")
-            .integer("ops", 2000000, "ring operations"),
+            .integer("subs", 3, "fan-out subscribers"),
         argc, argv);
     const bool smoke = opts.flag("smoke");
     const auto size = [&](const char *name, long smoke_size) {
@@ -170,7 +105,6 @@ main(int argc, char **argv)
     const std::size_t messages = size("messages", 50);
     const std::size_t words = size("words", 1 << 12);
     const auto subs = static_cast<unsigned>(opts.integer("subs"));
-    const std::size_t ops = size("ops", 20000);
 
     std::printf("micro_transport: %zu messages x %zu words x %u "
                 "subscribers%s\n",
@@ -188,10 +122,5 @@ main(int argc, char **argv)
     AV_ASSERT(counters.payloadCopies == 0 &&
                   counters.loanedDeliveries == messages * subs,
               "the loaned transport must not copy payloads");
-
-    std::printf("  ring 1-thread: %8.2f M ops/s\n",
-                ringSingleThread(ops) / 1e6);
-    std::printf("  ring 2-thread: %8.2f M ops/s\n",
-                ringTwoThreads(ops) / 1e6);
     return 0;
 }

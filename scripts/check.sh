@@ -21,8 +21,7 @@
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
 #      pool and result cache run real threads; TSan proves the
 #      isolation contract DESIGN.md §10 describes), then the same
-#      three smokes again — TSan is what proves the ring's
-#      cross-thread acquire/release protocol clean
+#      three smokes again
 #
 # Usage: scripts/check.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 # Exit code is non-zero if any stage fails.

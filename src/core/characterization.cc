@@ -4,6 +4,13 @@
 
 namespace av::prof {
 
+namespace {
+
+/** Run-out after the bag ends before the probes stop. */
+constexpr sim::Tick kDrainGrace = 3 * sim::oneSec;
+
+} // namespace
+
 std::shared_ptr<DriveData>
 makeDrive(const world::ScenarioConfig &scenario_cfg,
           sim::Tick duration, const world::RecorderConfig &recorder)
@@ -61,10 +68,8 @@ CharacterizationRun::CharacterizationRun(
     // is the same when a stack section is off.
     graph_->topic<perception::PoseEstimate>(perception::topics::ndtPose);
     graph_->topic<perception::Costmap>(perception::topics::costmap);
-    util_ = std::make_unique<UtilizationMonitor>(
-        *eq_, *machine_, config_.samplePeriod);
-    power_ = std::make_unique<PowerMonitor>(*eq_, *machine_,
-                                            config_.samplePeriod);
+    util_ = std::make_unique<UtilizationMonitor>(*eq_, *machine_);
+    power_ = std::make_unique<PowerMonitor>(*eq_, *machine_);
     staleness_ = std::make_unique<StalenessMonitor>(*graph_,
                                                     recorder_);
     if (!config_.faults.empty()) {
@@ -101,14 +106,14 @@ CharacterizationRun::execute()
     if (safety_)
         safety_->start();
     drive_->bag.replay(*graph_);
-    eq_->runUntil(drive_->duration + config_.drainGrace);
+    eq_->runUntil(drive_->duration + kDrainGrace);
     util_->stop();
     power_->stop();
     staleness_->stop();
     if (safety_)
         safety_->stop();
     // Drain whatever is still in flight (bounded).
-    eq_->runUntil(drive_->duration + 2 * config_.drainGrace);
+    eq_->runUntil(drive_->duration + 2 * kDrainGrace);
 }
 
 trace::Summary

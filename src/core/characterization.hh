@@ -58,8 +58,6 @@ struct RunConfig
     hw::MachineConfig machine = stack::defaultMachine();
     ros::TransportConfig transport; ///< middleware transport cost
     stack::NodeCalibration calibration = stack::defaultCalibration();
-    sim::Tick samplePeriod = sim::oneSec; ///< probe grain
-    sim::Tick drainGrace = 3 * sim::oneSec; ///< run-out after bag end
     /**
      * Fault schedule to arm against this run; empty = clean replay.
      * Folds into the experiment cache key, so a faulted run caches

@@ -3,17 +3,16 @@
 namespace av::prof {
 
 UtilizationMonitor::UtilizationMonitor(sim::EventQueue &eq,
-                                       hw::Machine &machine,
-                                       sim::Tick period)
-    : machine_(machine), period_(period),
-      task_(eq, period, [this](std::uint64_t) { sample(); })
+                                       hw::Machine &machine)
+    : machine_(machine),
+      task_(eq, kPeriod, [this](std::uint64_t) { sample(); })
 {
 }
 
 void
 UtilizationMonitor::sample()
 {
-    const double window = sim::ticksToSeconds(period_);
+    const double window = sim::ticksToSeconds(kPeriod);
     const auto &cpu = machine_.cpu().accounting();
     const auto &gpu = machine_.gpu().accounting();
     const double cores =
@@ -44,17 +43,16 @@ UtilizationMonitor::sample()
     }
 }
 
-PowerMonitor::PowerMonitor(sim::EventQueue &eq, hw::Machine &machine,
-                           sim::Tick period)
-    : machine_(machine), period_(period),
-      task_(eq, period, [this](std::uint64_t) { sample(); })
+PowerMonitor::PowerMonitor(sim::EventQueue &eq, hw::Machine &machine)
+    : machine_(machine),
+      task_(eq, kPeriod, [this](std::uint64_t) { sample(); })
 {
 }
 
 void
 PowerMonitor::sample()
 {
-    const double window = sim::ticksToSeconds(period_);
+    const double window = sim::ticksToSeconds(kPeriod);
     const auto &cpu = machine_.cpu().accounting();
     const auto &gpu = machine_.gpu().accounting();
 

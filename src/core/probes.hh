@@ -45,11 +45,12 @@ struct UtilizationRow
 class UtilizationMonitor
 {
   public:
-    UtilizationMonitor(sim::EventQueue &eq, hw::Machine &machine,
-                       sim::Tick period = sim::oneSec);
+    static constexpr sim::Tick kPeriod = sim::oneSec;
+
+    UtilizationMonitor(sim::EventQueue &eq, hw::Machine &machine);
 
     /** Arm the 1 Hz sampler (first sample after one full window). */
-    void start() { task_.start(period_); }
+    void start() { task_.start(kPeriod); }
     void stop() { task_.stop(); }
 
     const std::map<std::string, UtilizationRow> &rows() const
@@ -65,7 +66,6 @@ class UtilizationMonitor
     void sample();
 
     hw::Machine &machine_;
-    sim::Tick period_;
     sim::PeriodicTask task_;
     std::map<std::string, UtilizationRow> rows_;
     util::RunningStats totalCpu_;
@@ -84,11 +84,12 @@ class UtilizationMonitor
 class PowerMonitor
 {
   public:
-    PowerMonitor(sim::EventQueue &eq, hw::Machine &machine,
-                 sim::Tick period = sim::oneSec);
+    static constexpr sim::Tick kPeriod = sim::oneSec;
+
+    PowerMonitor(sim::EventQueue &eq, hw::Machine &machine);
 
     /** Arm the 1 Hz sampler (first sample after one full window). */
-    void start() { task_.start(period_); }
+    void start() { task_.start(kPeriod); }
     void stop() { task_.stop(); }
 
     const util::RunningStats &cpuWatts() const { return cpuW_; }
@@ -102,7 +103,6 @@ class PowerMonitor
     void sample();
 
     hw::Machine &machine_;
-    sim::Tick period_;
     sim::PeriodicTask task_;
     util::RunningStats cpuW_;
     util::RunningStats gpuW_;

@@ -123,7 +123,6 @@ fold(Hasher &h, const stack::SafetyOptions &c)
 {
     h.tag("safety");
     h.boolean(c.enabled);
-    h.u64(c.samplePeriod);
     h.f64(c.trackRange);
     h.f64(c.trackGate);
     h.u64(c.trackLossSamples);
@@ -239,15 +238,14 @@ cacheKey(const ExperimentSpec &spec)
     // content-derived fault Rng salts. v6: the transport mode is
     // gone from the key and from the result file. v7: the watchdog's
     // period and stale threshold are constants, gone from the key.
-    h.tag("avscope-exp-v7");
+    // v8: so are the probe grain, the drain grace and the safety
+    // monitor's sample period.
+    h.tag("avscope-exp-v8");
     foldDrive(h, spec);
     fold(h, spec.config.stack);
     fold(h, spec.config.machine);
     fold(h, spec.config.transport);
     fold(h, spec.config.calibration);
-    h.tag("probes");
-    h.u64(spec.config.samplePeriod);
-    h.u64(spec.config.drainGrace);
     fold(h, spec.config.faults);
     fold(h, spec.config.safety);
     h.tag("trace");

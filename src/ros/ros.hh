@@ -25,6 +25,7 @@
 #ifndef AVSCOPE_ROS_ROS_HH
 #define AVSCOPE_ROS_ROS_HH
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "hw/machine.hh"
-#include "ros/spsc_ring.hh"
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
@@ -404,11 +404,11 @@ class Node
 /**
  * Typed subscription with a drop-oldest bounded queue.
  *
- * The queue is a lock-free SPSC ring (spsc_ring.hh) of borrowed
- * payloads: entries share ownership of the publisher's immutable
- * message instead of holding private copies, so a point cloud
- * sitting in three queues exists once. Drop/delivery accounting is
- * unchanged from v1 — Table III falls out of the same counters.
+ * The queue holds borrowed payloads: entries share ownership of the
+ * publisher's immutable message instead of holding private copies,
+ * so a point cloud sitting in three queues exists once. It is only
+ * touched from the event-loop thread that runs the drive. Table III
+ * falls out of the drop/delivery counters.
  */
 template <typename T>
 class Subscription final : public SubscriptionBase
@@ -417,7 +417,7 @@ class Subscription final : public SubscriptionBase
     Subscription(std::string topic, Node *node, std::size_t depth,
                  Node::Handler<T> handler)
         : SubscriptionBase(std::move(topic), node, depth),
-          pending_(depth), handler_(std::move(handler))
+          handler_(std::move(handler))
     {
         AV_ASSERT(depth_ > 0, "queue depth must be positive");
     }
@@ -432,8 +432,11 @@ class Subscription final : public SubscriptionBase
             return;
         }
         ++stats_.delivered;
-        stats_.dropped +=
-            pending_.pushDropOldest(Pending{arrival, std::move(msg)});
+        if (pending_.size() >= depth_) {
+            pending_.pop_front();
+            ++stats_.dropped;
+        }
+        pending_.push_back(Pending{arrival, std::move(msg)});
         node_->tryDispatch();
     }
 
@@ -442,25 +445,23 @@ class Subscription final : public SubscriptionBase
     sim::Tick
     headArrival() const override
     {
-        const Pending *head = pending_.peek();
-        AV_ASSERT(head != nullptr, "headArrival on empty queue");
-        return head->arrival;
+        AV_ASSERT(!pending_.empty(), "headArrival on empty queue");
+        return pending_.front().arrival;
     }
 
     std::uint64_t
     headSeq() const override
     {
-        const Pending *head = pending_.peek();
-        AV_ASSERT(head != nullptr, "headSeq on empty queue");
-        return head->msg->header.seq;
+        AV_ASSERT(!pending_.empty(), "headSeq on empty queue");
+        return pending_.front().msg->header.seq;
     }
 
     void
     dispatchHead(std::function<void()> done) override
     {
-        Pending p;
-        const bool had = pending_.pop(&p);
-        AV_ASSERT(had, "dispatchHead on empty queue");
+        AV_ASSERT(!pending_.empty(), "dispatchHead on empty queue");
+        Pending p = std::move(pending_.front());
+        pending_.pop_front();
         ++stats_.processed;
         handler_(*p.msg, std::move(done));
     }
@@ -468,7 +469,8 @@ class Subscription final : public SubscriptionBase
     std::size_t
     clearPending() override
     {
-        const std::size_t n = pending_.clear();
+        const std::size_t n = pending_.size();
+        pending_.clear();
         stats_.crashDiscarded += n;
         return n;
     }
@@ -487,7 +489,7 @@ class Subscription final : public SubscriptionBase
         sim::Tick arrival = 0;
         MessagePtr<T> msg;
     };
-    SpscRing<Pending> pending_;
+    std::deque<Pending> pending_;
     Node::Handler<T> handler_;
 };
 

@@ -55,7 +55,7 @@ SafetyMonitor::SafetyMonitor(ros::RosGraph &graph,
                              sim::Tick horizon)
     : graph_(graph), recorder_(graph.traceRecorder()), stack_(stack),
       scenario_(scenario), options_(options), horizon_(horizon),
-      task_(graph.eventQueue(), options.samplePeriod,
+      task_(graph.eventQueue(), kPeriod,
             [this](std::uint64_t) { sample(); })
 {
     AV_ASSERT(recorder_, "the safety monitor reads the trace recorder");
@@ -79,7 +79,7 @@ SafetyMonitor::start()
     // Publications before the monitor runs are not judged.
     const auto *log = recorder_->publishLog(terminalTopic_);
     terminalCursor_ = log ? log->size() : 0;
-    task_.start(options_.samplePeriod);
+    task_.start(kPeriod);
 }
 
 void

@@ -69,8 +69,6 @@ bool invariantFromName(const std::string &name, InvariantKind &out);
 struct SafetyOptions
 {
     bool enabled = false;
-    /** Sampling period for the polled invariants. */
-    sim::Tick samplePeriod = 100 * sim::oneMs;
     /** TrackContinuity: actors within this range (m) must be kept. */
     double trackRange = 18.0;
     /** TrackContinuity: track-to-truth association gate (m). */
@@ -126,6 +124,9 @@ std::string violationLabel(const SafetyViolation &violation);
 class SafetyMonitor
 {
   public:
+    /** Sampling period for the polled invariants. */
+    static constexpr sim::Tick kPeriod = 100 * sim::oneMs;
+
     SafetyMonitor(ros::RosGraph &graph, const AutowareStack &stack,
                   const world::Scenario &scenario,
                   const SafetyOptions &options, sim::Tick horizon);

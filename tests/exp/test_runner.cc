@@ -174,14 +174,6 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
          [](exp::ExperimentSpec &s) {
              s.config.calibration.ndtMatching.workScale *= 1.01;
          }},
-        {"probe grain",
-         [](exp::ExperimentSpec &s) {
-             s.config.samplePeriod /= 2;
-         }},
-        {"drain grace",
-         [](exp::ExperimentSpec &s) {
-             s.config.drainGrace += sim::oneSec;
-         }},
         {"degradation toggle",
          [](exp::ExperimentSpec &s) { s.degraded(); }},
         {"degradation threshold",

@@ -144,6 +144,38 @@ TEST(Ros, QueueDepthOneDropsOldest)
     EXPECT_NEAR(stats.dropRate(), 0.6, 1e-9);
 }
 
+TEST(Ros, DeepQueueKeepsNewestInArrivalOrder)
+{
+    Fixture f;
+    Node node(f.graph, "tracker");
+    std::vector<int> seen;
+    node.subscribe<IntMsg>(
+        "/t", 3, // not a power of two
+        [&](const Stamped<IntMsg> &msg, std::function<void()> done) {
+            seen.push_back(msg.data.value);
+            f.eq.scheduleAfter(100 * oneMs, done);
+        });
+    auto pub = f.graph.advertise<IntMsg>("/t");
+    // Three bursts of 7, one second apart: each burst drains (4 x
+    // 100 ms) before the next, so the queue fills and empties three
+    // times. The first message of a burst dispatches at once; of the
+    // 6 that queue behind it only the newest 3 survive.
+    for (int burst = 0; burst < 3; ++burst)
+        f.eq.schedule(static_cast<Tick>(burst) * 1000 * oneMs,
+                      [&pub, burst] {
+                          for (int i = 0; i < 7; ++i)
+                              pub.publish(Header{},
+                                          IntMsg{burst * 7 + i}, 64);
+                      });
+    f.eq.runUntil();
+    EXPECT_EQ(seen, (std::vector<int>{0, 4, 5, 6, 7, 11, 12, 13, 14,
+                                      18, 19, 20}));
+    const auto &stats = node.subscriptions()[0]->stats();
+    EXPECT_EQ(stats.dropped, 9u);
+    EXPECT_EQ(stats.delivered, stats.processed + stats.dropped);
+    EXPECT_EQ(node.subscriptions()[0]->queued(), 0u);
+}
+
 TEST(Ros, NoDropsWhenFastEnough)
 {
     Fixture f;

@@ -2,8 +2,8 @@
  * @file
  * Topology introspection tests: the registered pub/sub graph must be
  * enumerable exactly — every subscription edge once with its queue
- * depth, advertisers recorded and deduplicated, identical snapshots
- * under Copy and Loan transports, and canonical (sorted) ordering
+ * depth, advertisers recorded and deduplicated, the same edges in a
+ * snapshot taken after traffic, and canonical (sorted) ordering
  * regardless of construction order. This is the runtime half that
  * tools/avgraph cross-validates against.
  */
