@@ -8,7 +8,8 @@
  * window closed, how the 100 ms end-to-end deadline budget suffered,
  * how much queue dropping inflated versus an undisturbed baseline,
  * and which degradation responses fired (LiDAR-only fusion
- * fallbacks, tracker coasts, NDT reseeds, watchdog stale events).
+ * fallbacks, tracker coasts, NDT reseeds) against the staleness
+ * probe's stale events (the watchdog_stale_events counter).
  *
  * The schedule scales with --duration so short smoke runs and long
  * characterization runs exercise the same phases: onset at T/3, a

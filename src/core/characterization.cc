@@ -68,8 +68,7 @@ CharacterizationRun::CharacterizationRun(
     // is the same when a stack section is off.
     graph_->topic<perception::PoseEstimate>(perception::topics::ndtPose);
     graph_->topic<perception::Costmap>(perception::topics::costmap);
-    util_ = std::make_unique<UtilizationMonitor>(*eq_, *machine_);
-    power_ = std::make_unique<PowerMonitor>(*eq_, *machine_);
+    monitor_ = std::make_unique<MachineMonitor>(*eq_, *machine_);
     staleness_ = std::make_unique<StalenessMonitor>(*graph_,
                                                     recorder_);
     if (!config_.faults.empty()) {
@@ -100,15 +99,13 @@ CharacterizationRun::execute()
     executed_ = true;
     if (injector_)
         injector_->arm();
-    util_->start();
-    power_->start();
+    monitor_->start();
     staleness_->start();
     if (safety_)
         safety_->start();
     drive_->bag.replay(*graph_);
     eq_->runUntil(drive_->duration + kDrainGrace);
-    util_->stop();
-    power_->stop();
+    monitor_->stop();
     staleness_->stop();
     if (safety_)
         safety_->stop();
@@ -150,16 +147,19 @@ CharacterizationRun::resilienceCounters() const
 {
     const stack::AutowareStack &s = *stack_;
     double lidar_only = 0.0, coasts = 0.0, reseeds = 0.0;
-    double stale_events = 0.0, crash_discarded = 0.0;
+    double crash_discarded = 0.0;
     if (const auto *fusion = s.fusion())
         lidar_only = static_cast<double>(fusion->lidarOnlyCount());
     if (const auto *tracker = s.trackerNode())
         coasts = static_cast<double>(tracker->coastCount());
     if (const auto *ndt = s.ndt())
         reseeds = static_cast<double>(ndt->reseedCount());
-    if (const auto *wd = s.watchdog())
-        stale_events =
-            static_cast<double>(wd->totalStaleEvents());
+    // The probe samples every run; the counter reports it only
+    // where the degradation responses react to it.
+    const double stale_events =
+        config_.stack.degraded
+            ? static_cast<double>(staleness_->staleEvents())
+            : 0.0;
     for (const ros::Node *node : graph_->nodes()) {
         for (const auto &sub : node->subscriptions())
             crash_discarded += static_cast<double>(

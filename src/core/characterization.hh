@@ -111,8 +111,8 @@ class CharacterizationRun
     void execute();
 
     const stack::AutowareStack &stack() const { return *stack_; }
-    const UtilizationMonitor &utilization() const { return *util_; }
-    const PowerMonitor &power() const { return *power_; }
+    /** The 1 Hz utilization and power sampler (Tables V, VI). */
+    const MachineMonitor &monitor() const { return *monitor_; }
     const StalenessMonitor &staleness() const { return *staleness_; }
 
     /**
@@ -156,8 +156,9 @@ class CharacterizationRun
 
     /**
      * Degradation-response counters (LiDAR-only fusions, tracker
-     * coasts, NDT reseeds, watchdog stale events, crash-discarded
-     * messages). Fixed schema; zeros when degradation is off.
+     * coasts, NDT reseeds, the staleness probe's stale events,
+     * crash-discarded messages). Fixed schema; zeros when
+     * degradation is off.
      */
     std::vector<std::pair<std::string, double>>
     resilienceCounters() const;
@@ -185,8 +186,7 @@ class CharacterizationRun
     std::unique_ptr<hw::Machine> machine_;
     std::unique_ptr<ros::RosGraph> graph_;
     std::unique_ptr<stack::AutowareStack> stack_;
-    std::unique_ptr<UtilizationMonitor> util_;
-    std::unique_ptr<PowerMonitor> power_;
+    std::unique_ptr<MachineMonitor> monitor_;
     std::unique_ptr<StalenessMonitor> staleness_;
     std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<RecoveryProbe> recovery_;

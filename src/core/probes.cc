@@ -2,72 +2,60 @@
 
 namespace av::prof {
 
-UtilizationMonitor::UtilizationMonitor(sim::EventQueue &eq,
-                                       hw::Machine &machine)
+namespace {
+
+/** @p owner's value in a previous sample; 0 before it first ran. */
+double
+previous(const std::map<std::string, double> &last,
+         const std::string &owner)
+{
+    const auto it = last.find(owner);
+    return it == last.end() ? 0.0 : it->second;
+}
+
+} // namespace
+
+MachineMonitor::MachineMonitor(sim::EventQueue &eq, hw::Machine &machine)
     : machine_(machine),
       task_(eq, kPeriod, [this](std::uint64_t) { sample(); })
 {
 }
 
 void
-UtilizationMonitor::sample()
+MachineMonitor::sample()
 {
     const double window = sim::ticksToSeconds(kPeriod);
-    const auto &cpu = machine_.cpu().accounting();
-    const auto &gpu = machine_.gpu().accounting();
+    const hw::CpuAccounting &cpu = machine_.cpu().accounting();
+    const hw::GpuAccounting &gpu = machine_.gpu().accounting();
     const double cores =
         static_cast<double>(machine_.cpu().config().cores);
 
     const double busy_delta =
-        cpu.busyCoreSeconds - lastBusyCoreS_;
-    lastBusyCoreS_ = cpu.busyCoreSeconds;
+        cpu.busyCoreSeconds - lastCpu_.busyCoreSeconds;
     totalCpu_.add(busy_delta / (window * cores));
-
     const double kernel_delta =
-        gpu.kernelActiveSeconds - lastKernelActiveS_;
-    lastKernelActiveS_ = gpu.kernelActiveSeconds;
+        gpu.kernelActiveSeconds - lastGpu_.kernelActiveSeconds;
     totalGpu_.add(kernel_delta / window);
 
     // Per-owner CPU share of the whole processor.
     for (const auto &[owner, seconds] : cpu.busySecondsByOwner) {
-        const double delta = seconds - lastOwnerCpuS_[owner];
-        lastOwnerCpuS_[owner] = seconds;
+        const double delta =
+            seconds - previous(lastCpu_.busySecondsByOwner, owner);
         rows_[owner].cpuShare.add(delta / (window * cores));
     }
     // Per-owner GPU residency (nvidia-smi pmon style).
-    for (const auto &[owner, seconds] :
-         gpu.residentSecondsByOwner) {
-        const double delta = seconds - lastOwnerGpuS_[owner];
-        lastOwnerGpuS_[owner] = seconds;
+    for (const auto &[owner, seconds] : gpu.residentSecondsByOwner) {
+        const double delta =
+            seconds - previous(lastGpu_.residentSecondsByOwner, owner);
         rows_[owner].gpuShare.add(delta / window);
     }
-}
 
-PowerMonitor::PowerMonitor(sim::EventQueue &eq, hw::Machine &machine)
-    : machine_(machine),
-      task_(eq, kPeriod, [this](std::uint64_t) { sample(); })
-{
-}
-
-void
-PowerMonitor::sample()
-{
-    const double window = sim::ticksToSeconds(kPeriod);
-    const auto &cpu = machine_.cpu().accounting();
-    const auto &gpu = machine_.gpu().accounting();
-
-    const double busy_delta =
-        cpu.busyCoreSeconds - lastBusyCoreS_;
-    lastBusyCoreS_ = cpu.busyCoreSeconds;
-    const double dram_delta = cpu.dramBytes - lastDramBytes_;
-    lastDramBytes_ = cpu.dramBytes;
+    // Power over the same window's utilization integrals.
+    const double dram_delta = cpu.dramBytes - lastCpu_.dramBytes;
     const double weighted_delta =
-        gpu.weightedActiveSeconds - lastWeightedActiveS_;
-    lastWeightedActiveS_ = gpu.weightedActiveSeconds;
+        gpu.weightedActiveSeconds - lastGpu_.weightedActiveSeconds;
     const double copy_delta =
-        gpu.copyActiveSeconds - lastCopyActiveS_;
-    lastCopyActiveS_ = gpu.copyActiveSeconds;
-
+        gpu.copyActiveSeconds - lastGpu_.copyActiveSeconds;
     const double cpu_watts = machine_.power().cpuPower(
         busy_delta / window, dram_delta / window * 1e-9);
     const double gpu_watts = machine_.power().gpuPower(
@@ -76,6 +64,9 @@ PowerMonitor::sample()
     gpuW_.add(gpu_watts);
     cpuJ_ += cpu_watts * window;
     gpuJ_ += gpu_watts * window;
+
+    lastCpu_ = cpu;
+    lastGpu_ = gpu;
 }
 
 const char *
@@ -126,9 +117,23 @@ StalenessMonitor::sample()
         const trace::PublishRecord *last =
             recorder_.lastPublish(row.topic);
         if (!last)
-            continue;
-        row.ageMs.add(sim::ticksToMs(now - last->stamp));
+            continue; // silence before first publication ≠ outage
+        const sim::Tick age = now - last->stamp;
+        row.ageMs.add(sim::ticksToMs(age));
+        const bool stale_now = age > kStaleAfter;
+        if (stale_now && !row.stale)
+            ++row.staleEvents;
+        row.stale = stale_now;
     }
+}
+
+std::uint64_t
+StalenessMonitor::staleEvents() const
+{
+    std::uint64_t total = 0;
+    for (const StalenessRow &row : rows_)
+        total += row.staleEvents;
+    return total;
 }
 
 RecoveryProbe::RecoveryProbe(const trace::Recorder &recorder,

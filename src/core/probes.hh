@@ -3,13 +3,16 @@
  * Profiling probes — the measurement instruments of the paper's
  * methodology (§III-B):
  *
- *  - UtilizationMonitor: atop-equivalent, 1 Hz per-node CPU share +
- *    nvidia-smi-equivalent GPU residency (Table V);
- *  - PowerMonitor: 1 Hz CPU/GPU watts (Table VI);
+ *  - MachineMonitor: one 1 Hz sampler for the atop-equivalent
+ *    per-node CPU share, the nvidia-smi-equivalent GPU residency
+ *    (Table V) and CPU/GPU watts (Table VI);
  *  - collectDrops: per-subscription dropped messages (Table III);
  *  - collectCounters: PAPI-equivalent µarch counters per node
  *    (Table VII, Fig. 7);
- *  - StalenessMonitor, RecoveryProbe: read the recorder's publish log.
+ *  - StalenessMonitor: one 100 ms sampler of each watched topic's
+ *    publication age and fresh->stale transitions (the degraded
+ *    runs' stale-event counter);
+ *  - RecoveryProbe: per-fault recovery from the same publish log.
  *
  * Node and path latency (Fig. 5, 6) are derived from the run's
  * trace::Recorder in core/run_result.hh.
@@ -18,6 +21,7 @@
 #ifndef AVSCOPE_CORE_PROBES_HH
 #define AVSCOPE_CORE_PROBES_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,15 +43,18 @@ struct UtilizationRow
 };
 
 /**
- * Samples machine accounting at 1 Hz (the finest grain atop offers,
- * per the paper).
+ * The 1 Hz machine sampler (the finest grain atop offers, per the
+ * paper). Each window yields, from one read of the machine
+ * accounting: per-owner CPU share and GPU residency (atop and
+ * nvidia-smi, Table V), and CPU/GPU watts from the machine's power
+ * model over the same utilization integrals (Table VI).
  */
-class UtilizationMonitor
+class MachineMonitor
 {
   public:
     static constexpr sim::Tick kPeriod = sim::oneSec;
 
-    UtilizationMonitor(sim::EventQueue &eq, hw::Machine &machine);
+    MachineMonitor(sim::EventQueue &eq, hw::Machine &machine);
 
     /** Arm the 1 Hz sampler (first sample after one full window). */
     void start() { task_.start(kPeriod); }
@@ -62,36 +69,6 @@ class UtilizationMonitor
     const util::RunningStats &totalCpu() const { return totalCpu_; }
     const util::RunningStats &totalGpu() const { return totalGpu_; }
 
-  private:
-    void sample();
-
-    hw::Machine &machine_;
-    sim::PeriodicTask task_;
-    std::map<std::string, UtilizationRow> rows_;
-    util::RunningStats totalCpu_;
-    util::RunningStats totalGpu_;
-
-    double lastBusyCoreS_ = 0.0;
-    double lastKernelActiveS_ = 0.0;
-    std::map<std::string, double> lastOwnerCpuS_;
-    std::map<std::string, double> lastOwnerGpuS_;
-};
-
-/**
- * Samples power at 1 Hz using the machine's power model over the
- * last window's utilization integrals.
- */
-class PowerMonitor
-{
-  public:
-    static constexpr sim::Tick kPeriod = sim::oneSec;
-
-    PowerMonitor(sim::EventQueue &eq, hw::Machine &machine);
-
-    /** Arm the 1 Hz sampler (first sample after one full window). */
-    void start() { task_.start(kPeriod); }
-    void stop() { task_.stop(); }
-
     const util::RunningStats &cpuWatts() const { return cpuW_; }
     const util::RunningStats &gpuWatts() const { return gpuW_; }
 
@@ -104,14 +81,16 @@ class PowerMonitor
 
     hw::Machine &machine_;
     sim::PeriodicTask task_;
+    std::map<std::string, UtilizationRow> rows_;
+    util::RunningStats totalCpu_;
+    util::RunningStats totalGpu_;
     util::RunningStats cpuW_;
     util::RunningStats gpuW_;
     double cpuJ_ = 0.0, gpuJ_ = 0.0;
 
-    double lastBusyCoreS_ = 0.0;
-    double lastDramBytes_ = 0.0;
-    double lastWeightedActiveS_ = 0.0;
-    double lastCopyActiveS_ = 0.0;
+    /** Accounting at the previous sample: each window is a delta. */
+    hw::CpuAccounting lastCpu_;
+    hw::GpuAccounting lastGpu_;
 };
 
 /** The paper's four computation paths (Table IV). */
@@ -155,11 +134,13 @@ struct CounterRow
 std::vector<CounterRow>
 collectCounters(const std::vector<perception::PerceptionNode *> &nodes);
 
-/** One watched topic's publication-age distribution. */
+/** One watched topic's publication age and stale transitions. */
 struct StalenessRow
 {
     std::string topic;
     util::SampleSeries ageMs; ///< sampled now - newest stamp, in ms
+    bool stale = false;             ///< last sample beyond kStaleAfter
+    std::uint64_t staleEvents = 0;  ///< fresh->stale transitions
 
     explicit StalenessRow(std::string name)
         : topic(std::move(name)), ageMs(1u << 12)
@@ -169,9 +150,13 @@ struct StalenessRow
 /**
  * Samples the age of each watched topic's newest publication
  * (perception::topics::watched) every 100 ms — the distribution a
- * health monitor would alarm on. Topics are sampled only after their
- * first publication, so a disabled subsystem reads as absent, not
- * stale.
+ * health monitor would alarm on — and counts *stale transitions*: a
+ * topic that was flowing and then stayed silent for more than
+ * kStaleAfter. Degradation responses in the stack (LiDAR-only
+ * fusion, tracker coasting, NDT reseeding) are the reactions; this
+ * probe is the detector and the source of the degraded runs'
+ * stale-event counter. Topics are sampled only after their first
+ * publication, so a disabled subsystem reads as absent, not stale.
  *
  * Reads the recorder's always-on publish log instead of installing
  * bespoke header taps: av::trace::Recorder is the single recording
@@ -181,6 +166,8 @@ class StalenessMonitor
 {
   public:
     static constexpr sim::Tick kPeriod = 100 * sim::oneMs;
+    /** A sampled age beyond this marks the topic stale. */
+    static constexpr sim::Tick kStaleAfter = 500 * sim::oneMs;
 
     /**
      * @param recorder the run's recorder (must be attached to
@@ -192,7 +179,11 @@ class StalenessMonitor
     void start() { task_.start(kPeriod); }
     void stop() { task_.stop(); }
 
+    /** Per-topic rows, in perception::topics::watched order. */
     const std::vector<StalenessRow> &rows() const { return rows_; }
+
+    /** Fresh->stale transitions summed over every row. */
+    std::uint64_t staleEvents() const;
 
   private:
     void sample();

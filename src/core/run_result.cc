@@ -198,16 +198,16 @@ snapshotRun(const CharacterizationRun &run, std::string label)
     out.drops = run.drops();
     out.counters = run.counters();
 
-    for (const auto &[owner, row] : run.utilization().rows())
+    const MachineMonitor &monitor = run.monitor();
+    for (const auto &[owner, row] : monitor.rows())
         out.utilization.push_back(
             {owner, row.cpuShare, row.gpuShare});
-    out.totalCpu = run.utilization().totalCpu();
-    out.totalGpu = run.utilization().totalGpu();
-
-    out.cpuWatts = run.power().cpuWatts();
-    out.gpuWatts = run.power().gpuWatts();
-    out.cpuEnergyJ = run.power().cpuEnergyJ();
-    out.gpuEnergyJ = run.power().gpuEnergyJ();
+    out.totalCpu = monitor.totalCpu();
+    out.totalGpu = monitor.totalGpu();
+    out.cpuWatts = monitor.cpuWatts();
+    out.gpuWatts = monitor.gpuWatts();
+    out.cpuEnergyJ = monitor.cpuEnergyJ();
+    out.gpuEnergyJ = monitor.gpuEnergyJ();
 
     const auto &cpu_acct = run.machine().cpu().accounting();
     const auto &gpu_acct = run.machine().gpu().accounting();

@@ -74,17 +74,6 @@ fold(Hasher &h, const world::RecorderConfig &c)
 }
 
 void
-fold(Hasher &h, const stack::DegradationOptions &c)
-{
-    h.tag("degradation");
-    h.boolean(c.enabled);
-    h.u64(c.visionStaleAfter);
-    h.u64(c.trackerCoastAfter);
-    h.u64(c.trackerCoastPeriod);
-    h.u64(c.ndtReseedAfter);
-}
-
-void
 fold(Hasher &h, const stack::StackOptions &c)
 {
     h.tag("stack");
@@ -95,7 +84,7 @@ fold(Hasher &h, const stack::StackOptions &c)
     h.boolean(c.enableTracking);
     h.boolean(c.enableCostmap);
     h.boolean(c.clusterOnGpu);
-    fold(h, c.degradation);
+    h.boolean(c.degraded);
 }
 
 void
@@ -123,8 +112,6 @@ fold(Hasher &h, const stack::SafetyOptions &c)
 {
     h.tag("safety");
     h.boolean(c.enabled);
-    h.f64(c.trackRange);
-    h.f64(c.trackGate);
     h.u64(c.trackLossSamples);
     h.f64(c.maxLocalizationError);
     h.f64(c.deadlineMs);
@@ -239,8 +226,10 @@ cacheKey(const ExperimentSpec &spec)
     // gone from the key and from the result file. v7: the watchdog's
     // period and stale threshold are constants, gone from the key.
     // v8: so are the probe grain, the drain grace and the safety
-    // monitor's sample period.
-    h.tag("avscope-exp-v8");
+    // monitor's sample period. v9: so are the degradation thresholds
+    // and the safety monitor's track range and gate; degradation is
+    // one flag.
+    h.tag("avscope-exp-v9");
     foldDrive(h, spec);
     fold(h, spec.config.stack);
     fold(h, spec.config.machine);

@@ -112,11 +112,12 @@ struct ExperimentSpec
         return *this;
     }
 
-    /** Enable the graceful-degradation responses (watchdog, LiDAR-
-     *  only fusion fallback, tracker coasting, NDT reseeding). */
+    /** Enable the graceful-degradation responses (LiDAR-only
+     *  fusion fallback, tracker coasting, NDT reseeding) and the
+     *  stale-event counter. */
     ExperimentSpec &degraded()
     {
-        config.stack.degradation.enabled = true;
+        config.stack.degraded = true;
         return *this;
     }
 

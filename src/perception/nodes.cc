@@ -54,9 +54,9 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
                                  const pc::PointCloud &map,
                                  std::optional<geom::Pose2> initial_pose,
                                  const NdtConfig &ndt,
-                                 sim::Tick reseed_after)
+                                 bool degraded)
     : PerceptionNode(graph, "ndt_matching", config), matcher_(ndt),
-      initialPose_(initial_pose), reseedAfter_(reseed_after),
+      initialPose_(initial_pose), degraded_(degraded),
       pub_(graph.advertise<PoseEstimate>(topics::ndtPose, name()))
 {
     matcher_.setMap(map);
@@ -94,8 +94,8 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
             // SII-A: the IMU anticipates the next position).
             geom::Pose2 guess;
             const bool reseed =
-                reseedAfter_ > 0 && lastPose_ && lastGnss_ &&
-                msg.header.stamp - lastStamp_ > reseedAfter_;
+                degraded_ && lastPose_ && lastGnss_ &&
+                msg.header.stamp - lastStamp_ > kReseedAfter;
             if (reseed) {
                 // Localization dropout: a dead-reckoned guess this
                 // old is outside NDT's convergence basin. Reseed the
@@ -368,9 +368,9 @@ VisionDetectorNode::VisionDetectorNode(
 RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                                              const NodeConfig &config,
                                              const FusionConfig &fusion,
-                                             sim::Tick vision_stale_after)
+                                             bool degraded)
     : PerceptionNode(graph, "range_vision_fusion", config),
-      fusion_(fusion), visionStaleAfter_(vision_stale_after),
+      fusion_(fusion), degraded_(degraded),
       pub_(graph.advertise<ObjectList>(topics::fusedObjects, name()))
 {
     subscribe<PoseEstimate>(
@@ -387,10 +387,10 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
     // reaches the tracker — a real contributor to the LiDAR object
     // path's end-to-end latency (paper Fig. 6).
     //
-    // Degradation: with visionStaleAfter_ set, a cluster list
-    // arriving while the image detections are older than the
-    // threshold is published LiDAR-only instead of parking in the
-    // cache — a camera blackout must not starve the tracker.
+    // Degradation: when degraded_, a cluster list arriving while the
+    // image detections are older than kVisionStaleAfter is published
+    // LiDAR-only instead of parking in the cache — a camera blackout
+    // must not starve the tracker.
     subscribe<ObjectList>(
         topics::lidarObjects, 2,
         [this](const ros::Stamped<ObjectList> &msg,
@@ -398,9 +398,9 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
             lastLidar_ = msg;
             const sim::Tick now = this->graph().eventQueue().now();
             const bool vision_stale =
-                visionStaleAfter_ > 0 &&
+                degraded_ &&
                 (!sawVision_ ||
-                 now - lastVisionStamp_ > visionStaleAfter_);
+                 now - lastVisionStamp_ > kVisionStaleAfter);
             if (!vision_stale) {
                 done();
                 return;
@@ -458,10 +458,9 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
 ImmUkfPdaNode::ImmUkfPdaNode(ros::RosGraph &graph,
                              const NodeConfig &config,
                              const TrackerConfig &tracker,
-                             sim::Tick coast_after,
-                             sim::Tick coast_period)
+                             bool degraded)
     : PerceptionNode(graph, "imm_ukf_pda_tracker", config),
-      tracker_(tracker), coastAfter_(coast_after),
+      tracker_(tracker),
       pub_(graph.advertise<ObjectList>(topics::trackedObjects, name()))
 {
     subscribe<ObjectList>(
@@ -482,10 +481,10 @@ ImmUkfPdaNode::ImmUkfPdaNode(ros::RosGraph &graph,
             });
         });
 
-    if (coast_after > 0 && coast_period > 0) {
-        coastTask_.emplace(graph.eventQueue(), coast_period,
+    if (degraded) {
+        coastTask_.emplace(graph.eventQueue(), kCoastPeriod,
                            [this](std::uint64_t) { maybeCoast(); });
-        coastTask_->start(coast_period);
+        coastTask_->start(kCoastPeriod);
     }
 }
 
@@ -497,7 +496,7 @@ ImmUkfPdaNode::maybeCoast()
     // simulated-execution flag; the functional tracker state is
     // consistent between events).
     const sim::Tick now = graph().eventQueue().now();
-    if (down() || !sawFused_ || now - lastFusedStamp_ <= coastAfter_)
+    if (down() || !sawFused_ || now - lastFusedStamp_ <= kCoastAfter)
         return;
     if (tracker_.confirmedCount() == 0)
         return;

@@ -50,8 +50,8 @@ inline constexpr const char *predictedObjects =
     "/prediction/motion_predictor/objects";
 inline constexpr const char *costmap = "/semantics/costmap";
 /** The inter-node topics every staleness watcher samples (the
- *  staleness probe, the stack watchdog, the safety monitor's
- *  liveness check), in report order. */
+ *  staleness probe and the safety monitor's liveness check), in
+ *  report order. */
 inline constexpr const char *watched[] = {
     ndtPose,        lidarObjects, imageObjects, fusedObjects,
     trackedObjects, objects,      costmap};
@@ -83,16 +83,19 @@ class NdtMatchingNode : public PerceptionNode
      * @param initial_pose operator-provided initial pose (Autoware's
      *        rviz "2D Pose Estimate"); when absent, initialization
      *        falls back to the first GNSS fix with yaw 0
-     * @param reseed_after after a localization gap longer than this,
-     *        the next alignment reseeds its guess from the latest
-     *        GNSS fix instead of dead-reckoning a stale pose
-     *        (0 disables — the seed-default behaviour)
+     * @param degraded after a localization gap longer than
+     *        kReseedAfter, the next alignment reseeds its guess from
+     *        the latest GNSS fix instead of dead-reckoning a stale
+     *        pose (false — the seed-default behaviour — never does)
      */
     NdtMatchingNode(ros::RosGraph &graph, const NodeConfig &config,
                     const pc::PointCloud &map,
                     std::optional<geom::Pose2> initial_pose = {},
                     const NdtConfig &ndt = NdtConfig(),
-                    sim::Tick reseed_after = 0);
+                    bool degraded = false);
+
+    /** Localization gap that triggers a GNSS reseed (degraded). */
+    static constexpr sim::Tick kReseedAfter = 500 * sim::oneMs;
 
     /** Latest pose estimate (for tests / examples). */
     const std::optional<PoseEstimate> &lastPose() const
@@ -114,7 +117,7 @@ class NdtMatchingNode : public PerceptionNode
      *  where subsequent positions are likely to be). */
     std::optional<world::ImuSample> imu_;
     sim::Tick lastStamp_ = 0;
-    sim::Tick reseedAfter_ = 0;
+    bool degraded_ = false;
     std::optional<geom::Vec3> lastGnss_;
     std::uint64_t reseeds_ = 0;
     ros::Publisher<PoseEstimate> pub_;
@@ -188,17 +191,20 @@ class RangeVisionFusionNode : public PerceptionNode
 {
   public:
     /**
-     * @param vision_stale_after with a nonzero value, a LiDAR
-     *        cluster list arriving while the newest image objects
-     *        are older than this triggers a LiDAR-only publication
-     *        instead of waiting for vision — the fusion keeps the
-     *        tracker fed through a camera outage (0 disables)
+     * @param degraded a LiDAR cluster list arriving while the
+     *        newest image objects are older than kVisionStaleAfter
+     *        triggers a LiDAR-only publication instead of waiting
+     *        for vision — the fusion keeps the tracker fed through a
+     *        camera outage
      */
     RangeVisionFusionNode(ros::RosGraph &graph,
                           const NodeConfig &config,
                           const FusionConfig &fusion =
                               FusionConfig(),
-                          sim::Tick vision_stale_after = 0);
+                          bool degraded = false);
+
+    /** Vision age beyond which fusion goes LiDAR-only (degraded). */
+    static constexpr sim::Tick kVisionStaleAfter = 300 * sim::oneMs;
 
     /** LiDAR-only fallback publications (vision stale). */
     std::uint64_t lidarOnlyCount() const { return lidarOnly_; }
@@ -207,7 +213,7 @@ class RangeVisionFusionNode : public PerceptionNode
     FusionConfig fusion_;
     std::optional<ros::Stamped<ObjectList>> lastLidar_;
     std::optional<PoseEstimate> pose_;
-    sim::Tick visionStaleAfter_ = 0;
+    bool degraded_ = false;
     sim::Tick lastVisionStamp_ = 0;
     bool sawVision_ = false;
     std::uint64_t lidarOnly_ = 0;
@@ -221,16 +227,20 @@ class ImmUkfPdaNode : public PerceptionNode
 {
   public:
     /**
-     * @param coast_after with nonzero values, a periodic check (every
-     *        @p coast_period) publishes predict-only track estimates
-     *        whenever no fused detections arrived for longer than
-     *        @p coast_after — the tracker coasts through detection
-     *        gaps instead of going silent (0 disables)
+     * @param degraded a periodic check (every kCoastPeriod)
+     *        publishes predict-only track estimates whenever no
+     *        fused detections arrived for longer than kCoastAfter —
+     *        the tracker coasts through detection gaps instead of
+     *        going silent
      */
     ImmUkfPdaNode(ros::RosGraph &graph, const NodeConfig &config,
                   const TrackerConfig &tracker = TrackerConfig(),
-                  sim::Tick coast_after = 0,
-                  sim::Tick coast_period = 0);
+                  bool degraded = false);
+
+    /** Fused-input age beyond which the tracker coasts... */
+    static constexpr sim::Tick kCoastAfter = 250 * sim::oneMs;
+    /** ...checked on this period (degraded only). */
+    static constexpr sim::Tick kCoastPeriod = 100 * sim::oneMs;
 
     const ImmUkfPdaTracker &tracker() const { return tracker_; }
 
@@ -241,7 +251,6 @@ class ImmUkfPdaNode : public PerceptionNode
     void maybeCoast();
 
     ImmUkfPdaTracker tracker_;
-    sim::Tick coastAfter_ = 0;
     sim::Tick lastFusedStamp_ = 0;
     bool sawFused_ = false;
     std::uint64_t coasts_ = 0;

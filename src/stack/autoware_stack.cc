@@ -11,24 +11,12 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
 {
     using namespace perception;
 
-    // Degradation knobs collapse to 0 (= disabled inside the nodes)
-    // unless the study opted in, so seed runs replay unchanged.
-    const DegradationOptions &deg = options.degradation;
-    const sim::Tick reseed_after =
-        deg.enabled ? deg.ndtReseedAfter : 0;
-    const sim::Tick vision_stale_after =
-        deg.enabled ? deg.visionStaleAfter : 0;
-    const sim::Tick coast_after =
-        deg.enabled ? deg.trackerCoastAfter : 0;
-    const sim::Tick coast_period =
-        deg.enabled ? deg.trackerCoastPeriod : 0;
-
     if (options.enableLocalization) {
         voxel_ = std::make_unique<VoxelGridFilterNode>(
             graph, calibration.voxelGridFilter);
         ndt_ = std::make_unique<NdtMatchingNode>(
             graph, calibration.ndtMatching, map, initial_pose,
-            NdtConfig(), reseed_after);
+            NdtConfig(), options.degraded);
     }
     if (options.enableLidarDetection) {
         rayGround_ = std::make_unique<RayGroundFilterNode>(
@@ -45,10 +33,10 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
     if (options.enableTracking) {
         fusion_ = std::make_unique<RangeVisionFusionNode>(
             graph, calibration.rangeVisionFusion, FusionConfig(),
-            vision_stale_after);
+            options.degraded);
         tracker_ = std::make_unique<ImmUkfPdaNode>(
             graph, calibration.immUkfPda, TrackerConfig(),
-            coast_after, coast_period);
+            options.degraded);
         relay_ = std::make_unique<TrackRelayNode>(
             graph, calibration.trackRelay);
         predict_ = std::make_unique<NaiveMotionPredictNode>(
@@ -57,10 +45,6 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
     if (options.enableCostmap) {
         costmap_ = std::make_unique<CostmapGeneratorNode>(
             graph, calibration.costmapGenerator);
-    }
-    if (deg.enabled) {
-        watchdog_ = std::make_unique<StackWatchdog>(graph);
-        watchdog_->start();
     }
 
     const auto collect = [this](PerceptionNode *node) {

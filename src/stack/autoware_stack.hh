@@ -15,27 +15,8 @@
 #include "perception/nodes.hh"
 #include "ros/ros.hh"
 #include "stack/config.hh"
-#include "stack/watchdog.hh"
 
 namespace av::stack {
-
-/**
- * Graceful-degradation knobs. Default-off so the seed behaviour —
- * and every calibrated finding — reproduces unchanged; fault studies
- * opt in.
- */
-struct DegradationOptions
-{
-    bool enabled = false;
-    /** Fusion publishes LiDAR-only when vision is older than this. */
-    sim::Tick visionStaleAfter = 300 * sim::oneMs;
-    /** Tracker coasts when fused input is older than this... */
-    sim::Tick trackerCoastAfter = 250 * sim::oneMs;
-    /** ...checking on this period. */
-    sim::Tick trackerCoastPeriod = 100 * sim::oneMs;
-    /** NDT reseeds from GNSS after a localization gap this long. */
-    sim::Tick ndtReseedAfter = 500 * sim::oneMs;
-};
 
 /** Which parts of the stack to launch. */
 struct StackOptions
@@ -48,7 +29,13 @@ struct StackOptions
     bool enableTracking = true;      ///< fusion + tracker + predict
     bool enableCostmap = true;
     bool clusterOnGpu = true;
-    DegradationOptions degradation;
+    /**
+     * Graceful degradation: LiDAR-only fusion, tracker coasting and
+     * NDT reseeding (each node's thresholds are its own constants).
+     * Default-off so the seed behaviour — and every calibrated
+     * finding — reproduces unchanged; fault studies opt in.
+     */
+    bool degraded = false;
 };
 
 /**
@@ -98,8 +85,6 @@ class AutowareStack
     {
         return fusion_.get();
     }
-    /** Stale-topic watchdog; nullptr unless degradation is enabled. */
-    StackWatchdog *watchdog() const { return watchdog_.get(); }
 
   private:
     StackOptions options_;
@@ -113,7 +98,6 @@ class AutowareStack
     std::unique_ptr<perception::TrackRelayNode> relay_;
     std::unique_ptr<perception::NaiveMotionPredictNode> predict_;
     std::unique_ptr<perception::CostmapGeneratorNode> costmap_;
-    std::unique_ptr<StackWatchdog> watchdog_;
     std::vector<perception::PerceptionNode *> all_;
 };
 

@@ -172,7 +172,7 @@ SafetyMonitor::sampleContinuity(sim::Tick now)
             covers_.emplace_back(actor.id, ActorCover{});
             cover = &covers_.back().second;
         }
-        if ((pos - ego.p).norm() > options_.trackRange) {
+        if ((pos - ego.p).norm() > kTrackRange) {
             // Out of range: the invariant is not in force; a fresh
             // episode starts when the actor comes back.
             cover->lostStreak = 0;
@@ -184,7 +184,7 @@ SafetyMonitor::sampleContinuity(sim::Tick now)
             if (!track.confirmed)
                 continue;
             const geom::Vec2 est{track.state[0], track.state[1]};
-            if ((est - pos).norm() <= options_.trackGate) {
+            if ((est - pos).norm() <= kTrackGate) {
                 covered = true;
                 break;
             }

@@ -17,7 +17,8 @@
  *    E2E deadline (LiDAR origin -> publication) M times in a row;
  *  - PipelineLiveness: no watched inter-node topic that has started
  *    publishing may go silent beyond the liveness threshold — the
- *    escalation tier above StackWatchdog's staleness accounting.
+ *    escalation tier above the staleness probe's stale-event count
+ *    (prof::StalenessMonitor).
  *
  * Violations are recorded as timestamped, token-safe records that
  * serialize into the result cache; av::chaos classifies campaign
@@ -62,17 +63,14 @@ const char *invariantName(InvariantKind kind);
 bool invariantFromName(const std::string &name, InvariantKind &out);
 
 /**
- * Invariant thresholds. Default-off (like DegradationOptions) so the
- * seed behaviour and every cached result reproduce unchanged; fault
- * campaigns opt in. Every field folds into the experiment cache key.
+ * Invariant thresholds. Default-off (like StackOptions::degraded)
+ * so the seed behaviour and every cached result reproduce
+ * unchanged; fault campaigns opt in. Every field folds into the
+ * experiment cache key.
  */
 struct SafetyOptions
 {
     bool enabled = false;
-    /** TrackContinuity: actors within this range (m) must be kept. */
-    double trackRange = 18.0;
-    /** TrackContinuity: track-to-truth association gate (m). */
-    double trackGate = 4.0;
     /** TrackContinuity: tolerated consecutive uncovered samples. */
     std::uint64_t trackLossSamples = 8;
     /** LocalizationError: NDT-vs-ground-truth bound (m). */
@@ -82,7 +80,7 @@ struct SafetyOptions
     /** DeadlineStreak: tolerated consecutive misses. */
     std::uint64_t deadlineMissStreak = 10;
     /** PipelineLiveness: silence beyond this escalates (> the
-     *  watchdog's kStaleAfter, which merely counts). */
+     *  staleness probe's kStaleAfter, which merely counts). */
     sim::Tick livenessAfter = 2 * sim::oneSec;
 };
 
@@ -126,6 +124,10 @@ class SafetyMonitor
   public:
     /** Sampling period for the polled invariants. */
     static constexpr sim::Tick kPeriod = 100 * sim::oneMs;
+    /** TrackContinuity: actors within this range (m) must be kept. */
+    static constexpr double kTrackRange = 18.0;
+    /** TrackContinuity: track-to-truth association gate (m). */
+    static constexpr double kTrackGate = 4.0;
 
     SafetyMonitor(ros::RosGraph &graph, const AutowareStack &stack,
                   const world::Scenario &scenario,

@@ -17,9 +17,9 @@
  *  - The per-topic *publish log* and the *activation log* are
  *    always on once a recorder is attached. They are cheap, and the
  *    run's latency rows (Fig. 5, Fig. 6), its staleness and recovery
- *    probes, the stack watchdog and the safety monitor's liveness
- *    and deadline checks are all derived from them — no private
- *    buffers, no topic taps.
+ *    probes and the safety monitor's liveness and deadline checks
+ *    are all derived from them — no private buffers, no topic
+ *    taps.
  *  - The full *event stream* (deliveries, activations, CPU tasks,
  *    GPU kernels) is retained only when tracing is enabled
  *    (RunConfig::trace), keeping untraced replays lean. Activation

@@ -37,7 +37,7 @@ struct Rig
 TEST(UtilizationMonitor, MeasuresBusyShare)
 {
     Rig rig;
-    prof::UtilizationMonitor monitor(rig.eq, *rig.machine);
+    prof::MachineMonitor monitor(rig.eq, *rig.machine);
     monitor.start();
     // Owner "worker" busy 0.4 s of every second on one of 2 cores:
     // submit 10 x 40 ms tasks spread over 10 s.
@@ -61,7 +61,7 @@ TEST(UtilizationMonitor, MeasuresBusyShare)
 TEST(UtilizationMonitor, GpuResidencyPerOwner)
 {
     Rig rig;
-    prof::UtilizationMonitor monitor(rig.eq, *rig.machine);
+    prof::MachineMonitor monitor(rig.eq, *rig.machine);
     monitor.start();
     for (int i = 0; i < 5; ++i) {
         rig.eq.schedule(static_cast<sim::Tick>(i) * oneSec, [&rig] {
@@ -84,7 +84,7 @@ TEST(UtilizationMonitor, GpuResidencyPerOwner)
 TEST(PowerMonitor, IdleMachineAtIdlePower)
 {
     Rig rig;
-    prof::PowerMonitor monitor(rig.eq, *rig.machine);
+    prof::MachineMonitor monitor(rig.eq, *rig.machine);
     monitor.start();
     rig.eq.runUntil(5 * oneSec);
     monitor.stop();
@@ -99,7 +99,7 @@ TEST(PowerMonitor, IdleMachineAtIdlePower)
 TEST(PowerMonitor, BusyCoreRaisesPower)
 {
     Rig rig;
-    prof::PowerMonitor monitor(rig.eq, *rig.machine);
+    prof::MachineMonitor monitor(rig.eq, *rig.machine);
     monitor.start();
     // One core fully busy for 4 s.
     rig.machine->cpu().submit(

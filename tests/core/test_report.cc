@@ -82,7 +82,7 @@ TEST(Report, WritesAllFilesWithConsistentContent)
     ASSERT_EQ(power.size(), 3u);
     EXPECT_EQ(power[1][0], "cpu");
     EXPECT_NEAR(std::stod(power[1][1]),
-                run.power().cpuWatts().mean(), 1e-2);
+                run.monitor().cpuWatts().mean(), 1e-2);
     EXPECT_EQ(power[2][0], "gpu");
 
     // counters.csv: vision row has the SSD branch-miss signature.

@@ -176,11 +176,6 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
          }},
         {"degradation toggle",
          [](exp::ExperimentSpec &s) { s.degraded(); }},
-        {"degradation threshold",
-         [](exp::ExperimentSpec &s) {
-             s.config.stack.degradation.visionStaleAfter +=
-                 sim::oneMs;
-         }},
         {"fault plan",
          [](exp::ExperimentSpec &s) {
              s.faults(fault::FaultPlan().cameraBlackout(

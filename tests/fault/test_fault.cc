@@ -3,13 +3,16 @@
  * Tests for av::fault: plan building, deterministic transport
  * disruption (blackout / loss / delay / duplicate / corrupt), node
  * crash + respawn semantics, GPU throttle windows, plan validation,
- * the recovery probe, and whole-stack graceful degradation
- * (LiDAR-only fusion, tracker coasting, NDT reseeding).
+ * the recovery and staleness probes, and whole-stack graceful
+ * degradation (LiDAR-only fusion, tracker coasting, NDT reseeding,
+ * the stale-event counter).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,7 +21,6 @@
 #include "core/characterization.hh"
 #include "core/probes.hh"
 #include "fault/fault.hh"
-#include "stack/watchdog.hh"
 #include "world/recorder.hh"
 
 namespace {
@@ -411,9 +413,9 @@ TEST(RecoveryProbe, MeasuresOnsetToFirstPostWindowPublication)
     EXPECT_DOUBLE_EQ(outcomes[0].recoveryMs, 30.0);
 }
 
-TEST(StackWatchdog, EdgeTriggersOnFreshToStale)
+TEST(StalenessMonitor, EdgeTriggersOnFreshToStale)
 {
-    // The watchdog reads the recorder's publish log; the recorder
+    // The probe reads the recorder's publish log; the recorder
     // outlives the graph's topics.
     trace::Recorder recorder;
     Rig rig;
@@ -421,22 +423,25 @@ TEST(StackWatchdog, EdgeTriggersOnFreshToStale)
     // One watched topic exists; the other watched names are absent
     // from the graph and skipped.
     auto pub = rig.graph.advertise<IntMsg>(perception::topics::ndtPose);
-    stack::StackWatchdog dog(rig.graph);
-    dog.start();
-    // Publish every 100 ms for 1 s, then go silent for 1 s: the
-    // 500 ms threshold is crossed once.
-    for (int i = 0; i < 10; ++i)
-        rig.eq.schedule(static_cast<Tick>(i) * 100 * oneMs,
-                        [&pub, &rig] {
-                            ros::Header h;
-                            h.stamp = rig.eq.now();
-                            pub.publish(h, IntMsg{}, 64);
-                        });
-    rig.eq.runUntil(2 * oneSec);
-    ASSERT_EQ(dog.watched().size(), 1u);
-    EXPECT_EQ(dog.watched()[0].topic, perception::topics::ndtPose);
-    EXPECT_TRUE(dog.watched()[0].stale);
-    EXPECT_EQ(dog.totalStaleEvents(), 1u);
+    prof::StalenessMonitor probe(rig.graph, recorder);
+    probe.start();
+    // Two bursts, each publishing every 100 ms for 1 s and then
+    // going silent for 1 s: the 500 ms threshold is crossed once per
+    // silence, and the fresh samples of the second burst re-arm it.
+    for (const Tick burst : {Tick{0}, 2 * oneSec})
+        for (int i = 0; i < 10; ++i)
+            rig.eq.schedule(burst + static_cast<Tick>(i) * 100 * oneMs,
+                            [&pub, &rig] {
+                                ros::Header h;
+                                h.stamp = rig.eq.now();
+                                pub.publish(h, IntMsg{}, 64);
+                            });
+    rig.eq.runUntil(4 * oneSec);
+    ASSERT_EQ(probe.rows().size(), 1u);
+    EXPECT_EQ(probe.rows()[0].topic, perception::topics::ndtPose);
+    EXPECT_TRUE(probe.rows()[0].stale);
+    EXPECT_EQ(probe.rows()[0].staleEvents, 2u);
+    EXPECT_EQ(probe.staleEvents(), 2u);
 }
 
 // ---- whole-stack degradation -----------------------------------
@@ -447,7 +452,7 @@ TEST(Degradation, CameraBlackoutFallsBackToLidarOnlyFusion)
     auto drive = prof::makeDrive(scenario, 6 * oneSec);
 
     prof::RunConfig cfg;
-    cfg.stack.degradation.enabled = true;
+    cfg.stack.degraded = true;
     cfg.faults =
         fault::FaultPlan().cameraBlackout(2 * oneSec, 2 * oneSec);
     prof::CharacterizationRun run(drive, cfg);
@@ -473,6 +478,44 @@ TEST(Degradation, CameraBlackoutFallsBackToLidarOnlyFusion)
     EXPECT_TRUE(sampled);
 }
 
+TEST(Degradation, StaleEventsReportedOnlyWhenDegraded)
+{
+    // The staleness probe counts stale transitions in every run; the
+    // resilience counter reports them only when degradation is on.
+    world::ScenarioConfig scenario;
+    auto drive = prof::makeDrive(scenario, 6 * oneSec);
+
+    auto runWith = [&drive](bool degraded) {
+        prof::RunConfig cfg;
+        cfg.stack.degraded = degraded;
+        cfg.faults =
+            fault::FaultPlan().cameraBlackout(2 * oneSec, 2 * oneSec);
+        auto run = std::make_unique<prof::CharacterizationRun>(drive,
+                                                               cfg);
+        run->execute();
+        return run;
+    };
+    auto rowSum = [](const prof::CharacterizationRun &run) {
+        std::uint64_t sum = 0;
+        for (const prof::StalenessRow &row : run.staleness().rows())
+            sum += row.staleEvents;
+        return sum;
+    };
+
+    const auto plain = runWith(false);
+    EXPECT_GT(rowSum(*plain), 0u);
+    EXPECT_EQ(plain->staleness().staleEvents(), rowSum(*plain));
+    EXPECT_EQ(counterOf(plain->resilienceCounters(),
+                        "watchdog_stale_events"),
+              0.0);
+
+    const auto degraded = runWith(true);
+    EXPECT_GT(rowSum(*degraded), 0u);
+    EXPECT_EQ(counterOf(degraded->resilienceCounters(),
+                        "watchdog_stale_events"),
+              static_cast<double>(rowSum(*degraded)));
+}
+
 TEST(Degradation, CompoundBlackoutAndThrottleComposeGracefully)
 {
     // Camera blackout + GPU throttle over the same window: the
@@ -483,7 +526,7 @@ TEST(Degradation, CompoundBlackoutAndThrottleComposeGracefully)
     auto drive = prof::makeDrive(scenario, 6 * oneSec);
 
     prof::RunConfig cfg;
-    cfg.stack.degradation.enabled = true;
+    cfg.stack.degraded = true;
     cfg.faults = fault::FaultPlan()
                      .cameraBlackout(2 * oneSec, 2 * oneSec)
                      .gpuThrottle(2 * oneSec, 2 * oneSec, 0.5);
@@ -523,7 +566,7 @@ TEST(Degradation, PlanOrderDoesNotChangeOutcomes)
 
     auto outcomesOf = [&](const fault::FaultPlan &plan) {
         prof::RunConfig cfg;
-        cfg.stack.degradation.enabled = true;
+        cfg.stack.degraded = true;
         cfg.faults = plan;
         prof::CharacterizationRun run(drive, cfg);
         run.execute();
@@ -555,7 +598,7 @@ TEST(Degradation, LidarBlackoutCoastsTrackerAndReseedsNdt)
     auto drive = prof::makeDrive(scenario, 6 * oneSec);
 
     prof::RunConfig cfg;
-    cfg.stack.degradation.enabled = true;
+    cfg.stack.degraded = true;
     cfg.faults = fault::FaultPlan().lidarBlackout(
         2 * oneSec, 1500 * oneMs);
     prof::CharacterizationRun run(drive, cfg);

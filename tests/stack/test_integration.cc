@@ -124,10 +124,10 @@ TEST_F(StackIntegration, EveryNodeProcessesAndPublishes)
         EXPECT_GT(series->count(), 20u) << prof::pathName(path);
     }
     // Machine did real work and the monitors saw it.
-    EXPECT_GT(run.utilization().totalCpu().mean(), 0.05);
-    EXPECT_GT(run.utilization().totalGpu().mean(), 0.05);
-    EXPECT_GT(run.power().cpuWatts().mean(), 30.0);
-    EXPECT_GT(run.power().gpuWatts().mean(), 55.0);
+    EXPECT_GT(run.monitor().totalCpu().mean(), 0.05);
+    EXPECT_GT(run.monitor().totalGpu().mean(), 0.05);
+    EXPECT_GT(run.monitor().cpuWatts().mean(), 30.0);
+    EXPECT_GT(run.monitor().gpuWatts().mean(), 55.0);
     // Counters populated for the critical nodes.
     bool saw_vision = false;
     for (const auto &row : run.counters()) {
@@ -168,8 +168,8 @@ TEST_F(StackIntegration, ReproducibleAcrossRuns)
         EXPECT_NEAR(static_cast<double>(la[i].summary.count),
                     static_cast<double>(lb[i].summary.count), 10.0);
     }
-    EXPECT_NEAR(a.power().gpuEnergyJ(), b.power().gpuEnergyJ(),
-                0.05 * a.power().gpuEnergyJ());
+    EXPECT_NEAR(a.monitor().gpuEnergyJ(), b.monitor().gpuEnergyJ(),
+                0.05 * a.monitor().gpuEnergyJ());
 }
 
 TEST_F(StackIntegration, IsolationModeRunsDetectorOnly)

@@ -31,7 +31,7 @@ safeConfig(const stack::SafetyOptions &options =
                stack::SafetyOptions())
 {
     prof::RunConfig cfg;
-    cfg.stack.degradation.enabled = true;
+    cfg.stack.degraded = true;
     cfg.safety = options;
     cfg.safety.enabled = true;
     return cfg;

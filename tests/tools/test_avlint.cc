@@ -130,7 +130,7 @@ TEST(Avlint, ProbeTapFlaggedInCoreAndStack)
                                   "src/core/probe_tap.cc");
     EXPECT_EQ(ruleLines(in_core), (Pairs{{"probe-tap", 7}}));
 
-    // The watchdog and safety monitor read the recorder too.
+    // The safety monitor reads the recorder too.
     const auto in_stack = lintFile(fixture("probe_tap.cc"),
                                    "src/stack/probe_tap.cc");
     EXPECT_EQ(ruleLines(in_stack), (Pairs{{"probe-tap", 7}}));

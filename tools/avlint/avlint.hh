@@ -52,8 +52,8 @@
  *                     handlers are exempt (they encode a decision
  *                     about one specific failure)
  *   probe-tap         addTap in src/core or src/stack — measurement
- *                     probes, the watchdog and the safety monitor
- *                     read the run's trace::Recorder, never a
+ *                     probes and the safety monitor read the
+ *                     run's trace::Recorder, never a
  *                     private topic tap (src/ros's Bag::record,
  *                     which keeps payloads, is outside the rule)
  *   tmp-path          a string literal starting with /tmp/ under

@@ -373,9 +373,9 @@ rulePrintInLibrary(const SourceFile &f, Diags &out)
 }
 
 // ---------------------------------------------------------------
-// probe-tap: measurement code in src/core and the observers in
-// src/stack (watchdog, safety monitor) read the run's
-// trace::Recorder; they never install their own topic tap. A
+// probe-tap: measurement code in src/core and the observer in
+// src/stack (the safety monitor) read the run's trace::Recorder;
+// they never install their own topic tap. A
 // private tap is a second recording path that can disagree with the
 // first. src/ros's Bag::record, which keeps payloads, stays legal.
 // ---------------------------------------------------------------
