@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the algorithm cores (host
  * performance of the functional implementations) and of the µarch
  * probe simulators they feed when a node traces them. The *Traced
- * benchmarks run one kernel detached (/attached:0, probes are no-ops)
- * and attached to a NodeArchState that traces every invocation
- * (/attached:1); the difference is the per-invocation probe cost.
+ * benchmarks and BM_ObjectCostmap run one kernel detached
+ * (/attached:0, probes are no-ops) and attached to a NodeArchState
+ * that traces every invocation (/attached:1); the difference is the
+ * per-invocation probe cost.
  * Useful for keeping the library's own hot paths honest.
  */
 
@@ -39,6 +40,20 @@ scanAt(sim::Tick t)
     static const world::Scenario scenario;
     static const world::LidarModel lidar;
     return lidar.scan(scenario, t);
+}
+
+/** The NDT map of the first minute of the drive, built once. */
+const pc::PointCloud &
+ndtMap()
+{
+    static const pc::PointCloud map = [] {
+        world::MapBuilderConfig map_cfg;
+        map_cfg.scanInterval = 2 * sim::oneSec;
+        const world::MapBuilder builder(map_cfg);
+        return builder.build(world::Scenario(), world::LidarModel(),
+                             60 * sim::oneSec);
+    }();
+    return map;
 }
 
 /** Node µarch state that traces every invocation (trace period 1). */
@@ -105,6 +120,72 @@ BM_KdTreeRadiusSearch(benchmark::State &state)
 }
 BENCHMARK(BM_KdTreeRadiusSearch);
 
+/**
+ * Object costmap of 12 cars with predicted paths: about 850 inflated
+ * 0.6 m discs per footprint, each painted row by row.
+ */
+void
+BM_ObjectCostmap(benchmark::State &state)
+{
+    perception::ObjectList objects;
+    util::Rng rng(3);
+    for (int i = 0; i < 12; ++i) {
+        perception::DetectedObject obj;
+        obj.position = {rng.uniform(-25, 25), rng.uniform(-25, 25)};
+        obj.length = 4.4;
+        obj.width = 1.8;
+        obj.hasVelocity = true;
+        obj.velocity = {rng.uniform(-8, 8), rng.uniform(-8, 8)};
+        obj.yaw = rng.uniform(-3, 3);
+        objects.objects.push_back(obj);
+    }
+    objects = perception::predictMotion(objects,
+                                        perception::PredictConfig());
+    uarch::NodeArchState arch = tracingState();
+    const bool attached = state.range(0) != 0;
+    for (auto _ : state) {
+        arch.beginInvocation();
+        benchmark::DoNotOptimize(perception::generateObjectCostmap(
+            objects, geom::Pose2{}, perception::CostmapConfig(),
+            attached ? uarch::KernelProfiler(&arch)
+                     : uarch::KernelProfiler()));
+        benchmark::DoNotOptimize(arch.endInvocation());
+    }
+}
+BENCHMARK(BM_ObjectCostmap)
+    ->ArgName("attached")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * NDT's candidate-voxel lookup (7 key finds) for the points of a
+ * downsampled scan placed at the true pose, so most find voxels.
+ */
+void
+BM_VoxelNeighborhood(benchmark::State &state)
+{
+    pc::GaussianVoxelGrid grid;
+    grid.build(ndtMap(), perception::NdtConfig().voxelLeaf);
+    const geom::Pose2 truth =
+        world::Scenario().egoPoseAt(5 * sim::oneSec);
+    std::vector<geom::Vec3> queries;
+    for (const pc::Point &p :
+         pc::voxelGridDownsample(scanAt(5 * sim::oneSec), 1.5).points) {
+        const geom::Vec2 w = truth.apply({p.x, p.y});
+        queries.push_back({w.x, w.y, p.z});
+    }
+    std::vector<const pc::GaussianVoxelGrid::Voxel *> hood;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        grid.neighborhood(queries[i], hood);
+        benchmark::DoNotOptimize(hood.data());
+        i = i + 1 == queries.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VoxelNeighborhood);
+
 void
 BM_RayGroundFilter(benchmark::State &state)
 {
@@ -159,14 +240,8 @@ void
 BM_NdtAlign(benchmark::State &state)
 {
     const world::Scenario scenario;
-    const world::LidarModel lidar;
-    world::MapBuilderConfig map_cfg;
-    map_cfg.scanInterval = 2 * sim::oneSec;
-    const world::MapBuilder builder(map_cfg);
-    const auto map =
-        builder.build(scenario, lidar, 60 * sim::oneSec);
     perception::NdtMatcher matcher;
-    matcher.setMap(map);
+    matcher.setMap(ndtMap());
     const auto scan = pc::voxelGridDownsample(
         scanAt(5 * sim::oneSec), 1.5);
     const geom::Pose2 truth =
@@ -201,29 +276,6 @@ BM_TrackerUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrackerUpdate)->Arg(4)->Arg(16)->Arg(64);
-
-void
-BM_CostmapObjects(benchmark::State &state)
-{
-    perception::ObjectList objects;
-    util::Rng rng(3);
-    for (int i = 0; i < 12; ++i) {
-        perception::DetectedObject obj;
-        obj.position = {rng.uniform(-25, 25), rng.uniform(-25, 25)};
-        obj.length = 4.4;
-        obj.width = 1.8;
-        obj.hasVelocity = true;
-        obj.velocity = {rng.uniform(-8, 8), rng.uniform(-8, 8)};
-        obj.yaw = rng.uniform(-3, 3);
-        objects.objects.push_back(obj);
-    }
-    objects = perception::predictMotion(objects,
-                                        perception::PredictConfig());
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perception::generateObjectCostmap(
-            objects, geom::Pose2{}, perception::CostmapConfig()));
-}
-BENCHMARK(BM_CostmapObjects)->Unit(benchmark::kMicrosecond);
 
 void
 BM_DnnPostprocessTraced(benchmark::State &state)

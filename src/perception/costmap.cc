@@ -35,7 +35,18 @@ emptyGrid(const geom::Pose2 &ego, const CostmapConfig &config,
     return map;
 }
 
-/** Paint a filled disc of @p radius meters at world position. */
+/**
+ * Paint a filled disc of @p radius meters at world position.
+ *
+ * The cells painted, the @p painted count and the probe stream are
+ * those of testing every cell of the (2r+1)^2 box around the center
+ * cell against dx^2 + dy^2 <= r^2, row by row: every 8th painted
+ * cell is probed, in that order. The host loop is free: each row's
+ * inside cells form one contiguous span (the rounded predicate is
+ * monotone in |dx|), so the span's ends come from sqrt(r^2 - dy^2),
+ * corrected by a cell against the exact predicate, and the probes are
+ * emitted at their painted positions arithmetically.
+ */
 void
 paintDisc(Costmap &map, const geom::Vec2 &world, double radius,
           float value, uarch::KernelProfiler &prof,
@@ -47,32 +58,69 @@ paintDisc(Costmap &map, const geom::Vec2 &world, double radius,
         1, static_cast<int>(radius / map.resolution));
     const int cx = static_cast<int>(gx);
     const int cy = static_cast<int>(gy);
-    for (int y = cy - r_cells; y <= cy + r_cells; ++y) {
-        if (y < 0 || y >= static_cast<int>(map.cellsY))
+    const double r2 = double(r_cells) * r_cells;
+    // The box, clipped to the grid.
+    const int x_min = std::max(cx - r_cells, 0);
+    const int x_max =
+        std::min(cx + r_cells, static_cast<int>(map.cellsX) - 1);
+    const int y_min = std::max(cy - r_cells, 0);
+    const int y_max =
+        std::min(cy + r_cells, static_cast<int>(map.cellsY) - 1);
+    if (x_min > x_max)
+        return;
+    const bool tracing = prof.tracing();
+    std::uint64_t probes = 0;
+
+    for (int y = y_min; y <= y_max; ++y) {
+        const double dy = y - gy;
+        const double dy2 = dy * dy;
+        if (dy2 > r2)
             continue;
-        for (int x = cx - r_cells; x <= cx + r_cells; ++x) {
-            if (x < 0 || x >= static_cast<int>(map.cellsX))
-                continue;
+        const auto inside = [&](int x) {
             const double dx = x - gx;
-            const double dy = y - gy;
-            if (dx * dx + dy * dy >
-                double(r_cells) * r_cells)
-                continue;
-            const std::size_t cell_idx =
-                static_cast<std::size_t>(y) * map.cellsX +
-                static_cast<std::size_t>(x);
-            float &cell = map.cost[cell_idx];
-            cell = std::max(cell, value);
-            ++painted;
-            if (prof.tracing() && painted % 8 == 0) {
+            return dx * dx + dy2 <= r2;
+        };
+        // Rounded ends, clamped to the box (so truncation floors):
+        // lo = floor(gx - half) is never right of the first inside
+        // cell, and hi = floor(gx + half) can miss the last one by a
+        // cell either way. Settle both against the predicate.
+        const double half = std::sqrt(r2 - dy2);
+        int lo = static_cast<int>(
+            std::clamp(gx - half, double(x_min), double(x_max)));
+        int hi = static_cast<int>(
+            std::clamp(gx + half, double(x_min), double(x_max)));
+        while (lo <= hi && !inside(lo))
+            ++lo;
+        while (hi >= lo && !inside(hi))
+            --hi;
+        while (hi < x_max && inside(hi + 1))
+            ++hi;
+        if (lo > hi)
+            continue;
+
+        const std::size_t row =
+            static_cast<std::size_t>(y) * map.cellsX;
+        float *cells = map.cost.data() + row;
+        for (int x = lo; x <= hi; ++x)
+            cells[x] = std::max(cells[x], value);
+        const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+        if (tracing) {
+            // Span cell k is painted cell number painted + k + 1.
+            for (std::uint64_t k = 7 - painted % 8; k < span; k += 8) {
+                const std::size_t cell_idx =
+                    row + static_cast<std::size_t>(lo) + k;
                 prof.store(regionGrid, cell_idx * sizeof(float),
                            sizeof(float));
                 prof.load(regionGrid, cell_idx * sizeof(float),
                           sizeof(float));
-                prof.hotLoads(24); // row-local raster arithmetic
-                prof.hotStores(7);
+                ++probes;
             }
         }
+        painted += span;
+    }
+    if (probes > 0) {
+        prof.hotLoads(24 * probes); // row-local raster arithmetic
+        prof.hotStores(7 * probes);
     }
 }
 

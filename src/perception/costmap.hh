@@ -7,6 +7,10 @@
  * one, Fig. 5) and finds the node compute-bound with excellent
  * locality (IPC 2.07, Table VII) — which is what sequential raster
  * sweeps over a dense grid give.
+ *
+ * Each inflated disc is painted row span by row span, but its probe
+ * stream is that of a cell-by-cell sweep: every 8th painted cell, in
+ * row-major order. The stream is the contract; the host loop is not.
  */
 
 #ifndef AVSCOPE_PERCEPTION_COSTMAP_HH

@@ -61,6 +61,7 @@ euclideanCluster(const pc::PointCloud &cloud,
     std::vector<std::uint32_t> frontier;
     std::vector<std::uint32_t> members;
     std::vector<std::uint32_t> found;
+    const bool tracing = prof.tracing();
 
     for (std::uint32_t seed = 0; seed < cloud.size(); ++seed) {
         const bool fresh = !visited[seed];
@@ -79,15 +80,15 @@ euclideanCluster(const pc::PointCloud &cloud,
             frontier.pop_back();
             tree.radiusSearch(cloud[idx].vec(), config.tolerance,
                               found, prof);
+            if (tracing)
+                prof.hotLoads(3 * found.size());
             for (const std::uint32_t n : found) {
-                if (prof.tracing()) {
+                if (tracing)
                     prof.load(regionVisited, n, 1);
-                    prof.hotLoads(3);
-                }
                 if (visited[n])
                     continue;
                 visited[n] = 1;
-                if (prof.tracing()) {
+                if (tracing) {
                     // The visited flags and the growing member /
                     // frontier vectors all write scattered lines —
                     // the poor write locality of Table VII.

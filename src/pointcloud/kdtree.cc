@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/logging.hh"
 
@@ -10,13 +9,8 @@ namespace av::pc {
 
 namespace {
 
-/** Static branch-site ids for the predictor model. */
-enum Site : std::uint64_t {
-    siteDescend = 0x51001,
-    siteInRadius = 0x51002,
-    siteCrossPlane = 0x51003,
-    siteNearerChild = 0x51004,
-};
+/** Static branch-site id for the predictor model. */
+constexpr std::uint64_t siteInRadius = 0x51002;
 
 /** Per-visited-node abstract op cost of a traversal step. */
 const uarch::OpCounts stepOps{/*loads=*/12, /*stores=*/5,
@@ -28,22 +22,30 @@ const uarch::OpCounts stepOps{/*loads=*/12, /*stores=*/5,
 constexpr uarch::KernelProfiler::Region regionNodes = 8;
 constexpr uarch::KernelProfiler::Region regionPoints = 9;
 
+/**
+ * Search stack capacity. A median-split tree over fewer than 2^31
+ * points is at most 31 levels deep, and the stack holds at most one
+ * pending far child per level.
+ */
+constexpr std::size_t maxStack = 64;
+
 } // namespace
 
 void
 KdTree::build(const PointCloud &cloud, uarch::KernelProfiler prof)
 {
-    cloud_ = &cloud;
     nodes_.clear();
     nodes_.reserve(cloud.size());
     root_ = -1;
     if (cloud.empty())
         return;
+    AV_ASSERT(cloud.size() < (std::size_t{1} << 31),
+              "KdTree: cloud too large for int32 node ids");
 
     std::vector<std::uint32_t> idx(cloud.size());
     for (std::uint32_t i = 0; i < cloud.size(); ++i)
         idx[i] = i;
-    root_ = buildRange(idx, 0, idx.size(), 0, prof);
+    root_ = buildRange(cloud, idx, 0, idx.size(), 0, prof);
 
     // Build cost: ~n log n median partitions, each touching the
     // index array and the point data.
@@ -62,7 +64,8 @@ KdTree::build(const PointCloud &cloud, uarch::KernelProfiler prof)
 }
 
 std::int32_t
-KdTree::buildRange(std::vector<std::uint32_t> &idx, std::size_t lo,
+KdTree::buildRange(const PointCloud &cloud,
+                   std::vector<std::uint32_t> &idx, std::size_t lo,
                    std::size_t hi, int depth,
                    uarch::KernelProfiler &prof)
 {
@@ -72,7 +75,7 @@ KdTree::buildRange(std::vector<std::uint32_t> &idx, std::size_t lo,
     const std::size_t mid = (lo + hi) / 2;
 
     const auto coord = [&](std::uint32_t i) -> float {
-        const Point &p = (*cloud_)[i];
+        const Point &p = cloud[i];
         return axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
     };
     std::nth_element(idx.begin() + lo, idx.begin() + mid,
@@ -82,17 +85,21 @@ KdTree::buildRange(std::vector<std::uint32_t> &idx, std::size_t lo,
                      });
 
     const std::int32_t me = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(Node{coord(idx[mid]), idx[mid], -1, -1, axis});
+    const Point &p = cloud[idx[mid]];
+    nodes_.push_back(
+        Node{{p.x, p.y, p.z}, coord(idx[mid]), idx[mid], -1, -1, axis});
     if (prof.tracing())
         prof.store(regionNodes,
-                   (nodes_.size() - 1) * sizeof(Node),
-                   sizeof(Node));
+                   std::uint64_t{kProbeNodeBytes} *
+                       static_cast<std::uint64_t>(me),
+                   kProbeNodeBytes);
 
-    const std::int32_t left = buildRange(idx, lo, mid, depth + 1, prof);
+    const std::int32_t left =
+        buildRange(cloud, idx, lo, mid, depth + 1, prof);
     const std::int32_t right =
-        buildRange(idx, mid + 1, hi, depth + 1, prof);
-    nodes_[me].left = left;
-    nodes_[me].right = right;
+        buildRange(cloud, idx, mid + 1, hi, depth + 1, prof);
+    nodes_[static_cast<std::size_t>(me)].left = left;
+    nodes_[static_cast<std::size_t>(me)].right = right;
     return me;
 }
 
@@ -104,113 +111,57 @@ KdTree::radiusSearch(const geom::Vec3 &query, double radius,
     out.clear();
     if (root_ < 0)
         return 0;
+    const double radius2 = radius * radius;
+    const bool tracing = prof.tracing();
+
+    // Preorder: a node, its near subtree, then its far subtree when
+    // the query ball crosses the splitting plane. The loop descends
+    // into near directly and stacks far until near's subtree is done.
+    const double q[3] = {query.x, query.y, query.z};
+    std::int32_t stack[maxStack];
+    std::size_t top = 0;
+    std::int32_t node = root_;
     std::uint64_t steps = 0;
-    radiusRecurse(root_, query, radius * radius, out, prof, steps);
+    for (;;) {
+        if (node < 0) {
+            if (top == 0)
+                break;
+            node = stack[--top];
+        }
+        const Node &n = nodes_[static_cast<std::size_t>(node)];
+        ++steps;
+        const double d2 = geom::squaredDistance(
+            query, geom::Vec3{n.pos[0], n.pos[1], n.pos[2]});
+        const bool inside = d2 <= radius2;
+        if (tracing) {
+            prof.load(regionNodes,
+                      std::uint64_t{kProbeNodeBytes} *
+                          static_cast<std::uint64_t>(node),
+                      kProbeNodeBytes);
+            prof.load(regionPoints,
+                      std::uint64_t{n.pointIdx} * sizeof(Point),
+                      sizeof(Point));
+            prof.branch(siteInRadius, inside);
+        }
+        if (inside)
+            out.push_back(n.pointIdx);
+
+        const double delta = q[n.axis] - double(n.split);
+        const bool left_near = delta <= 0.0;
+        const std::int32_t far = left_near ? n.right : n.left;
+        if (far >= 0 && delta * delta <= radius2)
+            stack[top++] = far;
+        node = left_near ? n.left : n.right;
+    }
     // Batched accounting: one call per query instead of per visited
     // node (the hot path must stay cheap when not tracing).
     prof.addOps(stepOps.scaled(steps));
-    if (prof.tracing()) {
+    if (tracing) {
         prof.hotLoads(3 * steps);
         prof.hotStores(2 * steps);
         prof.bulkBranches(10 * steps);
     }
     return out.size();
-}
-
-void
-KdTree::radiusRecurse(std::int32_t node, const geom::Vec3 &query,
-                      double radius2, std::vector<std::uint32_t> &out,
-                      uarch::KernelProfiler &prof,
-                      std::uint64_t &steps) const
-{
-    if (node < 0)
-        return;
-    const Node &n = nodes_[static_cast<std::size_t>(node)];
-    const Point &p = (*cloud_)[n.pointIdx];
-    ++steps;
-    if (prof.tracing()) {
-        prof.load(regionNodes,
-                  static_cast<std::size_t>(node) * sizeof(Node),
-                  sizeof(Node));
-        prof.load(regionPoints, n.pointIdx * sizeof(Point),
-                  sizeof(Point));
-    }
-
-    const double d2 = geom::squaredDistance(query, p.vec());
-    const bool inside = d2 <= radius2;
-    prof.branch(siteInRadius, inside);
-    if (inside)
-        out.push_back(n.pointIdx);
-
-    const double q =
-        n.axis == 0 ? query.x : (n.axis == 1 ? query.y : query.z);
-    const double delta = q - double(n.split);
-    const std::int32_t near = delta <= 0.0 ? n.left : n.right;
-    const std::int32_t far = delta <= 0.0 ? n.right : n.left;
-
-    radiusRecurse(near, query, radius2, out, prof, steps);
-    const bool cross = delta * delta <= radius2;
-    if (cross)
-        radiusRecurse(far, query, radius2, out, prof, steps);
-}
-
-std::int64_t
-KdTree::nearest(const geom::Vec3 &query, double &out_dist2,
-                uarch::KernelProfiler prof) const
-{
-    std::int64_t best = -1;
-    double best_d2 = std::numeric_limits<double>::infinity();
-    std::uint64_t steps = 0;
-    if (root_ >= 0)
-        nearestRecurse(root_, query, best, best_d2, prof, steps);
-    prof.addOps(stepOps.scaled(steps));
-    if (prof.tracing()) {
-        prof.hotLoads(3 * steps);
-        prof.hotStores(2 * steps);
-        prof.bulkBranches(10 * steps);
-    }
-    out_dist2 = best_d2;
-    return best;
-}
-
-void
-KdTree::nearestRecurse(std::int32_t node, const geom::Vec3 &query,
-                       std::int64_t &best, double &best_d2,
-                       uarch::KernelProfiler &prof,
-                       std::uint64_t &steps) const
-{
-    if (node < 0)
-        return;
-    const Node &n = nodes_[static_cast<std::size_t>(node)];
-    const Point &p = (*cloud_)[n.pointIdx];
-    ++steps;
-    if (prof.tracing()) {
-        prof.load(regionNodes,
-                  static_cast<std::size_t>(node) * sizeof(Node),
-                  sizeof(Node));
-        prof.load(regionPoints, n.pointIdx * sizeof(Point),
-                  sizeof(Point));
-    }
-
-    const double d2 = geom::squaredDistance(query, p.vec());
-    const bool improves = d2 < best_d2;
-    prof.branch(siteNearerChild, improves);
-    if (improves) {
-        best_d2 = d2;
-        best = n.pointIdx;
-    }
-
-    const double q =
-        n.axis == 0 ? query.x : (n.axis == 1 ? query.y : query.z);
-    const double delta = q - double(n.split);
-    const std::int32_t near = delta <= 0.0 ? n.left : n.right;
-    const std::int32_t far = delta <= 0.0 ? n.right : n.left;
-
-    nearestRecurse(near, query, best, best_d2, prof, steps);
-    const bool cross = delta * delta < best_d2;
-    prof.branch(siteCrossPlane, cross);
-    if (cross)
-        nearestRecurse(far, query, best, best_d2, prof, steps);
 }
 
 } // namespace av::pc

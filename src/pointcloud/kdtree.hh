@@ -1,12 +1,17 @@
 /**
  * @file
- * 3-D kd-tree for nearest-neighbour and radius queries.
+ * 3-D kd-tree for radius queries.
  *
  * Euclidean clustering's radius searches dominate its runtime and —
  * per the paper's Table VII — give it the worst L1 locality of any
  * node. The tree is therefore instrumented: traversal reports node
- * loads and descent branches to the KernelProfiler so the cache and
- * branch models observe the true pointer-chasing pattern.
+ * loads and in-radius branches to the KernelProfiler so the cache
+ * and branch models observe the true pointer-chasing pattern.
+ *
+ * The probe stream is the contract; the host layout is not. Nodes
+ * are probed in preorder at a fixed logical stride
+ * (kProbeNodeBytes), whatever sizeof(Node) is, so the host node can
+ * carry its point's coordinates without moving one modelled miss.
  */
 
 #ifndef AVSCOPE_POINTCLOUD_KDTREE_HH
@@ -29,7 +34,8 @@ class KdTree
     KdTree() = default;
 
     /**
-     * Build from @p cloud. The cloud must outlive the tree.
+     * Build from @p cloud. The tree copies the coordinates it needs,
+     * so the cloud need not outlive it.
      * @param prof optional profiler charged with the build work
      */
     void build(const PointCloud &cloud,
@@ -49,40 +55,29 @@ class KdTree
                                  uarch::KernelProfiler()) const;
 
     /**
-     * Index of the nearest point to @p query, or -1 when empty.
-     * @param out_dist2 squared distance to the winner
+     * Logical bytes per node in the probe address space: the size
+     * of the original {split, pointIdx, left, right, axis} node.
      */
-    std::int64_t nearest(const geom::Vec3 &query, double &out_dist2,
-                         uarch::KernelProfiler prof =
-                             uarch::KernelProfiler()) const;
+    static constexpr std::uint32_t kProbeNodeBytes = 20;
 
   private:
     struct Node
     {
-        float split;            ///< coordinate of the splitting plane
+        float pos[3];           ///< the point
+        float split;            ///< pos[axis], the splitting plane
         std::uint32_t pointIdx; ///< index into the source cloud
         std::int32_t left = -1;
         std::int32_t right = -1;
         std::uint8_t axis = 0;
     };
 
-    const PointCloud *cloud_ = nullptr;
     std::vector<Node> nodes_;
     std::int32_t root_ = -1;
 
-    std::int32_t buildRange(std::vector<std::uint32_t> &idx,
+    std::int32_t buildRange(const PointCloud &cloud,
+                            std::vector<std::uint32_t> &idx,
                             std::size_t lo, std::size_t hi, int depth,
                             uarch::KernelProfiler &prof);
-
-    void radiusRecurse(std::int32_t node, const geom::Vec3 &query,
-                       double radius2, std::vector<std::uint32_t> &out,
-                       uarch::KernelProfiler &prof,
-                       std::uint64_t &steps) const;
-
-    void nearestRecurse(std::int32_t node, const geom::Vec3 &query,
-                        std::int64_t &best, double &best_d2,
-                        uarch::KernelProfiler &prof,
-                        std::uint64_t &steps) const;
 };
 
 } // namespace av::pc

@@ -1,6 +1,7 @@
 #include "pointcloud/voxel_grid.hh"
 
 #include <cmath>
+#include <unordered_map>
 
 namespace av::pc {
 
@@ -27,6 +28,19 @@ std::uint64_t
 voxelOffset(const VoxelKey &key)
 {
     return (VoxelKeyHash{}(key) & 0xffffffu) * 128;
+}
+
+/**
+ * Home slot of @p key in a key table of 2^(64 - shift) slots:
+ * Fibonacci hashing of the key hash, which spreads neighbouring
+ * keys' weak low bits over the table.
+ */
+std::size_t
+slotOf(const VoxelKey &key, unsigned shift)
+{
+    return static_cast<std::size_t>(
+        (std::uint64_t{VoxelKeyHash{}(key)} * 0x9e3779b97f4a7c15ull) >>
+        shift);
 }
 
 } // namespace
@@ -111,6 +125,8 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
 {
     leaf_ = leaf;
     voxels_.clear();
+    slots_.clear();
+    slotShift_ = 64;
 
     struct Acc
     {
@@ -129,6 +145,11 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
         ++acc.count;
     }
 
+    // Sized for every accumulator, so voxels_ never regrows; sparse
+    // voxels just leave its tail unused.
+    std::vector<VoxelKey> keys;
+    keys.reserve(accs.size());
+    voxels_.reserve(accs.size());
     // Same-binary-deterministic for the reason above; voxel build
     // order does not reach any report.
     // avlint: allow(unordered-iter)
@@ -149,7 +170,24 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
         voxel.inverseCovariance = geom::inverse3(voxel.covariance, &ok);
         if (!ok)
             continue;
-        voxels_.emplace(key, voxel);
+        voxels_.push_back(voxel);
+        keys.push_back(key);
+    }
+
+    if (!voxels_.empty()) {
+        std::size_t size = 8;
+        slotShift_ = 61;
+        while (size < 2 * voxels_.size()) {
+            size *= 2;
+            --slotShift_;
+        }
+        slots_.assign(size, Slot{});
+        for (std::uint32_t i = 0; i < keys.size(); ++i) {
+            std::size_t s = slotOf(keys[i], slotShift_);
+            while (slots_[s].voxel != kEmpty)
+                s = (s + 1) & (size - 1);
+            slots_[s] = Slot{keys[i], i};
+        }
     }
 
     uarch::OpCounts ops;
@@ -164,16 +202,29 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
 }
 
 const GaussianVoxelGrid::Voxel *
+GaussianVoxelGrid::find(const VoxelKey &key) const
+{
+    if (slots_.empty())
+        return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = slotOf(key, slotShift_);; s = (s + 1) & mask) {
+        const Slot &slot = slots_[s];
+        if (slot.voxel == kEmpty)
+            return nullptr;
+        if (slot.key == key)
+            return &voxels_[slot.voxel];
+    }
+}
+
+const GaussianVoxelGrid::Voxel *
 GaussianVoxelGrid::lookup(const geom::Vec3 &p,
                           uarch::KernelProfiler prof) const
 {
-    const auto it = voxels_.find(voxelKeyOf(p, leaf_));
-    if (it == voxels_.end())
-        return nullptr;
-    if (prof.tracing())
-        prof.load(regionVoxels, voxelOffset(it->first),
-                  sizeof(Voxel));
-    return &it->second;
+    const VoxelKey key = voxelKeyOf(p, leaf_);
+    const Voxel *voxel = find(key);
+    if (voxel != nullptr && prof.tracing())
+        prof.load(regionVoxels, voxelOffset(key), sizeof(Voxel));
+    return voxel;
 }
 
 void
@@ -183,24 +234,25 @@ GaussianVoxelGrid::neighborhood(const geom::Vec3 &p,
 {
     out.clear();
     const VoxelKey c = voxelKeyOf(p, leaf_);
+    const bool tracing = prof.tracing();
     static const std::int32_t offsets[7][3] = {
         {0, 0, 0}, {1, 0, 0}, {-1, 0, 0}, {0, 1, 0},
         {0, -1, 0}, {0, 0, 1}, {0, 0, -1}};
     for (const auto &off : offsets) {
         const VoxelKey k{c.x + off[0], c.y + off[1], c.z + off[2]};
-        const auto it = voxels_.find(k);
-        const bool hit = it != voxels_.end();
-        prof.branch(0x52010, hit);
-        if (hit) {
-            if (prof.tracing()) {
-                // Only the mean + inverse covariance are touched in
-                // the scoring loop (the full Voxel spans 3 lines).
+        const Voxel *voxel = find(k);
+        const bool hit = voxel != nullptr;
+        if (tracing) {
+            prof.branch(0x52010, hit);
+            // Only the mean + inverse covariance are touched in the
+            // scoring loop (the full Voxel spans 3 lines).
+            if (hit)
                 prof.load(regionVoxels, voxelOffset(k), 96);
-            }
-            out.push_back(&it->second);
         }
+        if (hit)
+            out.push_back(voxel);
     }
-    if (prof.tracing()) {
+    if (tracing) {
         prof.hotLoads(40); // hash probe locals, key math
         prof.hotStores(8);
     }

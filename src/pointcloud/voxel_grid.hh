@@ -9,7 +9,6 @@
 #define AVSCOPE_POINTCLOUD_VOXEL_GRID_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/mat.hh"
@@ -64,6 +63,12 @@ PointCloud voxelGridDownsample(const PointCloud &in, double leaf,
  * and its inverse, regularized per Magnusson so NDT stays stable on
  * degenerate voxels. Voxels with fewer than minPointsPerVoxel points
  * are discarded.
+ *
+ * The probe stream is the contract; the host layout is not. Voxels
+ * live in one flat array indexed by an open-addressing key table
+ * built once in build(), while probes name each voxel by its key (a
+ * hashed, line-granular logical offset), so the stream does not
+ * depend on where a voxel is stored.
  */
 class GaussianVoxelGrid
 {
@@ -105,7 +110,22 @@ class GaussianVoxelGrid
     double leafSize() const { return leaf_; }
 
   private:
-    std::unordered_map<VoxelKey, Voxel, VoxelKeyHash> voxels_;
+    static constexpr std::uint32_t kEmpty = 0xffffffffu;
+
+    /** Key-table entry: a voxel key and its index in voxels_. */
+    struct Slot
+    {
+        VoxelKey key;
+        std::uint32_t voxel = kEmpty;
+    };
+
+    /** Voxel with key @p key, or nullptr. */
+    const Voxel *find(const VoxelKey &key) const;
+
+    std::vector<Voxel> voxels_;
+    /** Linear-probing table, power-of-two size, at most half full. */
+    std::vector<Slot> slots_;
+    unsigned slotShift_ = 64; ///< 64 - log2(slots_.size())
     double leaf_ = 2.0;
 };
 

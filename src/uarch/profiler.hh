@@ -215,6 +215,13 @@ class KernelProfiler
      * cursors carry exactly the locality the model needs
      * (sequential scans stay sequential, pointer chasing stays
      * scattered) while keeping replays bit-identical.
+     *
+     * So the probe stream — each probe's region, offset, size and
+     * order, and every branch outcome — is a kernel's contract with
+     * the models; its host layout and control flow are not. A kernel
+     * may change either freely as long as the stream stays the same:
+     * the kd-tree pins its logical node stride in
+     * pc::KdTree::kProbeNodeBytes, whatever sizeof its host node is.
      */
     void
     load(Region region, std::uint64_t offset, std::uint32_t bytes)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for pointcloud: container ops, kd-tree queries against
- * brute force, voxel grids.
+ * Unit tests for pointcloud: container ops, kd-tree radius queries
+ * against brute force, voxel grids.
  */
 
 #include <gtest/gtest.h>
@@ -110,27 +110,6 @@ TEST(KdTree, RadiusMatchesBruteForce)
     }
 }
 
-TEST(KdTree, NearestMatchesBruteForce)
-{
-    const PointCloud cloud = randomCloud(500, 4);
-    KdTree tree;
-    tree.build(cloud);
-    av::util::Rng rng(5);
-    for (int q = 0; q < 50; ++q) {
-        const Vec3 query{rng.uniform(-60, 60), rng.uniform(-60, 60),
-                         rng.uniform(-6, 6)};
-        double d2 = 0;
-        const auto idx = tree.nearest(query, d2);
-        ASSERT_GE(idx, 0);
-        double best = 1e30;
-        for (std::uint32_t i = 0; i < cloud.size(); ++i)
-            best = std::min(
-                best,
-                av::geom::squaredDistance(query, cloud[i].vec()));
-        EXPECT_NEAR(d2, best, 1e-9);
-    }
-}
-
 TEST(KdTree, EmptyCloud)
 {
     PointCloud empty;
@@ -138,8 +117,7 @@ TEST(KdTree, EmptyCloud)
     tree.build(empty);
     std::vector<std::uint32_t> out;
     EXPECT_EQ(tree.radiusSearch({0, 0, 0}, 5.0, out), 0u);
-    double d2 = 0;
-    EXPECT_EQ(tree.nearest({0, 0, 0}, d2), -1);
+    EXPECT_TRUE(out.empty());
 }
 
 TEST(KdTree, SinglePoint)
@@ -148,9 +126,11 @@ TEST(KdTree, SinglePoint)
     c.push_back(Point::fromVec({1, 1, 1}));
     KdTree tree;
     tree.build(c);
-    double d2 = 0;
-    EXPECT_EQ(tree.nearest({0, 0, 0}, d2), 0);
-    EXPECT_NEAR(d2, 3.0, 1e-9);
+    std::vector<std::uint32_t> out;
+    // The point is sqrt(3) from the origin.
+    EXPECT_EQ(tree.radiusSearch({0, 0, 0}, 1.8, out), 1u);
+    EXPECT_EQ(out, std::vector<std::uint32_t>{0});
+    EXPECT_EQ(tree.radiusSearch({0, 0, 0}, 1.7, out), 0u);
 }
 
 TEST(VoxelGrid, DownsampleReducesAndPreservesExtent)
