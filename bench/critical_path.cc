@@ -27,6 +27,7 @@
 
 #include "common.hh"
 #include "exp/optimizer.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 using namespace av;
@@ -84,22 +85,26 @@ writeJson(std::ostream &os,
         const prof::RunResult &run = *runs[i];
         const trace::Summary &s = run.trace;
         os << "    {\n"
-           << "      \"label\": \"" << run.label << "\",\n"
+           << "      \"label\": \"" << util::jsonEscape(run.label)
+           << "\",\n"
            << "      \"critical_path_ms\": " << s.criticalPathMs
            << ",\n"
-           << "      \"terminal_topic\": \"" << s.terminalTopic
+           << "      \"terminal_topic\": \""
+           << util::jsonEscape(s.terminalTopic)
            << "\",\n      \"path\": [";
         for (std::size_t j = 0; j < s.criticalPath.size(); ++j) {
             const trace::PathStep &step = s.criticalPath[j];
-            os << (j ? ", " : "") << "{\"node\": \"" << step.node
-               << "\", \"topic\": \"" << step.topic
+            os << (j ? ", " : "") << "{\"node\": \""
+               << util::jsonEscape(step.node) << "\", \"topic\": \""
+               << util::jsonEscape(step.topic)
                << "\", \"queue_wait_ms\": " << step.queueWaitMs
                << ", \"compute_ms\": " << step.computeMs << "}";
         }
         os << "],\n      \"bottlenecks\": {";
         for (std::size_t j = 0; j < s.nodes.size(); ++j)
-            os << (j ? ", " : "") << "\"" << s.nodes[j].node
-               << "\": \"" << s.nodes[j].bottleneck << "\"";
+            os << (j ? ", " : "") << "\""
+               << util::jsonEscape(s.nodes[j].node) << "\": \""
+               << util::jsonEscape(s.nodes[j].bottleneck) << "\"";
         os << "}\n    }" << (i + 1 < runs.size() ? "," : "")
            << "\n";
     }
@@ -107,7 +112,7 @@ writeJson(std::ostream &os,
     const auto &history = optimizer.history();
     for (std::size_t i = 0; i < history.size(); ++i) {
         const exp::OptimizerStep &step = history[i];
-        os << "      {\"name\": \"" << step.name
+        os << "      {\"name\": \"" << util::jsonEscape(step.name)
            << "\", \"incumbent_ms\": " << step.incumbentMs
            << ", \"candidate_ms\": " << step.candidateMs
            << ", \"accepted\": "

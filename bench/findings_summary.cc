@@ -18,22 +18,11 @@
 #include <iostream>
 
 #include "findings.hh"
+#include "util/json.hh"
 
 namespace {
 
-/** Escape a string for a JSON literal (labels are tame, but be safe). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
+using av::util::jsonEscape;
 
 void
 writeTransportJson(std::ostream &os,

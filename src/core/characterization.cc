@@ -1,5 +1,7 @@
 #include "core/characterization.hh"
 
+#include <stdexcept>
+
 #include "util/logging.hh"
 
 namespace av::prof {
@@ -12,38 +14,52 @@ constexpr sim::Tick kDrainGrace = 3 * sim::oneSec;
 } // namespace
 
 std::shared_ptr<DriveData>
-makeDrive(const world::ScenarioConfig &scenario_cfg,
-          sim::Tick duration, const world::RecorderConfig &recorder)
+recordDriveBag(const world::ScenarioConfig &scenario_cfg,
+               sim::Tick duration,
+               const world::RecorderConfig &recorder)
 {
     auto drive = std::make_shared<DriveData>();
     drive->scenarioConfig = scenario_cfg;
     drive->duration = duration;
-
     const world::Scenario scenario(scenario_cfg);
-    const world::LidarModel lidar;
-    const world::CameraModel camera;
-    const world::GnssModel gnss;
-    const world::ImuModel imu;
+    world::recordDrive(scenario, world::LidarModel(),
+                       world::CameraModel(), world::GnssModel(),
+                       world::ImuModel(), duration, recorder,
+                       drive->bag);
+    drive->initialPose = scenario.egoPoseAt(0);
+    return drive;
+}
 
-    // Mapping pass first (ndt_mapping). Standard mapping practice:
-    // the pass is driven on a quiet street — moving vehicles and
-    // pedestrians would be baked into the map as ghost geometry
-    // along the lane and capture the scan matcher. Parked cars and
-    // buildings (identical streams, same seed) stay as landmarks.
+pc::PointCloud
+buildDriveMap(const world::ScenarioConfig &scenario_cfg)
+{
+    // Standard mapping practice: the pass is driven on a quiet
+    // street — moving vehicles and pedestrians would be baked into
+    // the map as ghost geometry along the lane and capture the scan
+    // matcher. Parked cars and buildings (identical streams, same
+    // seed) stay as landmarks.
     world::ScenarioConfig mapping_cfg = scenario_cfg;
     mapping_cfg.nVehicles = 0;
     mapping_cfg.nPedestrians = 0;
     const world::Scenario mapping_scenario(mapping_cfg);
-    const world::MapBuilder map_builder;
     const double loop_s =
-        scenario.routeLength() / scenario_cfg.egoSpeed;
-    const sim::Tick map_duration = sim::secondsToTicks(loop_s);
-    drive->map =
-        map_builder.build(mapping_scenario, lidar, map_duration);
+        mapping_scenario.routeLength() / scenario_cfg.egoSpeed;
+    return world::MapBuilder().build(mapping_scenario,
+                                     world::LidarModel(),
+                                     sim::secondsToTicks(loop_s));
+}
 
-    world::recordDrive(scenario, lidar, camera, gnss, imu, duration,
-                       recorder, drive->bag);
-    drive->initialPose = scenario.egoPoseAt(0);
+std::shared_ptr<DriveData>
+makeDrive(const world::ScenarioConfig &scenario_cfg,
+          sim::Tick duration, const world::RecorderConfig &recorder)
+{
+    // Map first: the bag then reuses the heap the mapping pass's
+    // keyframe scans freed, so peak memory is the larger of the two
+    // passes, not their sum.
+    pc::PointCloud map = buildDriveMap(scenario_cfg);
+    std::shared_ptr<DriveData> drive =
+        recordDriveBag(scenario_cfg, duration, recorder);
+    drive->map = std::move(map);
     return drive;
 }
 
@@ -52,6 +68,12 @@ CharacterizationRun::CharacterizationRun(
     : drive_(std::move(drive)), config_(config)
 {
     AV_ASSERT(drive_ != nullptr, "null drive data");
+    // Only a localizing stack reads the map; an isolated replay may
+    // share its drive with a job that is still building it.
+    if (config_.stack.enableLocalization && drive_->map.empty())
+        throw std::invalid_argument(
+            "localizing run on a drive without a map: NDT would "
+            "never match (build it with buildDriveMap)");
     eq_ = std::make_unique<sim::EventQueue>();
     recorder_.setEnabled(config_.trace);
     machine_ = std::make_unique<hw::Machine>(*eq_, config_.machine);

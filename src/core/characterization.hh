@@ -33,6 +33,9 @@ struct DriveData
 {
     world::ScenarioConfig scenarioConfig;
     ros::Bag bag;
+    /** The ndt_mapping output. Only NDT reads it, so a replay with
+     *  StackOptions::enableLocalization off never touches it and
+     *  may run on a drive whose map is empty or still being built. */
     pc::PointCloud map;
     sim::Tick duration = 0;
     /** Operator-provided initial pose (Autoware's rviz "2D Pose
@@ -41,7 +44,27 @@ struct DriveData
 };
 
 /**
- * Record a drive and build its map.
+ * Record a drive's sensor bag, the input every replay needs. The
+ * map is left empty; buildDriveMap() fills it.
+ * @param scenario_cfg world knobs
+ * @param duration     drive length
+ */
+std::shared_ptr<DriveData>
+recordDriveBag(const world::ScenarioConfig &scenario_cfg,
+               sim::Tick duration,
+               const world::RecorderConfig &recorder =
+                   world::RecorderConfig());
+
+/**
+ * The ndt_mapping pass (§III-A): one loop of the route on a quiet
+ * street, the map NDT localizes against. A pure function of
+ * @p scenario_cfg, independent of the bag.
+ */
+pc::PointCloud buildDriveMap(const world::ScenarioConfig &scenario_cfg);
+
+/**
+ * Record a drive and build its map: buildDriveMap() and
+ * recordDriveBag() in one call.
  * @param scenario_cfg world knobs
  * @param duration     drive length
  */
@@ -103,6 +126,10 @@ struct NodeLatency
 class CharacterizationRun
 {
   public:
+    /**
+     * @throws std::invalid_argument when the stack localizes and
+     *         @p drive has no map (NDT would never match).
+     */
     CharacterizationRun(std::shared_ptr<const DriveData> drive,
                         const RunConfig &config = RunConfig());
     ~CharacterizationRun();

@@ -1,7 +1,12 @@
 #include "exp/runner.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "util/logging.hh"
 
@@ -158,40 +163,82 @@ Runner::runJob(Job &job)
                      key);
 }
 
-std::shared_ptr<const prof::DriveData>
-Runner::driveFor(const ExperimentSpec &spec)
+namespace {
+
+/**
+ * Resolve @p slot exactly once: the first caller claims it and runs
+ * @p produce; every caller then waits on the slot's future. A
+ * failure is published through the future, so it reaches every job
+ * sharing the slot and no waiter blocks on a promise that never
+ * resolves. @p mutex guards @p slot.
+ */
+template <class T, class Produce>
+T
+produceOnce(std::mutex &mutex, std::shared_future<T> &slot,
+            Produce produce)
 {
-    const std::string key = driveKey(spec);
-    std::promise<std::shared_ptr<const prof::DriveData>> promise;
-    bool recordHere = false;
-    std::shared_future<std::shared_ptr<const prof::DriveData>>
-        future;
+    std::promise<T> promise;
+    std::shared_future<T> future;
+    bool produceHere = false;
     {
-        std::lock_guard<std::mutex> lock(driveMutex_);
-        auto it = drives_.find(key);
-        if (it == drives_.end()) {
-            recordHere = true;
-            future = promise.get_future().share();
-            drives_.emplace(key, future);
-        } else {
-            future = it->second;
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!slot.valid()) {
+            produceHere = true;
+            slot = promise.get_future().share();
         }
+        future = slot;
     }
-    if (recordHere) {
-        util::inform("recording drive ", key, " (",
-                     sim::ticksToSeconds(spec.driveDuration),
-                     " s)");
-        // A failed recording must reach every job sharing this drive,
-        // not just the recorder: publish the exception through the
-        // memo so no waiter blocks on a promise that never resolves.
+    if (produceHere) {
         try {
-            promise.set_value(prof::makeDrive(
-                spec.scenario, spec.driveDuration, spec.recorder));
+            if constexpr (std::is_void_v<T>) {
+                produce();
+                promise.set_value();
+            } else {
+                promise.set_value(produce());
+            }
         } catch (...) {
             promise.set_exception(std::current_exception());
         }
     }
     return future.get();
+}
+
+} // namespace
+
+std::shared_ptr<const prof::DriveData>
+Runner::driveFor(const ExperimentSpec &spec)
+{
+    const std::string key = driveKey(spec);
+    DriveMemo *memo = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(driveMutex_);
+        memo = &drives_[key]; // std::map nodes never move
+    }
+    const std::shared_ptr<prof::DriveData> drive =
+        produceOnce(driveMutex_, memo->bag, [&] {
+            util::inform("recording drive ", key, " (",
+                         sim::ticksToSeconds(spec.driveDuration),
+                         " s)");
+            return prof::recordDriveBag(
+                spec.scenario, spec.driveDuration, spec.recorder);
+        });
+    if (spec.config.stack.enableLocalization) {
+        // The map is written before its future resolves, and read
+        // only by jobs that waited on it.
+        produceOnce(driveMutex_, memo->map, [&] {
+            util::inform("building map for drive ", key);
+            drive->map = prof::buildDriveMap(drive->scenarioConfig);
+            mapsBuilt_.fetch_add(1);
+            // The mapping pass freed keyframe scans several times
+            // the map's size, and unlike in makeDrive no bag follows
+            // to reuse them: hand them back to the OS rather than
+            // keep them beside every replay.
+#if defined(__GLIBC__)
+            malloc_trim(0);
+#endif
+        });
+    }
+    return drive;
 }
 
 std::string

@@ -18,7 +18,9 @@
  * recorder, duration) via an in-process memo, and only when a cache
  * miss actually forces a replay — a fully cached invocation records
  * no drive at all, which is where the second-run wall-clock win
- * comes from.
+ * comes from. A drive's NDT map is built at most once too, and only
+ * for the first job whose stack localizes: a batch of isolated
+ * (Fig. 8) replays records the bag and never runs the mapping pass.
  */
 
 #ifndef AVSCOPE_EXP_RUNNER_HH
@@ -132,6 +134,10 @@ class Runner
     /** Replays actually simulated (cache misses). */
     std::size_t executed() const { return executed_.load(); }
 
+    /** NDT maps built: at most one per drive, none for a drive
+     *  that only non-localizing replays used. */
+    std::size_t mapsBuilt() const { return mapsBuilt_.load(); }
+
   private:
     struct Job
     {
@@ -164,21 +170,32 @@ class Runner
     std::deque<std::size_t> pending_; ///< ids awaiting a worker
     bool stopping_ = false;
 
-    std::mutex driveMutex_; ///< guards drives_
     /**
-     * Drive memo: driveKey → recorded drive (shared, immutable once
-     * set). Futures so the first worker needing a drive records it
-     * while others needing the *same* drive wait instead of
-     * re-recording, and workers needing *different* drives record
-     * concurrently.
+     * One memoized drive. Futures so the first worker needing a
+     * product makes it while others needing the *same* one wait
+     * instead of remaking it, and workers needing *different* drives
+     * record concurrently. Each future is invalid until its first
+     * claimant; a failure is published through it to every waiter.
      */
-    std::map<std::string,
-             std::shared_future<
-                 std::shared_ptr<const prof::DriveData>>>
-        drives_;
+    struct DriveMemo
+    {
+        /** The recorded drive, map empty until @ref map resolves. */
+        std::shared_future<std::shared_ptr<prof::DriveData>> bag;
+        /**
+         * Resolves once DriveData::map is filled, by the first
+         * localizing job. Non-localizing jobs never wait on it and
+         * never read the map, so they replay the bag race-free while
+         * it is written.
+         */
+        std::shared_future<void> map;
+    };
+
+    std::mutex driveMutex_; ///< guards drives_ and every DriveMemo
+    std::map<std::string, DriveMemo> drives_; ///< by driveKey
 
     std::atomic<std::size_t> cacheHits_{0};
     std::atomic<std::size_t> executed_{0};
+    std::atomic<std::size_t> mapsBuilt_{0};
 
     std::vector<std::thread> workers_;
 };

@@ -118,16 +118,6 @@ class Mat
         return out;
     }
 
-    /** Frobenius norm. */
-    double
-    frobeniusNorm() const
-    {
-        double acc = 0.0;
-        for (double v : data_)
-            acc += v * v;
-        return std::sqrt(acc);
-    }
-
   private:
     std::array<double, R * C> data_;
 };

@@ -31,15 +31,6 @@ Quat::fromRpy(double roll, double pitch, double yaw)
 }
 
 Quat
-Quat::fromAxisAngle(const Vec3 &axis, double angle)
-{
-    const Vec3 u = axis.normalized();
-    const double h = angle * 0.5;
-    const double s = std::sin(h);
-    return {std::cos(h), u.x * s, u.y * s, u.z * s};
-}
-
-Quat
 Quat::operator*(const Quat &o) const
 {
     return {w * o.w - x * o.x - y * o.y - z * o.z,

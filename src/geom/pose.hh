@@ -26,9 +26,6 @@ struct Quat
     /** From roll/pitch/yaw (x-y-z intrinsic, Autoware convention). */
     static Quat fromRpy(double roll, double pitch, double yaw);
 
-    /** From a rotation about an arbitrary axis. */
-    static Quat fromAxisAngle(const Vec3 &axis, double angle);
-
     /** Hamilton product. */
     Quat operator*(const Quat &o) const;
 
@@ -108,15 +105,7 @@ struct Aabb
     Vec3 lo;
     Vec3 hi;
 
-    bool
-    contains(const Vec3 &p) const
-    {
-        return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y &&
-               p.y <= hi.y && p.z >= lo.z && p.z <= hi.z;
-    }
-
     Vec3 center() const { return (lo + hi) * 0.5; }
-    Vec3 extent() const { return hi - lo; }
 
     /** Grow to include @p p. */
     void expand(const Vec3 &p);

@@ -52,7 +52,6 @@ GpuModel::submit(GpuJob job)
     auto state =
         std::make_shared<JobState>(JobState{std::move(job), 0,
                                             eq_.now()});
-    ++inFlight_;
     if (state->job.h2dBytes > 0.0) {
         copyQueue_.push_back(CopyEntry{state, state->job.h2dBytes,
                                        true});
@@ -89,7 +88,6 @@ GpuModel::finishJob(const std::shared_ptr<JobState> &job)
         sim::ticksToSeconds(eq_.now() - job->enqueued);
     acct_.residentSecondsByOwner[job->job.owner] += resident_s;
     ++acct_.jobsCompleted;
-    --inFlight_;
     // The queue entries holding the last references die with the
     // completion lambda; moving the callback out keeps it alive.
     auto callback = std::move(job->job.onComplete);

@@ -97,9 +97,6 @@ class GpuModel
     /** Duration of a host<->device transfer of @p bytes. */
     sim::Tick copyDuration(double bytes) const;
 
-    /** True when the compute engine is executing a kernel. */
-    bool computeBusy() const { return computeBusy_; }
-
     /**
      * Thermal-throttle factor in (0, 1]: compute and memory rates
      * scale by it. Applies to kernels *starting* while it is set —
@@ -108,9 +105,6 @@ class GpuModel
      */
     void setThrottleFactor(double factor);
     double throttleFactor() const { return throttle_; }
-
-    /** Jobs somewhere in the pipeline (queued or in flight). */
-    std::size_t inFlight() const { return inFlight_; }
 
     const GpuConfig &config() const { return config_; }
     const GpuAccounting &accounting() const { return acct_; }
@@ -136,7 +130,6 @@ class GpuModel
     bool computeBusy_ = false;
     bool copyBusy_ = false;
     double throttle_ = 1.0;
-    std::size_t inFlight_ = 0;
 
     /** Compute-queue entry: one kernel of one job. */
     struct ComputeEntry

@@ -59,8 +59,6 @@ class PerceptionNode : public ros::Node
     const uarch::NodeArchState &arch() const { return arch_; }
     uarch::NodeArchState &arch() { return arch_; }
 
-    const NodeConfig &nodeConfig() const { return config_; }
-
   protected:
     /** Start instrumented functional work for one invocation. */
     void

@@ -31,8 +31,6 @@ class VehicleModel
     double speed() const { return speed_; }
     double yawRate() const { return yawRate_; }
 
-    void teleport(const geom::Pose2 &pose) { pose_ = pose; }
-
   private:
     geom::Pose2 pose_;
     double speed_ = 0.0;

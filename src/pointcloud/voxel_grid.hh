@@ -107,7 +107,6 @@ class GaussianVoxelGrid
                           uarch::KernelProfiler()) const;
 
     std::size_t voxelCount() const { return voxels_.size(); }
-    double leafSize() const { return leaf_; }
 
   private:
     static constexpr std::uint32_t kEmpty = 0xffffffffu;

@@ -751,12 +751,6 @@ class RosGraph
     void setQueueDepthOverrides(
         std::vector<QueueDepthOverride> overrides);
 
-    const std::vector<QueueDepthOverride> &
-    queueDepthOverrides() const
-    {
-        return queueOverrides_;
-    }
-
     /**
      * The queue depth one (topic, node) subscription actually gets:
      * the last matching override, or the @p declared source literal.

@@ -95,7 +95,6 @@ class NodeArchState
      * in DESIGN.md.
      */
     void setOpScale(double scale) { opScale_ = scale; }
-    double opScale() const { return opScale_; }
 
     // Interface used by KernelProfiler -------------------------------
     void

@@ -1,0 +1,43 @@
+/**
+ * @file
+ * Tests for CharacterizationRun's input checks: a localizing replay
+ * needs the drive's map, an isolated one does not read it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+
+#include "core/characterization.hh"
+
+namespace {
+
+using namespace av;
+
+TEST(Characterization, LocalizingRunWithoutMapThrows)
+{
+    world::ScenarioConfig scenario;
+    const auto drive = prof::recordDriveBag(scenario, 2 * sim::oneSec);
+    ASSERT_TRUE(drive->map.empty());
+
+    prof::RunConfig localizing;
+    ASSERT_TRUE(localizing.stack.enableLocalization);
+    try {
+        prof::CharacterizationRun run(drive, localizing);
+        FAIL() << "a localizing run accepted a drive without a map";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("without a map"),
+                  std::string::npos)
+            << error.what();
+    }
+
+    // The same map-less drive serves a run that does not localize.
+    prof::RunConfig isolated;
+    isolated.stack.enableLocalization = false;
+    prof::CharacterizationRun run(drive, isolated);
+    run.execute();
+    EXPECT_EQ(run.stack().ndt(), nullptr);
+}
+
+} // namespace

@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment engine (src/exp): the Runner's
  * worker-count independence (parallel results byte-identical to
- * serial), the result cache's bit-fidelity and replay skipping, and
- * the cache key's coverage of every replay-relevant RunConfig field.
+ * serial), the drive memo's map built only for localizing replays,
+ * the result cache's bit-fidelity and replay skipping, and the cache
+ * key's coverage of every replay-relevant RunConfig field.
  * Serialized cache entries are the comparison medium: two RunResults
  * are "byte-identical" when ResultCache writes the same file for
  * both.
@@ -61,6 +62,21 @@ detectorSweep()
     return specs;
 }
 
+/**
+ * Replay @p spec outside the Runner, on a drive from prof::makeDrive
+ * (bag and map built together): the reference a memoized drive must
+ * reproduce.
+ */
+prof::RunResult
+replayOnMadeDrive(const exp::ExperimentSpec &spec)
+{
+    const auto drive = prof::makeDrive(
+        spec.scenario, spec.driveDuration, spec.recorder);
+    prof::CharacterizationRun run(drive, spec.config);
+    run.execute();
+    return prof::snapshotRun(run, spec.label);
+}
+
 TEST(Runner, ParallelRunByteIdenticalToSerial)
 {
     const auto specs = detectorSweep();
@@ -91,6 +107,74 @@ TEST(Runner, ParallelRunByteIdenticalToSerial)
     EXPECT_EQ(parallel.executed(), specs.size());
     EXPECT_EQ(serial.cacheHits(), 0u);
     EXPECT_EQ(parallel.cacheHits(), 0u);
+}
+
+TEST(Runner, IsolatedBatchBuildsNoMap)
+{
+    // The Fig. 8 isolation replays never run NDT, so the memo records
+    // their bag and skips the mapping pass; their results must not
+    // tell the difference.
+    auto specs = detectorSweep();
+    for (auto &s : specs)
+        s.isolatedVision();
+    const std::string dir = test::freshTestDir("isolated");
+
+    exp::Runner runner(exp::RunnerConfig{2, ""});
+    for (const auto &s : specs)
+        runner.submit(s);
+    const auto results = runner.collect();
+    EXPECT_EQ(runner.executed(), specs.size());
+    EXPECT_EQ(runner.mapsBuilt(), 0u);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string tag = std::to_string(i);
+        EXPECT_EQ(serialized(dir, "runner-" + tag, *results[i]),
+                  serialized(dir, "made-" + tag,
+                             replayOnMadeDrive(specs[i])))
+            << "isolated entry " << i
+            << " differs from a replay on makeDrive's drive";
+    }
+}
+
+TEST(Runner, MixedBatchBuildsMapOnce)
+{
+    // Full-stack and isolated replays of one drive, interleaved so
+    // that with 4 workers isolated jobs replay the bag while a
+    // full-stack job fills the map. The map is built once, and every
+    // result matches the serial run and a makeDrive replay.
+    std::vector<exp::ExperimentSpec> specs;
+    for (auto s : detectorSweep()) {
+        auto isolated = s;
+        specs.push_back(isolated.isolatedVision().named(s.label +
+                                                        " isolated"));
+        specs.push_back(s);
+    }
+    const std::string dir = test::freshTestDir("mixed");
+
+    exp::Runner serial(exp::RunnerConfig{1, ""});
+    exp::Runner parallel(exp::RunnerConfig{4, ""});
+    for (const auto &s : specs) {
+        serial.submit(s);
+        parallel.submit(s);
+    }
+    const auto from_serial = serial.collect();
+    const auto from_parallel = parallel.collect();
+    EXPECT_EQ(serial.mapsBuilt(), 1u);
+    EXPECT_EQ(parallel.mapsBuilt(), 1u);
+    EXPECT_EQ(parallel.executed(), specs.size());
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string tag = std::to_string(i);
+        const std::string made = serialized(
+            dir, "made-" + tag, replayOnMadeDrive(specs[i]));
+        EXPECT_EQ(serialized(dir, "serial-" + tag, *from_serial[i]),
+                  made)
+            << specs[i].label << ": jobs=1 differs from makeDrive";
+        EXPECT_EQ(
+            serialized(dir, "parallel-" + tag, *from_parallel[i]),
+            made)
+            << specs[i].label << ": jobs=4 differs from makeDrive";
+    }
 }
 
 TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)
