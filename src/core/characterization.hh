@@ -32,6 +32,9 @@ namespace av::prof {
 struct DriveData
 {
     world::ScenarioConfig scenarioConfig;
+    /** Read-only once recorded: a replay's pending events refer to
+     *  its messages (ros::Bag::replay). The experiment Runner fills
+     *  only `map` while replays of the drive run. */
     ros::Bag bag;
     /** The ndt_mapping output. Only NDT reads it, so a replay with
      *  StackOptions::enableLocalization off never touches it and
@@ -203,11 +206,14 @@ class CharacterizationRun
     }
 
   private:
+    /** Owned: the replay's events refer to the bag's messages
+     *  (ros::Bag::replay), so the run keeps its drive alive for as
+     *  long as execute() runs, whatever its caller drops. */
     std::shared_ptr<const DriveData> drive_;
     RunConfig config_;
-    /** Declared first: the machine and graph hold raw pointers to
-     *  it and callbacks still pending in the queue may hold open
-     *  spans, so it must be destroyed after all of them. */
+    /** Declared before eq_: the machine and graph hold raw
+     *  pointers to it and callbacks still pending in the queue may
+     *  hold open spans, so it must be destroyed after all of them. */
     trace::Recorder recorder_;
     std::unique_ptr<sim::EventQueue> eq_;
     std::unique_ptr<hw::Machine> machine_;

@@ -43,41 +43,50 @@ slotOf(const VoxelKey &key, unsigned shift)
         shift);
 }
 
-} // namespace
-
-VoxelKey
-voxelKeyOf(const geom::Vec3 &p, double leaf)
+/** A downsampling voxel's running sums. */
+struct CentroidAcc
 {
-    return {static_cast<std::int32_t>(std::floor(p.x / leaf)),
-            static_cast<std::int32_t>(std::floor(p.y / leaf)),
-            static_cast<std::int32_t>(std::floor(p.z / leaf))};
+    geom::Vec3 sum;
+    float intensity = 0.0f;
+    std::uint32_t count = 0;
+};
+
+using CentroidGrid =
+    std::unordered_map<VoxelKey, CentroidAcc, VoxelKeyHash>;
+
+/**
+ * An empty grid for @p points input points. The reserve fixes the
+ * bucket count and so the emit order: a cloud and parts holding the
+ * same points get the same one.
+ */
+CentroidGrid
+centroidGrid(std::size_t points)
+{
+    CentroidGrid grid;
+    grid.reserve(points / 4 + 16);
+    return grid;
 }
 
-PointCloud
-voxelGridDownsample(const PointCloud &in, double leaf,
-                    uarch::KernelProfiler prof)
+/**
+ * Add @p in's points to @p grid. @p base is the index of its first
+ * point in the whole input, which the probes name.
+ */
+void
+accumulate(CentroidGrid &grid, const PointCloud &in, std::uint64_t base,
+           double leaf, uarch::KernelProfiler &prof)
 {
-    struct Acc
-    {
-        geom::Vec3 sum;
-        float intensity = 0.0f;
-        std::uint32_t count = 0;
-    };
-    std::unordered_map<VoxelKey, Acc, VoxelKeyHash> grid;
-    grid.reserve(in.size() / 4 + 16);
-
     for (const Point &p : in.points) {
         const VoxelKey key = voxelKeyOf(p.vec(), leaf);
-        Acc &acc = grid[key];
+        CentroidAcc &acc = grid[key];
         const bool fresh = acc.count == 0;
         prof.branch(siteVoxelNew, fresh);
         if (prof.tracing()) {
             prof.load(regionInPoints,
-                      static_cast<std::uint64_t>(
-                          &p - in.points.data()) *
+                      (base + static_cast<std::uint64_t>(
+                                  &p - in.points.data())) *
                           sizeof(Point),
                       sizeof(Point));
-            prof.store(regionGrid, voxelOffset(key), sizeof(Acc));
+            prof.store(regionGrid, voxelOffset(key), sizeof(CentroidAcc));
             prof.hotLoads(8);
             prof.hotStores(4);
         }
@@ -85,9 +94,17 @@ voxelGridDownsample(const PointCloud &in, double leaf,
         acc.intensity += p.intensity;
         ++acc.count;
     }
+}
 
+/**
+ * One centroid per voxel of @p grid, with the op counts of
+ * downsampling @p points input points into it.
+ */
+PointCloud
+emitCentroids(const CentroidGrid &grid, std::size_t points,
+              uarch::KernelProfiler &prof)
+{
     PointCloud out;
-    out.stampNs = in.stampNs;
     out.points.reserve(grid.size());
     // Hash order is stable for a fixed standard library and
     // insertion sequence, so same-binary replays stay bit-identical;
@@ -108,15 +125,55 @@ voxelGridDownsample(const PointCloud &in, double leaf,
     // Abstract work: hashing + accumulation per input point, one
     // emit per occupied voxel.
     uarch::OpCounts ops;
-    ops.loads = 6 * in.size() + 2 * grid.size();
-    ops.stores = 4 * in.size() + 2 * grid.size();
-    ops.branches = 3 * in.size() + grid.size();
-    ops.intAlu = 8 * in.size();
-    ops.fpAlu = 6 * in.size() + 4 * grid.size();
+    ops.loads = 6 * points + 2 * grid.size();
+    ops.stores = 4 * points + 2 * grid.size();
+    ops.branches = 3 * points + grid.size();
+    ops.intAlu = 8 * points;
+    ops.fpAlu = 6 * points + 4 * grid.size();
     ops.fpDiv = grid.size();
     prof.addOps(ops);
-    prof.bulkBranches(2 * in.size());
+    prof.bulkBranches(2 * points);
     return out;
+}
+
+} // namespace
+
+VoxelKey
+voxelKeyOf(const geom::Vec3 &p, double leaf)
+{
+    return {static_cast<std::int32_t>(std::floor(p.x / leaf)),
+            static_cast<std::int32_t>(std::floor(p.y / leaf)),
+            static_cast<std::int32_t>(std::floor(p.z / leaf))};
+}
+
+PointCloud
+voxelGridDownsample(const PointCloud &in, double leaf,
+                    uarch::KernelProfiler prof)
+{
+    CentroidGrid grid = centroidGrid(in.size());
+    accumulate(grid, in, 0, leaf, prof);
+    PointCloud out = emitCentroids(grid, in.size(), prof);
+    out.stampNs = in.stampNs;
+    return out;
+}
+
+PointCloud
+voxelGridDownsample(std::vector<PointCloud> parts, double leaf,
+                    uarch::KernelProfiler prof)
+{
+    std::size_t total = 0;
+    for (const PointCloud &part : parts)
+        total += part.size();
+    CentroidGrid grid = centroidGrid(total);
+    std::uint64_t base = 0;
+    for (PointCloud &part : parts) {
+        accumulate(grid, part, base, leaf, prof);
+        base += part.size();
+        // Its points are in the grid now: free them before the next
+        // part grows the grid.
+        part = PointCloud();
+    }
+    return emitCentroids(grid, total, prof);
 }
 
 void
@@ -125,24 +182,35 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
 {
     leaf_ = leaf;
     voxels_.clear();
-    slots_.clear();
-    slotShift_ = 64;
 
     struct Acc
     {
+        VoxelKey key;
         geom::Vec3 sum;
         geom::Mat3 outerSum;
         std::uint32_t count = 0;
     };
-    std::unordered_map<VoxelKey, Acc, VoxelKeyHash> accs;
-    accs.reserve(cloud.size() / 8 + 16);
-
+    // Accumulators in the order their first point appears, found
+    // through the key table (whose Slot::voxel indexes accs here).
+    std::vector<Acc> accs;
+    resetTable(cloud.size() / 8 + 16);
     for (const Point &p : cloud.points) {
         const geom::Vec3 v = p.vec();
-        Acc &acc = accs[voxelKeyOf(v, leaf)];
+        const VoxelKey key = voxelKeyOf(v, leaf);
+        Slot &slot = slots_[slotIndex(key)];
+        if (slot.voxel == kEmpty) {
+            slot = Slot{key, static_cast<std::uint32_t>(accs.size())};
+            accs.push_back(Acc{key, {}, {}, 0});
+        }
+        Acc &acc = accs[slot.voxel];
         acc.sum += v;
         acc.outerSum += geom::outer(v, v);
         ++acc.count;
+        if (2 * accs.size() > slots_.size()) {
+            resetTable(2 * accs.size());
+            for (std::uint32_t i = 0; i < accs.size(); ++i)
+                slots_[slotIndex(accs[i].key)] = Slot{accs[i].key, i};
+        }
     }
 
     // Sized for every accumulator, so voxels_ never regrows; sparse
@@ -150,10 +218,7 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
     std::vector<VoxelKey> keys;
     keys.reserve(accs.size());
     voxels_.reserve(accs.size());
-    // Same-binary-deterministic for the reason above; voxel build
-    // order does not reach any report.
-    // avlint: allow(unordered-iter)
-    for (const auto &[key, acc] : accs) {
+    for (const Acc &acc : accs) {
         if (acc.count < minPointsPerVoxel)
             continue;
         const double n = static_cast<double>(acc.count);
@@ -171,24 +236,12 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
         if (!ok)
             continue;
         voxels_.push_back(voxel);
-        keys.push_back(key);
+        keys.push_back(acc.key);
     }
 
-    if (!voxels_.empty()) {
-        std::size_t size = 8;
-        slotShift_ = 61;
-        while (size < 2 * voxels_.size()) {
-            size *= 2;
-            --slotShift_;
-        }
-        slots_.assign(size, Slot{});
-        for (std::uint32_t i = 0; i < keys.size(); ++i) {
-            std::size_t s = slotOf(keys[i], slotShift_);
-            while (slots_[s].voxel != kEmpty)
-                s = (s + 1) & (size - 1);
-            slots_[s] = Slot{keys[i], i};
-        }
-    }
+    resetTable(voxels_.size());
+    for (std::uint32_t i = 0; i < keys.size(); ++i)
+        slots_[slotIndex(keys[i])] = Slot{keys[i], i};
 
     uarch::OpCounts ops;
     ops.loads = 10 * cloud.size();
@@ -201,19 +254,35 @@ GaussianVoxelGrid::build(const PointCloud &cloud, double leaf,
     prof.bulkBranches(2 * cloud.size());
 }
 
+void
+GaussianVoxelGrid::resetTable(std::size_t entries)
+{
+    std::size_t size = 8;
+    slotShift_ = 61;
+    while (size < 2 * entries) {
+        size *= 2;
+        --slotShift_;
+    }
+    slots_.assign(size, Slot{});
+}
+
+std::size_t
+GaussianVoxelGrid::slotIndex(const VoxelKey &key) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = slotOf(key, slotShift_);
+    while (slots_[s].voxel != kEmpty && !(slots_[s].key == key))
+        s = (s + 1) & mask;
+    return s;
+}
+
 const GaussianVoxelGrid::Voxel *
 GaussianVoxelGrid::find(const VoxelKey &key) const
 {
     if (slots_.empty())
         return nullptr;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t s = slotOf(key, slotShift_);; s = (s + 1) & mask) {
-        const Slot &slot = slots_[s];
-        if (slot.voxel == kEmpty)
-            return nullptr;
-        if (slot.key == key)
-            return &voxels_[slot.voxel];
-    }
+    const Slot &slot = slots_[slotIndex(key)];
+    return slot.voxel == kEmpty ? nullptr : &voxels_[slot.voxel];
 }
 
 const GaussianVoxelGrid::Voxel *

@@ -59,16 +59,31 @@ PointCloud voxelGridDownsample(const PointCloud &in, double leaf,
                                    uarch::KernelProfiler());
 
 /**
+ * Downsample @p parts as their concatenation, in order: output
+ * points, their order, op counts and the probe stream are those of
+ * one cloud holding every part's points, and the stamp is 0, as a
+ * cloud built by appending them would carry. A caller with several
+ * clouds (the mapping pass's keyframe scans) thus need not build
+ * that cloud. The parts are consumed: each is freed once its points
+ * are accumulated, so the input shrinks as the grid grows.
+ */
+PointCloud voxelGridDownsample(std::vector<PointCloud> parts,
+                               double leaf,
+                               uarch::KernelProfiler prof =
+                                   uarch::KernelProfiler());
+
+/**
  * Per-voxel Gaussian statistics over a (map) cloud: mean, covariance
  * and its inverse, regularized per Magnusson so NDT stays stable on
  * degenerate voxels. Voxels with fewer than minPointsPerVoxel points
  * are discarded.
  *
  * The probe stream is the contract; the host layout is not. Voxels
- * live in one flat array indexed by an open-addressing key table
- * built once in build(), while probes name each voxel by its key (a
- * hashed, line-granular logical offset), so the stream does not
- * depend on where a voxel is stored.
+ * live in one flat array, in the order their first point appears in
+ * the cloud, indexed by an open-addressing key table; build()
+ * accumulates in the same kind of table. Probes name each voxel by
+ * its key (a hashed, line-granular logical offset), so the stream
+ * does not depend on where a voxel is stored.
  */
 class GaussianVoxelGrid
 {
@@ -117,6 +132,15 @@ class GaussianVoxelGrid
         VoxelKey key;
         std::uint32_t voxel = kEmpty;
     };
+
+    /** Empty the key table and size it for @p entries keys. */
+    void resetTable(std::size_t entries);
+
+    /**
+     * Index of the slot holding @p key, or of the empty slot where it
+     * belongs (Slot::voxel == kEmpty). The table must not be empty.
+     */
+    std::size_t slotIndex(const VoxelKey &key) const;
 
     /** Voxel with key @p key, or nullptr. */
     const Voxel *find(const VoxelKey &key) const;

@@ -34,7 +34,9 @@ class BagChannelBase
 
     /**
      * Schedule every stored message for publication into @p graph at
-     * its recorded stamp shifted by @p offset.
+     * its recorded stamp shifted by @p offset. The events refer to
+     * the stored messages, so the channel must outlive every event
+     * it scheduled.
      */
     virtual void scheduleReplay(RosGraph &graph,
                                 sim::Tick offset) const = 0;
@@ -71,15 +73,16 @@ class BagChannel final : public BagChannelBase
         sim::EventQueue &eq = graph.eventQueue();
         for (const Stamped<T> &msg : messages_) {
             const sim::Tick when = msg.header.stamp + offset;
-            // One copy per replayed message — the "sensor driver"
-            // producing a fresh frame from the recording. The copy
-            // is made at schedule time (lambda capture) and *moved*
-            // into the transport at fire time; the bag's own copy
-            // stays pristine for the next replay.
+            // The event holds a reference, not a copy: the one
+            // copy per replayed message — the "sensor driver"
+            // producing a fresh frame from the recording — is
+            // publish()'s by-value parameter, made when the event
+            // fires. A replay thus holds only the messages in
+            // flight, the bag's own copy stays pristine for the
+            // next replay, and the two-reference capture fits
+            // std::function's small buffer.
             eq.schedule(std::max(when, eq.now()),
-                        [&topic, msg]() mutable {
-                            topic.publish(std::move(msg));
-                        });
+                        [&topic, &msg] { topic.publish(msg); });
         }
     }
 
@@ -129,7 +132,12 @@ class Bag
         });
     }
 
-    /** Schedule all channels for replay into @p graph. */
+    /**
+     * Schedule all channels for replay into @p graph. The scheduled
+     * events refer to this bag's messages: the bag must outlive
+     * every pending replay event, and nothing may add to a channel
+     * while they are pending.
+     */
     void
     replay(RosGraph &graph, sim::Tick offset = 0) const
     {

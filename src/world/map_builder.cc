@@ -1,5 +1,6 @@
 #include "world/map_builder.hh"
 
+#include <utility>
 #include <vector>
 
 #include "pointcloud/voxel_grid.hh"
@@ -34,18 +35,9 @@ MapBuilder::build(const Scenario &scenario, const LidarModel &lidar,
         pc::transformInPlace(placed[i], poses[i]);
     });
 
-    std::size_t total = 0;
-    for (const pc::PointCloud &scan : placed)
-        total += scan.size();
-    pc::PointCloud accumulated;
-    accumulated.reserve(total);
-    for (pc::PointCloud &scan : placed) {
-        accumulated.points.insert(accumulated.points.end(),
-                                  scan.points.begin(),
-                                  scan.points.end());
-        scan = pc::PointCloud();
-    }
-    return pc::voxelGridDownsample(accumulated, config_.voxelLeaf);
+    // Downsampled as their concatenation without building it; each
+    // scan is freed once the grid holds its points.
+    return pc::voxelGridDownsample(std::move(placed), config_.voxelLeaf);
 }
 
 } // namespace av::world

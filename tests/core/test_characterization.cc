@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for CharacterizationRun's input checks: a localizing replay
- * needs the drive's map, an isolated one does not read it.
+ * Tests for CharacterizationRun's input checks and ownership: a
+ * localizing replay needs the drive's map, an isolated one does not
+ * read it, and a run keeps the drive its replay refers to alive.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -38,6 +40,25 @@ TEST(Characterization, LocalizingRunWithoutMapThrows)
     prof::CharacterizationRun run(drive, isolated);
     run.execute();
     EXPECT_EQ(run.stack().ndt(), nullptr);
+}
+
+TEST(Characterization, RunKeepsItsDriveAlive)
+{
+    // The replay's events refer to the bag's messages, so a run must
+    // own its drive: the caller here drops its pointer before
+    // execute(). The sanitizer builds turn a dangling reference into
+    // a failure.
+    world::ScenarioConfig scenario;
+    std::shared_ptr<prof::DriveData> drive =
+        prof::recordDriveBag(scenario, 2 * sim::oneSec);
+    const std::weak_ptr<prof::DriveData> watch = drive;
+    prof::RunConfig isolated;
+    isolated.stack.enableLocalization = false;
+    prof::CharacterizationRun run(drive, isolated);
+    drive.reset();
+    EXPECT_FALSE(watch.expired());
+    run.execute();
+    EXPECT_GT(run.graph().transportCounters().deliveries, 0u);
 }
 
 } // namespace

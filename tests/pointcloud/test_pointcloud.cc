@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "pointcloud/cloud.hh"
 #include "pointcloud/kdtree.hh"
 #include "pointcloud/voxel_grid.hh"
+#include "uarch/profiler.hh"
 #include "util/random.hh"
 
 namespace {
@@ -174,6 +178,92 @@ TEST(VoxelGrid, NegativeCoordinatesBinCorrectly)
     c.push_back(Point::fromVec({0.1, 0, 0}));
     const PointCloud down = voxelGridDownsample(c, 1.0);
     EXPECT_EQ(down.size(), 2u);
+}
+
+/**
+ * Downsample @p parts and their concatenation, each with its own
+ * tracing NodeArchState (trace period 1): points, their order and
+ * bits, the stamp, op counts, and cache and branch counters must all
+ * be equal.
+ */
+void
+expectPartsEqualConcatenation(const std::vector<PointCloud> &parts,
+                              double leaf)
+{
+    PointCloud cat;
+    for (const PointCloud &part : parts)
+        cat.points.insert(cat.points.end(), part.points.begin(),
+                          part.points.end());
+
+    const auto tracing = [] {
+        return av::uarch::NodeArchState(av::uarch::CacheConfig(),
+                                        av::uarch::BranchConfig(),
+                                        av::uarch::PipelineConfig(), 1);
+    };
+    av::uarch::NodeArchState ref_arch = tracing();
+    av::uarch::NodeArchState got_arch = tracing();
+    ref_arch.beginInvocation();
+    got_arch.beginInvocation();
+    const PointCloud ref = voxelGridDownsample(
+        cat, leaf, av::uarch::KernelProfiler(&ref_arch));
+    const PointCloud got = voxelGridDownsample(
+        parts, leaf, av::uarch::KernelProfiler(&got_arch));
+    ref_arch.endInvocation();
+    got_arch.endInvocation();
+
+    EXPECT_EQ(ref.stampNs, got.stampNs);
+    ASSERT_EQ(ref.size(), got.size());
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(bits(ref[i].x), bits(got[i].x)) << "point " << i;
+        EXPECT_EQ(bits(ref[i].y), bits(got[i].y)) << "point " << i;
+        EXPECT_EQ(bits(ref[i].z), bits(got[i].z)) << "point " << i;
+        EXPECT_EQ(bits(ref[i].intensity), bits(got[i].intensity))
+            << "point " << i;
+        EXPECT_EQ(ref[i].ring, got[i].ring) << "point " << i;
+    }
+
+    const av::uarch::CacheStats &rc = ref_arch.cacheStats();
+    const av::uarch::CacheStats &gc = got_arch.cacheStats();
+    EXPECT_EQ(rc.readHits, gc.readHits);
+    EXPECT_EQ(rc.readMisses, gc.readMisses);
+    EXPECT_EQ(rc.writeHits, gc.writeHits);
+    EXPECT_EQ(rc.writeMisses, gc.writeMisses);
+    EXPECT_EQ(ref_arch.branchStats().predicted,
+              got_arch.branchStats().predicted);
+    EXPECT_EQ(ref_arch.branchStats().mispredicted,
+              got_arch.branchStats().mispredicted);
+    const av::uarch::OpCounts &ro = ref_arch.totalOps();
+    const av::uarch::OpCounts &go = got_arch.totalOps();
+    EXPECT_EQ(ro.loads, go.loads);
+    EXPECT_EQ(ro.stores, go.stores);
+    EXPECT_EQ(ro.branches, go.branches);
+    EXPECT_EQ(ro.intAlu, go.intAlu);
+    EXPECT_EQ(ro.fpAlu, go.fpAlu);
+    EXPECT_EQ(ro.fpDiv, go.fpDiv);
+}
+
+TEST(VoxelGrid, PartsEqualConcatenation)
+{
+    // Overlapping parts, so voxels collect points from several of
+    // them; stamped, though the output's stamp must be the appended
+    // cloud's, 0.
+    std::vector<PointCloud> parts;
+    std::uint64_t seed = 20;
+    for (const std::size_t n : {0, 1, 700, 0, 2500, 1200}) {
+        parts.push_back(randomCloud(n, ++seed, 15.0));
+        parts.back().stampNs = 1000 * seed;
+        for (Point &p : parts.back().points)
+            p.intensity = static_cast<float>(seed);
+    }
+    for (const double leaf : {2.0, 0.7}) {
+        expectPartsEqualConcatenation(parts, leaf);
+        expectPartsEqualConcatenation({parts[4]}, leaf);
+        expectPartsEqualConcatenation({parts[4], parts[5]}, leaf);
+    }
+    expectPartsEqualConcatenation({}, 1.0);
+    expectPartsEqualConcatenation({PointCloud{}, PointCloud{}}, 1.0);
+    expectPartsEqualConcatenation({parts[0]}, 1.0);
 }
 
 TEST(GaussianVoxelGrid, BuildsVoxelsWithEnoughPoints)

@@ -28,6 +28,28 @@ struct IntMsg
     int value = 0;
 };
 
+/** Payload that counts its deep copies (moves are free). */
+struct CountedMsg
+{
+    int value = 0;
+    static int copies;
+
+    CountedMsg() = default;
+    explicit CountedMsg(int v) : value(v) {}
+    CountedMsg(const CountedMsg &o) : value(o.value) { ++copies; }
+    CountedMsg &
+    operator=(const CountedMsg &o)
+    {
+        value = o.value;
+        ++copies;
+        return *this;
+    }
+    CountedMsg(CountedMsg &&) noexcept = default;
+    CountedMsg &operator=(CountedMsg &&) noexcept = default;
+};
+
+int CountedMsg::copies = 0;
+
 struct Fixture
 {
     EventQueue eq;
@@ -352,6 +374,84 @@ TEST(Bag, RecordAndReplayPreservesTiming)
     EXPECT_EQ(seen[2].second, 2);
     // Replayed publication at recorded stamps + transport.
     EXPECT_NEAR(av::sim::ticksToMs(seen[2].first), 200.15, 0.1);
+}
+
+TEST(Bag, ReplayCopiesEachMessageWhenItFires)
+{
+    av::ros::Bag bag;
+    av::ros::BagChannel<CountedMsg> &chan =
+        bag.channel<CountedMsg>("/c");
+    for (int i = 0; i < 3; ++i) {
+        Stamped<CountedMsg> msg;
+        msg.header.seq = static_cast<std::uint64_t>(i);
+        msg.header.stamp = static_cast<Tick>(i + 1) * 100 * oneMs;
+        msg.data = CountedMsg(i);
+        msg.bytes = 64;
+        chan.add(std::move(msg));
+    }
+    const auto expectPristine = [&chan] {
+        ASSERT_EQ(chan.count(), 3u);
+        for (int i = 0; i < 3; ++i) {
+            const Stamped<CountedMsg> &msg =
+                chan.messages()[static_cast<std::size_t>(i)];
+            EXPECT_EQ(msg.header.seq, static_cast<std::uint64_t>(i));
+            EXPECT_EQ(msg.arrival, 0u);
+            EXPECT_EQ(msg.data.value, i);
+        }
+    };
+
+    // Scheduling copies nothing; each message is copied once, when
+    // its event fires (the sensor driver's fresh frame), and moved
+    // into the loan from there.
+    Fixture play;
+    Node node(play.graph, "sink");
+    std::vector<int> seen;
+    node.subscribe<CountedMsg>(
+        "/c", 10,
+        [&](const Stamped<CountedMsg> &msg, std::function<void()> done) {
+            seen.push_back(msg.data.value);
+            done();
+        });
+    CountedMsg::copies = 0;
+    bag.replay(play.graph);
+    EXPECT_EQ(CountedMsg::copies, 0);
+    play.eq.runUntil(150 * oneMs);
+    EXPECT_EQ(CountedMsg::copies, 1);
+    play.eq.runUntil();
+    EXPECT_EQ(CountedMsg::copies, 3);
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+    expectPristine();
+
+    // A duplicating fault still hands every delivery a private copy,
+    // aliasing neither the other delivery nor the bag.
+    Fixture dup;
+    Node sink(dup.graph, "sink");
+    std::vector<const CountedMsg *> addresses;
+    sink.subscribe<CountedMsg>(
+        "/c", 10,
+        [&](const Stamped<CountedMsg> &msg, std::function<void()> done) {
+            addresses.push_back(&msg.data);
+            done();
+        });
+    dup.graph.faults().addPolicy("/c", [](const Header &, Tick) {
+        Disruption d;
+        d.duplicates = 1;
+        return d;
+    });
+    CountedMsg::copies = 0;
+    bag.replay(dup.graph);
+    EXPECT_EQ(CountedMsg::copies, 0);
+    dup.eq.runUntil();
+    ASSERT_EQ(addresses.size(), 6u);
+    for (std::size_t i = 0; i < addresses.size(); ++i) {
+        EXPECT_NE(addresses[i], &chan.messages()[i / 2].data);
+        if (i % 2 == 1) {
+            EXPECT_NE(addresses[i], addresses[i - 1]);
+        }
+    }
+    // Per message: the fire-time copy plus one per wire trip.
+    EXPECT_EQ(CountedMsg::copies, 3 * 3);
+    expectPristine();
 }
 
 TEST(Bag, ChannelTypeMismatchPanics)
