@@ -12,9 +12,10 @@
 #      DESIGN.md §14)
 #   5. chaos stage: the ctest label 'chaos' (compound-fault campaign
 #      + safety invariants + plan minimization, DESIGN.md §15)
-#   6. rebuild + ctest under AddressSanitizer + UBSan (the suite
-#      includes the algorithm microbench smoke, ctest label 'micro',
-#      the example smokes, label 'examples', and the cache-entry and
+#   6. rebuild under AddressSanitizer + UBSan with warnings as
+#      errors (-DAVSCOPE_WERROR=ON), then ctest (the suite includes
+#      the algorithm microbench smoke, ctest label 'micro', the
+#      example smokes, label 'examples', and the cache-entry and
 #      sensor-bag mutation fuzzer, CodecFuzz.*),
 #      then the transport microbench, critical-path and
 #      chaos-campaign smokes under the same build
@@ -63,9 +64,9 @@ ctest --test-dir "$BUILD" --output-on-failure -L trace
 step "chaos smoke (compound-fault campaign + minimizer, ctest label 'chaos')"
 ctest --test-dir "$BUILD" --output-on-failure -L chaos
 
-step "sanitizers: configure + build ($ASAN_BUILD)"
+step "sanitizers + WERROR: configure + build ($ASAN_BUILD)"
 cmake -B "$ASAN_BUILD" -S "$ROOT" \
-    -DAVSCOPE_SANITIZE="address;undefined"
+    -DAVSCOPE_SANITIZE="address;undefined" -DAVSCOPE_WERROR=ON
 cmake --build "$ASAN_BUILD" -j "$JOBS"
 
 step "sanitizers: ctest (ASan + UBSan, halt on any report)"

@@ -83,7 +83,6 @@ struct RunConfig
     stack::StackOptions stack;
     hw::MachineConfig machine = stack::defaultMachine();
     ros::TransportConfig transport; ///< middleware transport cost
-    stack::NodeCalibration calibration = stack::defaultCalibration();
     /**
      * Fault schedule to arm against this run; empty = clean replay.
      * Folds into the experiment cache key, so a faulted run caches

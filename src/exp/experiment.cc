@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "stack/config.hh"
+
 namespace av::exp {
 
 namespace {
@@ -66,10 +68,7 @@ void
 fold(Hasher &h, const world::RecorderConfig &c)
 {
     h.tag("recorder");
-    h.u64(c.lidarPeriod);
     h.u64(c.cameraPeriod);
-    h.u64(c.gnssPeriod);
-    h.u64(c.imuPeriod);
     h.u64(c.cameraPhase);
 }
 
@@ -83,7 +82,6 @@ fold(Hasher &h, const stack::StackOptions &c)
     h.boolean(c.enableLidarDetection);
     h.boolean(c.enableTracking);
     h.boolean(c.enableCostmap);
-    h.boolean(c.clusterOnGpu);
     h.boolean(c.degraded);
 }
 
@@ -149,7 +147,6 @@ void
 fold(Hasher &h, const ros::TransportConfig &c)
 {
     h.tag("transport");
-    h.u64(c.baseLatency);
     h.f64(c.bandwidthGBs);
 }
 
@@ -159,7 +156,6 @@ fold(Hasher &h, const perception::NodeConfig &c)
     h.tag("node");
     h.f64(c.workScale);
     h.u64(c.tracePeriod);
-    h.f64(c.costJitterCv);
     h.u64(c.cache.sizeBytes);
     h.u64(c.cache.assoc);
     h.u64(c.cache.lineBytes);
@@ -228,13 +224,18 @@ cacheKey(const ExperimentSpec &spec)
     // v8: so are the probe grain, the drain grace and the safety
     // monitor's sample period. v9: so are the degradation thresholds
     // and the safety monitor's track range and gate; degradation is
-    // one flag.
-    h.tag("avscope-exp-v9");
+    // one flag. v10: the node calibration is no longer a RunConfig
+    // field; the key folds stack::defaultCalibration() itself, so
+    // recalibrating stack/config.cc still invalidates every key. The
+    // cost jitter, the CPU-only clustering switch, the transport's
+    // base latency and the LiDAR, GNSS and IMU periods are constants,
+    // gone from the key.
+    h.tag("avscope-exp-v10");
     foldDrive(h, spec);
     fold(h, spec.config.stack);
     fold(h, spec.config.machine);
     fold(h, spec.config.transport);
-    fold(h, spec.config.calibration);
+    fold(h, stack::defaultCalibration());
     fold(h, spec.config.faults);
     fold(h, spec.config.safety);
     h.tag("trace");

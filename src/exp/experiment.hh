@@ -171,8 +171,10 @@ spec()
 /**
  * Content key of the full experiment: every field that influences
  * the replay's measurements — scenario, recorder, drive duration,
- * stack options, machine, transport, calibration and probe grain —
- * folded through FNV-1a into 16 hex digits. Excludes the label.
+ * stack options, machine, transport, faults, safety thresholds,
+ * trace switch and queue-depth overrides — plus the code's node
+ * calibration, folded through FNV-1a into 16 hex digits. Excludes
+ * the label.
  * The encoding carries a format version, so key semantics can be
  * evolved by bumping it (old cache entries simply stop matching).
  */

@@ -4,12 +4,12 @@ namespace av::perception {
 
 PerceptionNode::PerceptionNode(ros::RosGraph &graph, std::string name,
                                const NodeConfig &config)
-    : ros::Node(graph, std::move(name)), config_(config),
+    : ros::Node(graph, std::move(name)),
       arch_(config.cache, config.branch, config.pipeline,
             config.tracePeriod),
       jitterRng_(std::hash<std::string>{}(this->name()))
 {
-    arch_.setOpScale(config_.workScale);
+    arch_.setOpScale(config.workScale);
 }
 
 hw::CpuTask
@@ -18,10 +18,7 @@ PerceptionNode::makeCpuTask(const uarch::InvocationCost &cost,
 {
     hw::CpuTask task;
     task.owner = name();
-    task.cycles = cost.cycles;
-    if (config_.costJitterCv > 0.0)
-        task.cycles *= jitterRng_.logNormalMeanCv(
-            1.0, config_.costJitterCv);
+    task.cycles = cost.cycles * costJitter();
     task.memBytesPerCycle =
         cost.cycles > 0.0 ? cost.dramBytes / cost.cycles : 0.0;
     // Sensitivity: the full L1-miss traffic (DRAM estimate divided

@@ -34,13 +34,6 @@ struct NodeConfig
     double workScale = 1.0;
     /** µarch trace sampling period (1 = every invocation). */
     std::uint32_t tracePeriod = 1;
-    /**
-     * Residual per-invocation cost jitter (coefficient of
-     * variation): the OS/DVFS/cache-weather noise a real node shows
-     * even in isolation (the paper measures ~1 ms of stddev on an
-     * isolated 73 ms detector). Log-normal, deterministic per node.
-     */
-    double costJitterCv = 0.015;
     uarch::CacheConfig cache;
     uarch::BranchConfig branch;
     uarch::PipelineConfig pipeline;
@@ -52,6 +45,14 @@ struct NodeConfig
 class PerceptionNode : public ros::Node
 {
   public:
+    /**
+     * Residual per-invocation cost jitter (coefficient of
+     * variation): the OS/DVFS/cache-weather noise a real node shows
+     * even in isolation (the paper measures ~1 ms of stddev on an
+     * isolated 73 ms detector). Log-normal, deterministic per node.
+     */
+    static constexpr double kCostJitterCv = 0.015;
+
     PerceptionNode(ros::RosGraph &graph, std::string name,
                    const NodeConfig &config = NodeConfig());
 
@@ -106,18 +107,14 @@ class PerceptionNode : public ros::Node
 
     hw::Machine &machine() { return graph_.machine(); }
 
-    /** One residual-jitter factor (see NodeConfig::costJitterCv). */
+    /** One residual-jitter factor (see kCostJitterCv). */
     double
     costJitter()
     {
-        return config_.costJitterCv > 0.0
-                   ? jitterRng_.logNormalMeanCv(
-                         1.0, config_.costJitterCv)
-                   : 1.0;
+        return jitterRng_.logNormalMeanCv(1.0, kCostJitterCv);
     }
 
   private:
-    NodeConfig config_;
     uarch::NodeArchState arch_;
     util::Rng jitterRng_;
 };

@@ -211,10 +211,9 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
 
 EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
                                            const NodeConfig &config,
-                                           const ClusterConfig &cluster,
-                                           bool use_gpu)
+                                           const ClusterConfig &cluster)
     : PerceptionNode(graph, "euclidean_cluster", config),
-      cluster_(cluster), useGpu_(use_gpu),
+      cluster_(cluster),
       pub_(graph.advertise<ObjectList>(topics::lidarObjects, name()))
 {
     subscribe<PoseEstimate>(
@@ -264,13 +263,9 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
                 done();
             };
 
-            if (!useGpu_) {
-                machine().cpu().submit(makeCpuTask(cost, publish));
-                return;
-            }
-            // GPU path: ~35% of the work stays on the CPU
-            // (transforms, extraction); the neighbour search runs as
-            // two kernels on the device.
+            // The CPU keeps the transforms and extraction, 50% of
+            // the measured cost before the device and 45% after; the
+            // neighbour search runs as two kernels on the device.
             const double n = static_cast<double>(cropped.size());
             hw::GpuJob job;
             job.owner = name();

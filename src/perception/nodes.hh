@@ -151,12 +151,10 @@ class EuclideanClusterNode : public PerceptionNode
     EuclideanClusterNode(ros::RosGraph &graph,
                          const NodeConfig &config,
                          const ClusterConfig &cluster =
-                             ClusterConfig(),
-                         bool use_gpu = true);
+                             ClusterConfig());
 
   private:
     ClusterConfig cluster_;
-    bool useGpu_;
     std::optional<PoseEstimate> pose_;
     ros::Publisher<ObjectList> pub_;
 };

@@ -104,7 +104,8 @@ using MessagePtr = std::shared_ptr<const Stamped<T>>;
  */
 struct TransportConfig
 {
-    sim::Tick baseLatency = 150 * sim::oneUs; ///< notify + wakeup
+    /** Notify + wakeup cost of every delivery. */
+    static constexpr sim::Tick kBaseLatency = 150 * sim::oneUs;
     double bandwidthGBs = 2.0; ///< intra-host serialize/copy rate
 };
 
@@ -149,13 +150,6 @@ struct SubscriptionStats
     std::uint64_t dropped = 0;   ///< overwritten before consumption
     std::uint64_t processed = 0; ///< handler invocations
     std::uint64_t crashDiscarded = 0; ///< lost to a node crash window
-
-    double dropRate() const
-    {
-        return delivered ? static_cast<double>(dropped) /
-                               static_cast<double>(delivered)
-                         : 0.0;
-    }
 };
 
 /**
@@ -558,7 +552,7 @@ class Topic final : public TopicBase
             return;
         const double bytes = static_cast<double>(msg.bytes);
         const sim::Tick delay =
-            transport_.baseLatency +
+            TransportConfig::kBaseLatency +
             static_cast<sim::Tick>(bytes /
                                    transport_.bandwidthGBs) +
             bad.extraDelay;

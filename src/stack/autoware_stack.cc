@@ -5,11 +5,11 @@ namespace av::stack {
 AutowareStack::AutowareStack(ros::RosGraph &graph,
                              const pc::PointCloud &map,
                              const StackOptions &options,
-                             const NodeCalibration &calibration,
                              std::optional<geom::Pose2> initial_pose)
     : options_(options)
 {
     using namespace perception;
+    const NodeCalibration calibration = defaultCalibration();
 
     if (options.enableLocalization) {
         voxel_ = std::make_unique<VoxelGridFilterNode>(
@@ -22,8 +22,7 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
         rayGround_ = std::make_unique<RayGroundFilterNode>(
             graph, calibration.rayGroundFilter);
         cluster_ = std::make_unique<EuclideanClusterNode>(
-            graph, calibration.euclideanCluster, ClusterConfig(),
-            options.clusterOnGpu);
+            graph, calibration.euclideanCluster);
     }
     if (options.enableVision) {
         vision_ = std::make_unique<VisionDetectorNode>(

@@ -28,7 +28,6 @@ struct StackOptions
     bool enableLidarDetection = true;///< ray ground + clustering
     bool enableTracking = true;      ///< fusion + tracker + predict
     bool enableCostmap = true;
-    bool clusterOnGpu = true;
     /**
      * Graceful degradation: LiDAR-only fusion, tracker coasting and
      * NDT reseeding (each node's thresholds are its own constants).
@@ -48,11 +47,11 @@ class AutowareStack
      * @param graph middleware bound to the machine under test
      * @param map   point-cloud map for NDT (ndt_mapping output)
      * @param initial_pose operator-provided initial pose for NDT
+     *
+     * Every node runs with its defaultCalibration() parameters.
      */
     AutowareStack(ros::RosGraph &graph, const pc::PointCloud &map,
                   const StackOptions &options = StackOptions(),
-                  const NodeCalibration &calibration =
-                      defaultCalibration(),
                   std::optional<geom::Pose2> initial_pose = {});
 
     ~AutowareStack();

@@ -27,8 +27,8 @@ defaultCalibration()
     // workScale = (sensor-density scale: the simulated LiDAR runs at
     // ~8.5k points/scan versus the ~110k of the paper's unit) x
     // (implementation expansion: PCL/OpenCV instruction overhead per
-    // abstract op). Values set by bench/calibrate against the Fig. 5
-    // means; see EXPERIMENTS.md.
+    // abstract op). Values chosen to land the Fig. 5 means;
+    // see EXPERIMENTS.md.
     NodeCalibration cal;
     cal.voxelGridFilter.workScale = 22.0;
     cal.ndtMatching.workScale = 28.0;

@@ -3,12 +3,13 @@
  * Platform and calibration configuration.
  *
  * defaultMachine() is our analogue of the paper's Table II rig: a
- * 2019-class 6-core workstation with a high-end discrete GPU.
- * defaultNodeConfigs() holds the per-node calibration constants
- * (work scales, detector GPU efficiencies, power weights) that place
- * the simulated node costs in the paper's measured ranges; the
- * derivation is documented in EXPERIMENTS.md and exercised by
- * bench/ablation_platform.
+ * 2019-class 4-core workstation with a high-end discrete GPU.
+ * defaultCalibration() holds the per-node work scales and µarch
+ * trace periods, and gpuParamsFor() the detector GPU efficiencies
+ * and power weights; together they place the simulated node costs in
+ * the paper's measured ranges. They are code constants, not run
+ * knobs: every stack runs them. The derivation is documented in
+ * EXPERIMENTS.md and exercised by bench/ablation_platform.
  */
 
 #ifndef AVSCOPE_STACK_CONFIG_HH

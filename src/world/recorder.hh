@@ -22,13 +22,13 @@ inline constexpr const char *gnss = "/gnss_pose";
 inline constexpr const char *imu = "/imu_raw";
 } // namespace topics
 
-/** Sensor publication rates. */
+/** Sensor publication rates; only the camera's can be varied. */
 struct RecorderConfig
 {
-    sim::Tick lidarPeriod = 100 * sim::oneMs;  ///< 10 Hz
-    sim::Tick cameraPeriod = 66 * sim::oneMs;  ///< ~15 Hz
-    sim::Tick gnssPeriod = sim::oneSec;        ///< 1 Hz
-    sim::Tick imuPeriod = 40 * sim::oneMs;     ///< 25 Hz
+    static constexpr sim::Tick lidarPeriod = 100 * sim::oneMs; ///< 10 Hz
+    static constexpr sim::Tick gnssPeriod = sim::oneSec;       ///< 1 Hz
+    static constexpr sim::Tick imuPeriod = 40 * sim::oneMs;    ///< 25 Hz
+    sim::Tick cameraPeriod = 66 * sim::oneMs; ///< ~15 Hz
     /** Phase offset of the camera versus the LiDAR (real rigs are
      *  not aligned; interference patterns depend on it). */
     sim::Tick cameraPhase = 37 * sim::oneMs;

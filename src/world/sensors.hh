@@ -110,14 +110,6 @@ class CameraModel
     CameraFrame capture(const Scenario &scenario, sim::Tick t,
                         const geom::Pose2 &ego) const;
 
-    /** Serialized byte size of one frame (RGB8). */
-    std::size_t frameBytes() const
-    {
-        return static_cast<std::size_t>(config_.width) *
-                   config_.height * 3 +
-               64;
-    }
-
     const CameraConfig &config() const { return config_; }
 
   private:

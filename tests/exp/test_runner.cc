@@ -208,7 +208,23 @@ TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)
 
 TEST(Runner, CacheKeyCoversEveryReplayField)
 {
-    const auto base = exp::spec();
+    // The base carries one fault with every field set and one
+    // queue-depth override, so each of their fields moves on its own
+    // rather than by the list's length.
+    fault::FaultSpec fault;
+    fault.kind = fault::FaultKind::MessageDelay;
+    fault.start = sim::oneSec;
+    fault.duration = sim::oneSec;
+    fault.target = "/points_raw";
+    fault.probability = 0.5;
+    fault.factor = 0.5;
+    fault.extraDelay = sim::oneMs;
+    fault.respawnDelay = sim::oneMs;
+    fault.watchTopic = "/ndt_pose";
+    fault::FaultPlan plan;
+    plan.faults.push_back(fault);
+    const auto base = exp::spec().faults(plan).queueDepth(
+        "/image_raw", "vision_detection", 2);
     const std::string key = exp::cacheKey(base);
 
     // The label is presentation only.
@@ -216,100 +232,147 @@ TEST(Runner, CacheKeyCoversEveryReplayField)
     relabeled.named("same replay, new name");
     EXPECT_EQ(exp::cacheKey(relabeled), key);
 
-    // Every replay-relevant dimension must move the key.
+    // Every settable replay field must move the key, one case each.
+    using Spec = exp::ExperimentSpec;
     const struct
     {
         const char *what;
-        void (*mutate)(exp::ExperimentSpec &);
+        void (*mutate)(Spec &);
     } cases[] = {
-        {"scenario seed",
-         [](exp::ExperimentSpec &s) { s.scenario.seed += 1; }},
+        {"scenario seed", [](Spec &s) { s.scenario.seed += 1; }},
+        {"scenario block length",
+         [](Spec &s) { s.scenario.blockLength += 1.0; }},
+        {"scenario block width",
+         [](Spec &s) { s.scenario.blockWidth += 1.0; }},
+        {"scenario ego speed",
+         [](Spec &s) { s.scenario.egoSpeed += 1.0; }},
         {"scenario traffic",
-         [](exp::ExperimentSpec &s) { s.scenario.nVehicles += 1; }},
+         [](Spec &s) { s.scenario.nVehicles += 1; }},
+        {"scenario lane offset",
+         [](Spec &s) { s.scenario.vehicleLaneOffset += 0.5; }},
+        {"scenario parked cars",
+         [](Spec &s) { s.scenario.nParked += 1; }},
+        {"scenario pedestrians",
+         [](Spec &s) { s.scenario.nPedestrians += 1; }},
+        {"scenario buildings",
+         [](Spec &s) { s.scenario.nBuildings += 1; }},
         {"drive duration",
-         [](exp::ExperimentSpec &s) {
-             s.driveDuration += sim::oneSec;
-         }},
+         [](Spec &s) { s.driveDuration += sim::oneSec; }},
         {"camera period",
-         [](exp::ExperimentSpec &s) {
-             s.recorder.cameraPeriod += sim::oneMs;
-         }},
+         [](Spec &s) { s.recorder.cameraPeriod += sim::oneMs; }},
+        {"camera phase",
+         [](Spec &s) { s.recorder.cameraPhase += sim::oneMs; }},
         {"detector",
-         [](exp::ExperimentSpec &s) {
-             s.detector(perception::DetectorKind::Yolov3);
+         [](Spec &s) { s.detector(perception::DetectorKind::Yolov3); }},
+        {"vision toggle",
+         [](Spec &s) { s.config.stack.enableVision = false; }},
+        {"localization toggle",
+         [](Spec &s) { s.config.stack.enableLocalization = false; }},
+        {"lidar detection toggle",
+         [](Spec &s) { s.config.stack.enableLidarDetection = false; }},
+        {"tracking toggle",
+         [](Spec &s) { s.config.stack.enableTracking = false; }},
+        {"costmap toggle",
+         [](Spec &s) { s.config.stack.enableCostmap = false; }},
+        {"degradation toggle", [](Spec &s) { s.degraded(); }},
+        {"cpu cores", [](Spec &s) { s.config.machine.cpu.cores += 1; }},
+        {"cpu frequency",
+         [](Spec &s) { s.config.machine.cpu.freqGhz += 0.1; }},
+        {"cpu quantum",
+         [](Spec &s) { s.config.machine.cpu.quantum += sim::oneUs; }},
+        {"cpu memory bandwidth",
+         [](Spec &s) { s.config.machine.cpu.memBandwidthGBs += 1.0; }},
+        {"cpu memory penalty",
+         [](Spec &s) {
+             s.config.machine.cpu.memPenaltyCyclesPerByte += 1.0;
          }},
-        {"stack section toggle",
-         [](exp::ExperimentSpec &s) {
-             s.config.stack.enableTracking = false;
-         }},
-        {"cpu cores",
-         [](exp::ExperimentSpec &s) {
-             s.config.machine.cpu.cores += 1;
-         }},
+        {"cpu memory slowdown cap",
+         [](Spec &s) { s.config.machine.cpu.maxMemSlowdown += 1.0; }},
         {"gpu throughput",
-         [](exp::ExperimentSpec &s) {
-             s.config.machine.gpu.tflops *= 2.0;
+         [](Spec &s) { s.config.machine.gpu.tflops *= 2.0; }},
+        {"gpu memory bandwidth",
+         [](Spec &s) { s.config.machine.gpu.memBandwidthGBs += 1.0; }},
+        {"gpu host link",
+         [](Spec &s) { s.config.machine.gpu.pcieGBs += 1.0; }},
+        {"gpu kernel overhead",
+         [](Spec &s) {
+             s.config.machine.gpu.kernelOverhead += sim::oneUs;
          }},
+        {"gpu copy overhead",
+         [](Spec &s) {
+             s.config.machine.gpu.copyOverhead += sim::oneUs;
+         }},
+        {"gpu compute efficiency",
+         [](Spec &s) { s.config.machine.gpu.computeEfficiency = 0.5; }},
+        {"cpu idle power",
+         [](Spec &s) { s.config.machine.power.cpuIdleW += 0.5; }},
+        {"cpu per-core power",
+         [](Spec &s) { s.config.machine.power.cpuPerCoreW += 0.5; }},
+        {"cpu memory power",
+         [](Spec &s) { s.config.machine.power.cpuMemWPerGBs += 0.5; }},
+        {"gpu idle power",
+         [](Spec &s) { s.config.machine.power.gpuIdleW += 0.5; }},
+        {"gpu dynamic power",
+         [](Spec &s) { s.config.machine.power.gpuMaxDynamicW += 0.5; }},
+        {"gpu copy power",
+         [](Spec &s) { s.config.machine.power.gpuCopyW += 0.5; }},
         {"transport bandwidth",
-         [](exp::ExperimentSpec &s) {
-             s.config.transport.bandwidthGBs *= 2.0;
+         [](Spec &s) { s.config.transport.bandwidthGBs *= 2.0; }},
+        {"fault plan seed", [](Spec &s) { s.config.faults.seed += 1; }},
+        {"fault count",
+         [](Spec &s) {
+             s.config.faults.cameraBlackout(sim::oneSec, sim::oneSec);
          }},
-        {"node calibration",
-         [](exp::ExperimentSpec &s) {
-             s.config.calibration.ndtMatching.workScale *= 1.01;
+        {"fault kind",
+         [](Spec &s) {
+             s.config.faults.faults[0].kind =
+                 fault::FaultKind::MessageCorrupt;
          }},
-        {"degradation toggle",
-         [](exp::ExperimentSpec &s) { s.degraded(); }},
-        {"fault plan",
-         [](exp::ExperimentSpec &s) {
-             s.faults(fault::FaultPlan().cameraBlackout(
-                 sim::oneSec, sim::oneSec));
-         }},
-        {"fault plan seed",
-         [](exp::ExperimentSpec &s) {
-             fault::FaultPlan plan;
-             plan.seed += 1;
-             s.faults(plan);
-         }},
+        {"fault start",
+         [](Spec &s) { s.config.faults.faults[0].start += sim::oneMs; }},
         {"fault window",
-         [](exp::ExperimentSpec &s) {
-             s.faults(fault::FaultPlan().cameraBlackout(
-                 sim::oneSec, 2 * sim::oneSec));
+         [](Spec &s) {
+             s.config.faults.faults[0].duration += sim::oneMs;
          }},
+        {"fault target",
+         [](Spec &s) { s.config.faults.faults[0].target = "/imu_raw"; }},
         {"fault probability",
-         [](exp::ExperimentSpec &s) {
-             s.faults(fault::FaultPlan().frameLoss(
-                 "/points_raw", sim::oneSec, sim::oneSec, 0.25));
+         [](Spec &s) { s.config.faults.faults[0].probability = 0.25; }},
+        {"fault factor",
+         [](Spec &s) { s.config.faults.faults[0].factor = 0.25; }},
+        {"fault extra delay",
+         [](Spec &s) {
+             s.config.faults.faults[0].extraDelay += sim::oneMs;
+         }},
+        {"fault respawn delay",
+         [](Spec &s) {
+             s.config.faults.faults[0].respawnDelay += sim::oneMs;
+         }},
+        {"fault watch topic",
+         [](Spec &s) {
+             s.config.faults.faults[0].watchTopic = "/points_raw";
          }},
         {"safety monitor toggle",
-         [](exp::ExperimentSpec &s) {
-             s.config.safety.enabled = true;
-         }},
-        {"safety threshold",
-         [](exp::ExperimentSpec &s) {
-             s.config.safety.deadlineMs += 1.0;
-         }},
-        {"trace toggle", [](exp::ExperimentSpec &s) { s.traced(); }},
-        {"queue-depth override",
-         [](exp::ExperimentSpec &s) {
-             s.queueDepth("/image_raw", "vision_detection", 2);
-         }},
-        {"camera phase",
-         [](exp::ExperimentSpec &s) {
-             s.recorder.cameraPhase += sim::oneMs;
-         }},
-        {"non-NDT node calibration",
-         [](exp::ExperimentSpec &s) {
-             s.config.calibration.euclideanCluster.workScale *= 1.01;
-         }},
-        {"machine power coefficient",
-         [](exp::ExperimentSpec &s) {
-             s.config.machine.power.cpuPerCoreW += 0.5;
-         }},
-        {"transport base latency",
-         [](exp::ExperimentSpec &s) {
-             s.config.transport.baseLatency += sim::oneUs;
-         }},
+         [](Spec &s) { s.config.safety.enabled = true; }},
+        {"safety track-loss samples",
+         [](Spec &s) { s.config.safety.trackLossSamples += 1; }},
+        {"safety localization bound",
+         [](Spec &s) { s.config.safety.maxLocalizationError += 1.0; }},
+        {"safety deadline",
+         [](Spec &s) { s.config.safety.deadlineMs += 1.0; }},
+        {"safety miss streak",
+         [](Spec &s) { s.config.safety.deadlineMissStreak += 1; }},
+        {"safety liveness window",
+         [](Spec &s) { s.config.safety.livenessAfter += sim::oneMs; }},
+        {"trace toggle", [](Spec &s) { s.traced(); }},
+        {"queue-depth override count",
+         [](Spec &s) { s.queueDepth("/points_raw", "ndt_matching", 2); }},
+        {"queue-depth override topic",
+         [](Spec &s) { s.config.queueDepths[0].topic = "/points_raw"; }},
+        {"queue-depth override node",
+         [](Spec &s) { s.config.queueDepths[0].node = "ndt_matching"; }},
+        {"queue-depth override depth",
+         [](Spec &s) { s.config.queueDepths[0].depth += 1; }},
     };
     for (const auto &c : cases) {
         auto changed = base;

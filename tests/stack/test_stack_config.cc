@@ -65,6 +65,40 @@ TEST(StackConfig, OptionFlagsPruneNodes)
     EXPECT_EQ(stack.trackerNode(), nullptr);
     EXPECT_NE(stack.ndt(), nullptr);
     EXPECT_NE(stack.costmap(), nullptr);
+
+    // LiDAR detection alone: ground filter + clustering, and the
+    // clustering node still turns one obstacle cloud into one object.
+    Rig lidar_rig;
+    StackOptions lidar_only;
+    lidar_only.enableVision = false;
+    lidar_only.enableTracking = false;
+    lidar_only.enableCostmap = false;
+    lidar_only.enableLocalization = false;
+    AutowareStack lidar_stack(*lidar_rig.graph, lidar_rig.map,
+                              lidar_only);
+    EXPECT_EQ(lidar_stack.nodes().size(), 2u);
+
+    // Feed one obstacle cloud through /points_no_ground.
+    pc::PointCloud cloud;
+    util::Rng rng(3);
+    for (int i = 0; i < 300; ++i)
+        cloud.push_back(pc::Point::fromVec(
+            {5.0 + rng.uniform(-0.5, 0.5),
+             rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5)}));
+    int outputs = 0;
+    lidar_rig.graph->topic<perception::ObjectList>(
+                     perception::topics::lidarObjects)
+        .addTap([&](const ros::Stamped<perception::ObjectList> &m) {
+            outputs += static_cast<int>(m.data.objects.size());
+        });
+    ros::Header h;
+    h.stamp = 0;
+    h.origins.lidar = 0;
+    lidar_rig.graph->advertise<pc::PointCloud>(
+                     perception::topics::pointsNoGround)
+        .publish(h, cloud, cloud.byteSize());
+    lidar_rig.eq.runUntil(sim::oneSec);
+    EXPECT_EQ(outputs, 1);
 }
 
 TEST(StackConfig, DetectorSelectionReachesVisionNode)
@@ -116,44 +150,6 @@ TEST(StackConfig, DetectorGpuPresetsOrdered)
     EXPECT_GT(ssd512.efficiency, yolo.efficiency);
     EXPECT_LT(ssd300.powerWeight, ssd512.powerWeight);
     EXPECT_LT(ssd300.powerWeight, yolo.powerWeight);
-}
-
-TEST(StackConfig, ClusterCpuModeRuns)
-{
-    // GPU-less clustering must still wire up and run (ablation
-    // path).
-    Rig rig;
-    StackOptions options;
-    options.clusterOnGpu = false;
-    options.enableVision = false;
-    options.enableTracking = false;
-    options.enableCostmap = false;
-    options.enableLocalization = false;
-    AutowareStack stack(*rig.graph, rig.map, options);
-    EXPECT_EQ(stack.nodes().size(), 2u);
-
-    // Feed one obstacle cloud through /points_no_ground.
-    pc::PointCloud cloud;
-    util::Rng rng(3);
-    for (int i = 0; i < 300; ++i)
-        cloud.push_back(pc::Point::fromVec(
-            {5.0 + rng.uniform(-0.5, 0.5),
-             rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5)}));
-    int outputs = 0;
-    rig.graph->topic<perception::ObjectList>(
-                  perception::topics::lidarObjects)
-        .addTap([&](const ros::Stamped<perception::ObjectList> &m) {
-            outputs += static_cast<int>(m.data.objects.size());
-        });
-    ros::Header h;
-    h.stamp = 0;
-    h.origins.lidar = 0;
-    rig.graph->advertise<pc::PointCloud>(
-                  perception::topics::pointsNoGround)
-        .publish(h, cloud, cloud.byteSize());
-    rig.eq.runUntil(sim::oneSec);
-    EXPECT_EQ(outputs, 1); // one cluster found, no GPU involved
-    EXPECT_EQ(rig.machine->gpu().accounting().jobsCompleted, 0u);
 }
 
 } // namespace

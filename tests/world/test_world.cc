@@ -134,13 +134,6 @@ TEST(Camera, SeesActorsInFrontOnly)
     }
 }
 
-TEST(Camera, FrameBytesMatchResolution)
-{
-    const CameraModel camera;
-    EXPECT_EQ(camera.frameBytes(),
-              static_cast<std::size_t>(1280) * 720 * 3 + 64);
-}
-
 TEST(Gnss, NoiseAroundTruth)
 {
     const Scenario scenario;

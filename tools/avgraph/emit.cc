@@ -10,35 +10,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.hh"
+
 namespace av::graph {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
 
 /** Stable short formatting for rates ("10", "15.1515"). */
 std::string
@@ -53,7 +29,7 @@ std::string
 quote(const std::string &s)
 {
     std::string out = "\"";
-    out += jsonEscape(s);
+    out += util::jsonEscape(s);
     out += '"';
     return out;
 }
