@@ -27,6 +27,7 @@
 
 #include "chaos/chaos.hh"
 #include "common.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 using namespace av;
@@ -120,7 +121,8 @@ writeJson(std::ostream &os,
     os << "  \"detectors\": [\n";
     for (std::size_t d = 0; d < reports.size(); ++d) {
         const DetectorReport &r = reports[d];
-        os << "    {\n      \"name\": \"" << r.name << "\",\n";
+        os << "    {\n      \"name\": \"" << util::jsonEscape(r.name)
+           << "\",\n";
         os << "      \"classes\": {\"recovered\": "
            << r.classCount[0] << ", \"degraded\": "
            << r.classCount[1] << ", \"violated\": "
@@ -131,7 +133,8 @@ writeJson(std::ostream &os,
             os << "        {\"index\": " << out.cell.index
                << ", \"class\": \"" << chaos::cellClassName(out.cls)
                << "\", \"violations\": " << out.violationCount
-               << ", \"first\": \"" << out.firstViolation
+               << ", \"first\": \""
+               << util::jsonEscape(out.firstViolation)
                << "\", \"unrecovered\": " << out.unrecovered
                << ", \"faults\": [";
             for (std::size_t f = 0; f < out.cell.sampled.size();
@@ -167,8 +170,8 @@ writeJson(std::ostream &os,
             const std::vector<std::string> lines =
                 planLines(r.repro.plan);
             for (std::size_t i = 0; i < lines.size(); ++i)
-                os << (i != 0 ? ", " : "") << '"' << lines[i]
-                   << '"';
+                os << (i != 0 ? ", " : "") << '"'
+                   << util::jsonEscape(lines[i]) << '"';
             os << "]}";
         }
         os << "\n    }" << (d + 1 < reports.size() ? "," : "")

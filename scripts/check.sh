@@ -5,7 +5,8 @@
 #      (then the fault-injection smoke by its ctest label)
 #   2. avlint over the whole tree
 #   3. avgraph: the static pub/sub topology contract over src/
-#      (regenerates results/topology.{json,dot}), then the ctest
+#      (regenerates results/topology.{json,dot} and, in a git work
+#      tree, fails when the committed copy differs), then the ctest
 #      label 'graph'
 #   4. trace stage: the ctest label 'trace' (critical-path report +
 #      guarded-optimizer accept/rollback smoke over a traced drive,
@@ -15,8 +16,8 @@
 #   6. rebuild under AddressSanitizer + UBSan with warnings as
 #      errors (-DAVSCOPE_WERROR=ON), then ctest (the suite includes
 #      the algorithm microbench smoke, ctest label 'micro', the
-#      example smokes, label 'examples', and the cache-entry and
-#      sensor-bag mutation fuzzer, CodecFuzz.*),
+#      example smokes, label 'examples', and the cache-entry
+#      mutation fuzzer, CodecFuzz.*),
 #      then the transport microbench, critical-path and
 #      chaos-campaign smokes under the same build
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
@@ -56,6 +57,11 @@ step "avgraph (static pub/sub topology contract, ctest label 'graph')"
 "$BUILD/tools/avgraph/avgraph" --root "$ROOT" \
     --json "$ROOT/results/topology.json" \
     --dot "$ROOT/results/topology.dot"
+# The committed topology must be the one the tree produces.
+if git -C "$ROOT" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git -C "$ROOT" diff --exit-code -- \
+        results/topology.json results/topology.dot
+fi
 ctest --test-dir "$BUILD" --output-on-failure -L graph
 
 step "trace smoke (critical path + guarded optimizer, ctest label 'trace')"
@@ -74,8 +80,7 @@ step "sanitizers: ctest (ASan + UBSan, halt on any report)"
 # every fault class runs under ASan/UBSan here too, and
 # micro_algorithms.smoke (label 'micro'), so every algorithm and
 # probe-cost microbenchmark does, and CodecFuzz.*, so no mutated
-# cache entry or bag reads out of bounds or allocates from a bogus
-# count.
+# cache entry reads out of bounds or allocates from a bogus count.
 ASAN_OPTIONS="detect_leaks=1:abort_on_error=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS"

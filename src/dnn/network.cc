@@ -74,24 +74,6 @@ NetworkSpec::totalWeightBytes() const
     return acc;
 }
 
-double
-NetworkSpec::totalActivationBytes() const
-{
-    double acc = 0.0;
-    for (const LayerSpec &l : layers)
-        acc += l.outputBytes();
-    return acc;
-}
-
-std::size_t
-NetworkSpec::convLayers() const
-{
-    std::size_t n = 0;
-    for (const LayerSpec &l : layers)
-        n += l.kind == LayerKind::Conv;
-    return n;
-}
-
 namespace {
 
 /** Incremental network builder tracking the live tensor shape. */

@@ -68,8 +68,6 @@ struct NetworkSpec
 
     double totalFlops() const;
     double totalWeightBytes() const;
-    double totalActivationBytes() const;
-    std::size_t convLayers() const;
 
     /** Input tensor bytes (fp32 CHW). */
     double inputBytes() const

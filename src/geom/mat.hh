@@ -94,16 +94,6 @@ class Mat
         return out;
     }
 
-    Mat<C, R>
-    transposed() const
-    {
-        Mat<C, R> out;
-        for (std::size_t i = 0; i < R; ++i)
-            for (std::size_t j = 0; j < C; ++j)
-                out(j, i) = (*this)(i, j);
-        return out;
-    }
-
     /** Matrix-vector product with a std::array. */
     std::array<double, R>
     apply(const std::array<double, C> &v) const
@@ -243,51 +233,6 @@ choleskyFactor(const Mat<N, N> &a, Mat<N, N> &l)
         }
     }
     l = out;
-    return true;
-}
-
-/**
- * General NxN inverse via Gauss-Jordan with partial pivoting.
- * @return true on success (|pivot| always > 1e-12).
- */
-template <std::size_t N>
-bool
-inverseGauss(const Mat<N, N> &a, Mat<N, N> &inv)
-{
-    Mat<N, N> work = a;
-    Mat<N, N> out = Mat<N, N>::identity();
-    for (std::size_t col = 0; col < N; ++col) {
-        // Partial pivot.
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < N; ++r)
-            if (std::fabs(work(r, col)) > std::fabs(work(pivot, col)))
-                pivot = r;
-        if (std::fabs(work(pivot, col)) < 1e-12)
-            return false;
-        if (pivot != col) {
-            for (std::size_t c = 0; c < N; ++c) {
-                std::swap(work(pivot, c), work(col, c));
-                std::swap(out(pivot, c), out(col, c));
-            }
-        }
-        const double d = work(col, col);
-        for (std::size_t c = 0; c < N; ++c) {
-            work(col, c) /= d;
-            out(col, c) /= d;
-        }
-        for (std::size_t r = 0; r < N; ++r) {
-            if (r == col)
-                continue;
-            const double f = work(r, col);
-            if (f == 0.0)
-                continue;
-            for (std::size_t c = 0; c < N; ++c) {
-                work(r, c) -= f * work(col, c);
-                out(r, c) -= f * out(col, c);
-            }
-        }
-    }
-    inv = out;
     return true;
 }
 

@@ -48,41 +48,6 @@ Quat::rotate(const Vec3 &v) const
     return v + t * w + qv.cross(t);
 }
 
-Mat3
-Quat::toMatrix() const
-{
-    Mat3 m;
-    const double xx = x * x, yy = y * y, zz = z * z;
-    const double xy = x * y, xz = x * z, yz = y * z;
-    const double wx = w * x, wy = w * y, wz = w * z;
-    m(0, 0) = 1 - 2 * (yy + zz);
-    m(0, 1) = 2 * (xy - wz);
-    m(0, 2) = 2 * (xz + wy);
-    m(1, 0) = 2 * (xy + wz);
-    m(1, 1) = 1 - 2 * (xx + zz);
-    m(1, 2) = 2 * (yz - wx);
-    m(2, 0) = 2 * (xz - wy);
-    m(2, 1) = 2 * (yz + wx);
-    m(2, 2) = 1 - 2 * (xx + yy);
-    return m;
-}
-
-void
-Quat::toRpy(double &roll, double &pitch, double &yaw) const
-{
-    const double sinr = 2.0 * (w * x + y * z);
-    const double cosr = 1.0 - 2.0 * (x * x + y * y);
-    roll = std::atan2(sinr, cosr);
-
-    const double sinp = 2.0 * (w * y - z * x);
-    pitch = std::fabs(sinp) >= 1.0 ? std::copysign(M_PI / 2.0, sinp)
-                                   : std::asin(sinp);
-
-    const double siny = 2.0 * (w * z + x * y);
-    const double cosy = 1.0 - 2.0 * (y * y + z * z);
-    yaw = std::atan2(siny, cosy);
-}
-
 double
 Quat::yaw() const
 {

@@ -7,7 +7,6 @@
 #ifndef AVSCOPE_GEOM_POSE_HH
 #define AVSCOPE_GEOM_POSE_HH
 
-#include "geom/mat.hh"
 #include "geom/vec.hh"
 
 namespace av::geom {
@@ -35,12 +34,6 @@ struct Quat
     /** Rotate a vector. */
     Vec3 rotate(const Vec3 &v) const;
 
-    /** Rotation matrix. */
-    Mat3 toMatrix() const;
-
-    /** Roll/pitch/yaw extraction. */
-    void toRpy(double &roll, double &pitch, double &yaw) const;
-
     /** Yaw only (cheap; the planar stack mostly needs this). */
     double yaw() const;
 
@@ -53,13 +46,6 @@ struct Pose
 {
     Vec3 t;
     Quat r;
-
-    static Pose
-    fromXyzRpy(double x, double y, double z,
-               double roll, double pitch, double yaw)
-    {
-        return {{x, y, z}, Quat::fromRpy(roll, pitch, yaw)};
-    }
 
     /** Apply to a point: r * p + t. */
     Vec3 apply(const Vec3 &p) const { return r.rotate(p) + t; }

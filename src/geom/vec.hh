@@ -115,13 +115,6 @@ squaredDistance(const Vec3 &a, const Vec3 &b)
     return (a - b).squaredNorm();
 }
 
-/** Euclidean distance between two 3-D points. */
-inline double
-distance(const Vec3 &a, const Vec3 &b)
-{
-    return (a - b).norm();
-}
-
 } // namespace av::geom
 
 #endif // AVSCOPE_GEOM_VEC_HH

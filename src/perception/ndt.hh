@@ -62,7 +62,6 @@ class NdtMatcher
                 uarch::KernelProfiler prof = uarch::KernelProfiler());
 
     bool hasMap() const { return grid_.voxelCount() > 0; }
-    std::size_t mapVoxels() const { return grid_.voxelCount(); }
 
     /**
      * Align @p source (vehicle frame, z above ground) to the map,

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#include "perception/euclidean_cluster.hh"
+#include "perception/fusion.hh"
+#include "perception/motion_predict.hh"
+#include "perception/ray_ground_filter.hh"
 #include "util/logging.hh"
 #include "world/recorder.hh"
 
@@ -17,14 +21,21 @@ share(T value)
     return std::make_shared<T>(std::move(value));
 }
 
+/** Every node runs its algorithm at the config type's defaults. */
+constexpr double kVoxelLeaf = 1.5;
+constexpr RayGroundConfig kRayGround{};
+constexpr ClusterConfig kCluster{};
+constexpr FusionConfig kFusion{};
+constexpr PredictConfig kPredict{};
+constexpr CostmapConfig kCostmap{};
+
 } // namespace
 
 // ---------------------------------------------------------------- voxel
 
 VoxelGridFilterNode::VoxelGridFilterNode(ros::RosGraph &graph,
-                                         const NodeConfig &config,
-                                         double leaf)
-    : PerceptionNode(graph, "voxel_grid_filter", config), leaf_(leaf),
+                                         const NodeConfig &config)
+    : PerceptionNode(graph, "voxel_grid_filter", config),
       pub_(graph.advertise<pc::PointCloud>(topics::filteredPoints, name()))
 {
     subscribe<pc::PointCloud>(
@@ -33,7 +44,7 @@ VoxelGridFilterNode::VoxelGridFilterNode(ros::RosGraph &graph,
                std::function<void()> done) {
             beginWork();
             auto out =
-                share(pc::voxelGridDownsample(msg.data, leaf_,
+                share(pc::voxelGridDownsample(msg.data, kVoxelLeaf,
                                               profiler()));
             const auto header = deriveHeader(msg.header);
             finishWorkOnCpu([this, out, header, done = std::move(done)] {
@@ -53,9 +64,8 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
                                  const NodeConfig &config,
                                  const pc::PointCloud &map,
                                  std::optional<geom::Pose2> initial_pose,
-                                 const NdtConfig &ndt,
                                  bool degraded)
-    : PerceptionNode(graph, "ndt_matching", config), matcher_(ndt),
+    : PerceptionNode(graph, "ndt_matching", config),
       initialPose_(initial_pose), degraded_(degraded),
       pub_(graph.advertise<PoseEstimate>(topics::ndtPose, name()))
 {
@@ -175,10 +185,8 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
 // ----------------------------------------------------------- ray ground
 
 RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
-                                         const NodeConfig &config,
-                                         const RayGroundConfig &filter)
+                                         const NodeConfig &config)
     : PerceptionNode(graph, "ray_ground_filter", config),
-      filter_(filter),
       pubNoGround_(
           graph.advertise<pc::PointCloud>(topics::pointsNoGround,
                                           name())),
@@ -191,7 +199,7 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
                std::function<void()> done) {
             beginWork();
             auto split = share(
-                rayGroundFilter(msg.data, filter_, profiler()));
+                rayGroundFilter(msg.data, kRayGround, profiler()));
             const auto header = deriveHeader(msg.header);
             finishWorkOnCpu([this, split, header, done = std::move(done)] {
                 const std::size_t ngBytes =
@@ -210,10 +218,8 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
 // -------------------------------------------------------------- cluster
 
 EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
-                                           const NodeConfig &config,
-                                           const ClusterConfig &cluster)
+                                           const NodeConfig &config)
     : PerceptionNode(graph, "euclidean_cluster", config),
-      cluster_(cluster),
       pub_(graph.advertise<ObjectList>(topics::lidarObjects, name()))
 {
     subscribe<PoseEstimate>(
@@ -230,9 +236,9 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
                std::function<void()> done) {
             beginWork();
             const pc::PointCloud cropped =
-                cropForClustering(msg.data, cluster_, profiler());
+                cropForClustering(msg.data, kCluster, profiler());
             const auto clusters =
-                euclideanCluster(cropped, cluster_, profiler());
+                euclideanCluster(cropped, kCluster, profiler());
 
             // Clusters are vehicle-frame; ground them in the world
             // with the latest localization estimate.
@@ -362,10 +368,9 @@ VisionDetectorNode::VisionDetectorNode(
 
 RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                                              const NodeConfig &config,
-                                             const FusionConfig &fusion,
                                              bool degraded)
     : PerceptionNode(graph, "range_vision_fusion", config),
-      fusion_(fusion), degraded_(degraded),
+      degraded_(degraded),
       pub_(graph.advertise<ObjectList>(topics::fusedObjects, name()))
 {
     subscribe<PoseEstimate>(
@@ -406,7 +411,7 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                       : geom::Pose2{};
             static const ObjectList no_vision;
             auto fused = share(fuseObjects(msg.data, no_vision, ego,
-                                           fusion_, profiler()));
+                                           kFusion, profiler()));
             ++lidarOnly_;
             const ros::Header header = deriveHeader(msg.header);
             finishWorkOnCpu([this, fused, header, done = std::move(done)] {
@@ -430,7 +435,7 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
             const ObjectList &lidar =
                 lastLidar_ ? lastLidar_->data : empty;
             auto fused = share(fuseObjects(lidar, msg.data, ego,
-                                           fusion_, profiler()));
+                                           kFusion, profiler()));
 
             // Lineage: the fused output derives from this camera
             // list *and* the cached LiDAR list (paper Table IV:
@@ -452,10 +457,8 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
 
 ImmUkfPdaNode::ImmUkfPdaNode(ros::RosGraph &graph,
                              const NodeConfig &config,
-                             const TrackerConfig &tracker,
                              bool degraded)
     : PerceptionNode(graph, "imm_ukf_pda_tracker", config),
-      tracker_(tracker),
       pub_(graph.advertise<ObjectList>(topics::trackedObjects, name()))
 {
     subscribe<ObjectList>(
@@ -536,10 +539,8 @@ TrackRelayNode::TrackRelayNode(ros::RosGraph &graph,
 // -------------------------------------------------------------- predict
 
 NaiveMotionPredictNode::NaiveMotionPredictNode(
-    ros::RosGraph &graph, const NodeConfig &config,
-    const PredictConfig &predict)
+    ros::RosGraph &graph, const NodeConfig &config)
     : PerceptionNode(graph, "naive_motion_prediction", config),
-      predict_(predict),
       pub_(graph.advertise<ObjectList>(topics::predictedObjects, name()))
 {
     subscribe<ObjectList>(
@@ -548,7 +549,7 @@ NaiveMotionPredictNode::NaiveMotionPredictNode(
                std::function<void()> done) {
             beginWork();
             auto predicted = share(
-                predictMotion(msg.data, predict_, profiler()));
+                predictMotion(msg.data, kPredict, profiler()));
             const auto header = deriveHeader(msg.header);
             finishWorkOnCpu([this, predicted, header, done = std::move(done)] {
                 const std::size_t bytes = predicted->byteSize();
@@ -561,10 +562,8 @@ NaiveMotionPredictNode::NaiveMotionPredictNode(
 // -------------------------------------------------------------- costmap
 
 CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
-                                           const NodeConfig &config,
-                                           const CostmapConfig &costmap)
+                                           const NodeConfig &config)
     : PerceptionNode(graph, "costmap_generator", config),
-      costmap_(costmap),
       pub_(graph.advertise<Costmap>(topics::costmap, name()))
 {
     subscribe<PoseEstimate>(
@@ -586,7 +585,7 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
                 pose_ ? geom::Pose2{pose_->position, pose_->yaw}
                       : geom::Pose2{};
             auto map = share(generateObjectCostmap(
-                msg.data, ego, costmap_, profiler()));
+                msg.data, ego, kCostmap, profiler()));
             const auto cost = finishWork();
             auto task = makeCpuTask(cost, nullptr);
             task.owner = "costmap_generator_obj";
@@ -609,7 +608,7 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
                 pose_ ? geom::Pose2{pose_->position, pose_->yaw}
                       : geom::Pose2{};
             auto map = share(generatePointsCostmap(
-                msg.data, ego, costmap_, profiler()));
+                msg.data, ego, kCostmap, profiler()));
             const auto cost = finishWork();
             auto task = makeCpuTask(cost, nullptr);
             task.owner = "costmap_generator_points";

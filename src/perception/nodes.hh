@@ -16,14 +16,10 @@
 #include "dnn/cost.hh"
 #include "dnn/network.hh"
 #include "perception/costmap.hh"
-#include "perception/euclidean_cluster.hh"
-#include "perception/fusion.hh"
 #include "perception/imm_ukf_pda.hh"
-#include "perception/motion_predict.hh"
 #include "perception/ndt.hh"
 #include "perception/node_base.hh"
 #include "perception/objects.hh"
-#include "perception/ray_ground_filter.hh"
 #include "perception/vision_model.hh"
 #include "pointcloud/voxel_grid.hh"
 #include "sim/periodic.hh"
@@ -63,11 +59,9 @@ inline constexpr const char *watched[] = {
 class VoxelGridFilterNode : public PerceptionNode
 {
   public:
-    VoxelGridFilterNode(ros::RosGraph &graph, const NodeConfig &config,
-                        double leaf = 1.5);
+    VoxelGridFilterNode(ros::RosGraph &graph, const NodeConfig &config);
 
   private:
-    double leaf_;
     ros::Publisher<pc::PointCloud> pub_;
 };
 
@@ -90,9 +84,8 @@ class NdtMatchingNode : public PerceptionNode
      */
     NdtMatchingNode(ros::RosGraph &graph, const NodeConfig &config,
                     const pc::PointCloud &map,
-                    std::optional<geom::Pose2> initial_pose = {},
-                    const NdtConfig &ndt = NdtConfig(),
-                    bool degraded = false);
+                    std::optional<geom::Pose2> initial_pose,
+                    bool degraded);
 
     /** Localization gap that triggers a GNSS reseed (degraded). */
     static constexpr sim::Tick kReseedAfter = 500 * sim::oneMs;
@@ -129,13 +122,9 @@ class NdtMatchingNode : public PerceptionNode
 class RayGroundFilterNode : public PerceptionNode
 {
   public:
-    RayGroundFilterNode(ros::RosGraph &graph,
-                        const NodeConfig &config,
-                        const RayGroundConfig &filter =
-                            RayGroundConfig());
+    RayGroundFilterNode(ros::RosGraph &graph, const NodeConfig &config);
 
   private:
-    RayGroundConfig filter_;
     ros::Publisher<pc::PointCloud> pubNoGround_;
     ros::Publisher<pc::PointCloud> pubGround_;
 };
@@ -148,13 +137,9 @@ class RayGroundFilterNode : public PerceptionNode
 class EuclideanClusterNode : public PerceptionNode
 {
   public:
-    EuclideanClusterNode(ros::RosGraph &graph,
-                         const NodeConfig &config,
-                         const ClusterConfig &cluster =
-                             ClusterConfig());
+    EuclideanClusterNode(ros::RosGraph &graph, const NodeConfig &config);
 
   private:
-    ClusterConfig cluster_;
     std::optional<PoseEstimate> pose_;
     ros::Publisher<ObjectList> pub_;
 };
@@ -196,10 +181,7 @@ class RangeVisionFusionNode : public PerceptionNode
      *        camera outage
      */
     RangeVisionFusionNode(ros::RosGraph &graph,
-                          const NodeConfig &config,
-                          const FusionConfig &fusion =
-                              FusionConfig(),
-                          bool degraded = false);
+                          const NodeConfig &config, bool degraded);
 
     /** Vision age beyond which fusion goes LiDAR-only (degraded). */
     static constexpr sim::Tick kVisionStaleAfter = 300 * sim::oneMs;
@@ -208,7 +190,6 @@ class RangeVisionFusionNode : public PerceptionNode
     std::uint64_t lidarOnlyCount() const { return lidarOnly_; }
 
   private:
-    FusionConfig fusion_;
     std::optional<ros::Stamped<ObjectList>> lastLidar_;
     std::optional<PoseEstimate> pose_;
     bool degraded_ = false;
@@ -232,8 +213,7 @@ class ImmUkfPdaNode : public PerceptionNode
      *        going silent
      */
     ImmUkfPdaNode(ros::RosGraph &graph, const NodeConfig &config,
-                  const TrackerConfig &tracker = TrackerConfig(),
-                  bool degraded = false);
+                  bool degraded);
 
     /** Fused-input age beyond which the tracker coasts... */
     static constexpr sim::Tick kCoastAfter = 250 * sim::oneMs;
@@ -278,13 +258,9 @@ class TrackRelayNode : public PerceptionNode
 class NaiveMotionPredictNode : public PerceptionNode
 {
   public:
-    NaiveMotionPredictNode(ros::RosGraph &graph,
-                           const NodeConfig &config,
-                           const PredictConfig &predict =
-                               PredictConfig());
+    NaiveMotionPredictNode(ros::RosGraph &graph, const NodeConfig &config);
 
   private:
-    PredictConfig predict_;
     ros::Publisher<ObjectList> pub_;
 };
 
@@ -296,13 +272,9 @@ class NaiveMotionPredictNode : public PerceptionNode
 class CostmapGeneratorNode : public PerceptionNode
 {
   public:
-    CostmapGeneratorNode(ros::RosGraph &graph,
-                         const NodeConfig &config,
-                         const CostmapConfig &costmap =
-                             CostmapConfig());
+    CostmapGeneratorNode(ros::RosGraph &graph, const NodeConfig &config);
 
   private:
-    CostmapConfig costmap_;
     std::optional<PoseEstimate> pose_;
     ros::Publisher<Costmap> pub_;
 };

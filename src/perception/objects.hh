@@ -24,8 +24,6 @@ enum class Label : std::uint8_t {
     Cyclist,
 };
 
-const char *labelName(Label label);
-
 /** One perceived object at some stage of the pipeline. */
 struct DetectedObject
 {

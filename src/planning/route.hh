@@ -30,7 +30,6 @@ class RouteNetwork
     /** Directed edge a -> b (cost = Euclidean length). */
     void addEdge(std::uint32_t a, std::uint32_t b);
 
-    std::size_t nodeCount() const { return nodes_.size(); }
     const geom::Vec2 &position(std::uint32_t id) const
     {
         return nodes_[id].position;

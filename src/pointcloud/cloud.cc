@@ -4,19 +4,6 @@
 
 namespace av::pc {
 
-PointCloud
-transformed(const PointCloud &in, const geom::Pose &pose)
-{
-    PointCloud out;
-    out.stampNs = in.stampNs;
-    out.points.reserve(in.size());
-    for (const Point &p : in.points) {
-        const geom::Vec3 v = pose.apply(p.vec());
-        out.points.push_back(Point::fromVec(v, p.intensity, p.ring));
-    }
-    return out;
-}
-
 void
 transformInPlace(PointCloud &cloud, const geom::Pose &pose)
 {
@@ -69,21 +56,6 @@ meanAndCovariance(const PointCloud &cloud, geom::Vec3 &mean,
     for (std::uint32_t i = 0; i < cloud.size(); ++i)
         all[i] = i;
     return meanAndCovariance(cloud, all, mean, cov);
-}
-
-PointCloud
-cropByRange(const PointCloud &in, double min_range, double max_range)
-{
-    PointCloud out;
-    out.stampNs = in.stampNs;
-    const double min2 = min_range * min_range;
-    const double max2 = max_range * max_range;
-    for (const Point &p : in.points) {
-        const double r2 = double(p.x) * p.x + double(p.y) * p.y;
-        if (r2 >= min2 && r2 <= max2)
-            out.points.push_back(p);
-    }
-    return out;
 }
 
 } // namespace av::pc

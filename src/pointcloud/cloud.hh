@@ -66,10 +66,7 @@ struct PointCloud
     }
 };
 
-/** Rigidly transform every point: p' = pose.apply(p). */
-PointCloud transformed(const PointCloud &in, const geom::Pose &pose);
-
-/** In-place variant of transformed(). */
+/** Rigidly transform every point in place: p' = pose.apply(p). */
 void transformInPlace(PointCloud &cloud, const geom::Pose &pose);
 
 /** Arithmetic mean of all points; zero for an empty cloud. */
@@ -86,10 +83,6 @@ std::size_t meanAndCovariance(const PointCloud &cloud,
 /** Mean and covariance of a whole cloud. */
 std::size_t meanAndCovariance(const PointCloud &cloud, geom::Vec3 &mean,
                               geom::Mat3 &cov);
-
-/** Crop: keep points whose XY range from origin is within [min,max]. */
-PointCloud cropByRange(const PointCloud &in, double min_range,
-                       double max_range);
 
 } // namespace av::pc
 

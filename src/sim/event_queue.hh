@@ -56,9 +56,6 @@ class EventQueue
     /** True when no live events remain. */
     bool empty() const { return live_ == 0; }
 
-    /** Number of live (not cancelled, not fired) events. */
-    std::size_t pending() const { return live_; }
-
     /** Time of the earliest live event, or maxTick when empty. */
     Tick nextEventTick() const;
 

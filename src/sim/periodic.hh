@@ -51,9 +51,6 @@ class PeriodicTask
     /** True between start() and stop() (or destruction). */
     bool running() const { return running_; }
 
-    /** Firings so far. */
-    std::uint64_t firedCount() const { return count_; }
-
   private:
     void fire();
     void scheduleNext(Tick delay);

@@ -52,13 +52,6 @@ ticksToMs(Tick t)
     return static_cast<double>(t) / static_cast<double>(oneMs);
 }
 
-/** Convert milliseconds (double) to ticks, rounding to nearest. */
-constexpr Tick
-msToTicks(double ms)
-{
-    return static_cast<Tick>(ms * static_cast<double>(oneMs) + 0.5);
-}
-
 } // namespace av::sim
 
 #endif // AVSCOPE_SIM_TICKS_HH

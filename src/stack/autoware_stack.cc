@@ -16,7 +16,7 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
             graph, calibration.voxelGridFilter);
         ndt_ = std::make_unique<NdtMatchingNode>(
             graph, calibration.ndtMatching, map, initial_pose,
-            NdtConfig(), options.degraded);
+            options.degraded);
     }
     if (options.enableLidarDetection) {
         rayGround_ = std::make_unique<RayGroundFilterNode>(
@@ -31,11 +31,9 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
     }
     if (options.enableTracking) {
         fusion_ = std::make_unique<RangeVisionFusionNode>(
-            graph, calibration.rangeVisionFusion, FusionConfig(),
-            options.degraded);
+            graph, calibration.rangeVisionFusion, options.degraded);
         tracker_ = std::make_unique<ImmUkfPdaNode>(
-            graph, calibration.immUkfPda, TrackerConfig(),
-            options.degraded);
+            graph, calibration.immUkfPda, options.degraded);
         relay_ = std::make_unique<TrackRelayNode>(
             graph, calibration.trackRelay);
         predict_ = std::make_unique<NaiveMotionPredictNode>(

@@ -6,19 +6,6 @@
 
 namespace av::trace {
 
-const char *
-eventKindName(EventKind kind)
-{
-    switch (kind) {
-      case EventKind::Publish: return "publish";
-      case EventKind::Deliver: return "deliver";
-      case EventKind::Activation: return "activation";
-      case EventKind::CpuTask: return "cpu_task";
-      case EventKind::GpuKernel: return "gpu_kernel";
-    }
-    return "?";
-}
-
 Span::~Span()
 {
     if (recorder_)

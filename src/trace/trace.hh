@@ -56,9 +56,6 @@ enum class EventKind : std::uint8_t {
     GpuKernel,  ///< one GPU kernel execution (start -> end)
 };
 
-/** Stable name for reports and canonical renderings. */
-const char *eventKindName(EventKind kind);
-
 /**
  * One recorded event. A single POD shape for every kind keeps the
  * stream sortable and serializable; unused fields stay zero.

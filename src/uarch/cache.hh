@@ -106,9 +106,6 @@ class CacheModel
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
 
-    /** Number of sets. */
-    std::uint32_t numSets() const { return numSets_; }
-
     /** Drop all cached lines and zero the statistics. */
     void reset();
 

@@ -7,18 +7,6 @@
 
 namespace av::world {
 
-const char *
-actorClassName(ActorClass cls)
-{
-    switch (cls) {
-      case ActorClass::Car: return "car";
-      case ActorClass::Truck: return "truck";
-      case ActorClass::Pedestrian: return "pedestrian";
-      case ActorClass::Cyclist: return "cyclist";
-    }
-    return "?";
-}
-
 Scenario::Scenario(const ScenarioConfig &config) : config_(config)
 {
     AV_ASSERT(config_.blockLength > 40.0 && config_.blockWidth > 40.0,

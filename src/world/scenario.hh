@@ -34,8 +34,6 @@ enum class ActorClass : std::uint8_t {
     Cyclist,
 };
 
-const char *actorClassName(ActorClass cls);
-
 /** A moving (or parked) traffic participant. */
 struct Actor
 {

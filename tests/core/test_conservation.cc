@@ -15,6 +15,12 @@
  *
  * Both run on a clean 4 s drive and on one with a euclidean_cluster
  * crash plus duplicated image detections.
+ *
+ *  - Per owner, the machine's accounting matches the trace's
+ *    hardware events on a clean 6 s SSD512 drive: GPU active time is
+ *    the sum of the GpuKernel spans, and CPU busy time lies between
+ *    the CpuTask events' nominal compute and their submit-to-retire
+ *    spans (plus one tick per task for the completion's rounding).
  */
 
 #include <map>
@@ -147,6 +153,65 @@ TEST_F(LatencyConservation, CrashAndDuplicateRun)
     EXPECT_GT(result.transport.forcedCopies, 0u);
     checkQueues(run);
     checkNodeSamples(run);
+}
+
+TEST(ResourceConservation, CleanSsd512Run)
+{
+    world::ScenarioConfig scenario;
+    scenario.seed = 2020;
+    prof::RunConfig cfg;
+    cfg.trace = true;
+    ASSERT_EQ(cfg.stack.detector, perception::DetectorKind::Ssd512);
+    prof::CharacterizationRun run(prof::makeDrive(scenario, 6 * oneSec),
+                                  cfg);
+    run.execute();
+
+    struct Owner
+    {
+        double gpuSpanS = 0.0;
+        double cpuNominalS = 0.0;
+        double cpuSpanS = 0.0;
+        std::uint64_t cpuTasks = 0;
+    };
+    std::map<std::string, Owner> owners;
+    const trace::Recorder &rec = run.recorder();
+    for (const trace::Event &ev : rec.canonicalEvents()) {
+        if (ev.kind == trace::EventKind::GpuKernel) {
+            owners[rec.name(ev.node)].gpuSpanS +=
+                sim::ticksToSeconds(ev.end - ev.start);
+        } else if (ev.kind == trace::EventKind::CpuTask) {
+            Owner &o = owners[rec.name(ev.node)];
+            o.cpuNominalS += ev.nominalNs * 1e-9;
+            o.cpuSpanS += sim::ticksToSeconds(ev.end - ev.start);
+            ++o.cpuTasks;
+        }
+    }
+    const auto &gpuActive = run.machine().gpu().accounting()
+                                .activeSecondsByOwner;
+    const auto &cpuBusy = run.machine().cpu().accounting()
+                              .busySecondsByOwner;
+    for (const auto &[owner, seconds] : gpuActive)
+        owners[owner];
+    for (const auto &[owner, seconds] : cpuBusy)
+        owners[owner];
+
+    std::uint64_t kernelOwners = 0;
+    for (const auto &[owner, o] : owners) {
+        const auto gpu = gpuActive.find(owner);
+        const double active = gpu == gpuActive.end() ? 0.0 : gpu->second;
+        EXPECT_NEAR(active, o.gpuSpanS, 1e-9 * o.gpuSpanS) << owner;
+        kernelOwners += o.gpuSpanS > 0.0;
+
+        const auto cpu = cpuBusy.find(owner);
+        const double busy = cpu == cpuBusy.end() ? 0.0 : cpu->second;
+        EXPECT_LE(o.cpuNominalS, busy) << owner;
+        EXPECT_LE(busy, o.cpuSpanS + sim::ticksToSeconds(o.cpuTasks))
+            << owner;
+    }
+    // Guard against a vacuous check: the detector ran kernels and
+    // every stack node ran CPU tasks.
+    EXPECT_GT(kernelOwners, 0u);
+    EXPECT_GE(cpuBusy.size(), run.stack().nodes().size());
 }
 
 } // namespace

@@ -178,13 +178,17 @@ class NetworkInvariantTest
 TEST_P(NetworkInvariantTest, ShapesChain)
 {
     const NetworkSpec net = build();
-    EXPECT_GT(net.convLayers(), 20u);
+    std::size_t convs = 0;
+    double activation_bytes = 0.0;
     for (const LayerSpec &l : net.layers) {
         EXPECT_GT(l.outC, 0u) << l.name;
         EXPECT_GT(l.outH, 0u) << l.name;
         EXPECT_GE(l.flops(), 0.0) << l.name;
+        convs += l.kind == LayerKind::Conv;
+        activation_bytes += l.outputBytes();
     }
-    EXPECT_GT(net.totalActivationBytes(), net.inputBytes());
+    EXPECT_GT(convs, 20u);
+    EXPECT_GT(activation_bytes, net.inputBytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(Networks, NetworkInvariantTest,

@@ -1,21 +1,19 @@
 /**
  * @file
- * Seeded mutation fuzzer for the two on-disk parsers: result-cache
- * entries (ResultCache::load) and sensor bags (loadSensorBag).
+ * Seeded mutation fuzzer for the on-disk parser: result-cache
+ * entries (ResultCache::load).
  *
- * Each corpus file — a real entry of a traced, faulted, degraded
- * run with invariants armed, and a real saved bag — is mutated a
- * few hundred times: a bit flip, a truncation, a count field set to
- * 2^20+1 or 2^32-1, a deleted token (bag: byte range) or a
- * duplicated line (bag: byte range). Every mutant must load as a
- * miss / false, or as a value whose re-serialization is stable
- * (store, reload, store again: same bytes). It must never crash,
- * hang or allocate from a bogus count, which the ASan+UBSan stage
- * of scripts/check.sh checks on the same cases.
+ * The corpus — a real entry of a traced, faulted, degraded run with
+ * invariants armed — is mutated a few hundred times: a bit flip, a
+ * truncation, a count field set to 2^20+1 or 2^32-1, a deleted token
+ * or a duplicated line. Every mutant must load as a miss, or as a
+ * value whose re-serialization is stable (store, reload, store
+ * again: same bytes). It must never crash, hang or allocate from a
+ * bogus count, which the ASan+UBSan stage of scripts/check.sh checks
+ * on the same cases.
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,10 +24,7 @@
 
 #include "exp/runner.hh"
 #include "test_dir.hh"
-#include "util/logging.hh"
 #include "util/random.hh"
-#include "world/bag_io.hh"
-#include "world/recorder.hh"
 
 namespace {
 
@@ -199,113 +194,6 @@ TEST(CodecFuzz, CacheEntryMutantsMissOrReserializeStably)
     EXPECT_GT(loaded, 0);
     EXPECT_LT(loaded, kMutants);
     std::filesystem::remove_all(dir);
-}
-
-/**
- * Offset and width of every count field in a bag saved from
- * @p bag: each channel's u64 message count and each cloud's and
- * frame's u32 element count (a message header is 48 bytes up to
- * that count: seq, stamp, two origins, size, then stampNs or
- * width + height).
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-bagCounts(ros::Bag &bag)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    std::size_t at = 8; // magic + version
-    out.emplace_back(at + 4, 8);
-    at += 12;
-    for (const auto &msg :
-         bag.channel<pc::PointCloud>(world::topics::pointsRaw)
-             .messages()) {
-        out.emplace_back(at + 48, 4);
-        at += 52 + 18 * msg.data.size();
-    }
-    out.emplace_back(at + 4, 8);
-    at += 12;
-    for (const auto &msg :
-         bag.channel<world::CameraFrame>(world::topics::imageRaw)
-             .messages()) {
-        out.emplace_back(at + 48, 4);
-        at += 52 + 69 * msg.data.truth.size();
-    }
-    out.emplace_back(at + 4, 8);
-    at += 12 + 72 * bag.channel<world::GnssFix>(world::topics::gnss)
-                        .count();
-    out.emplace_back(at + 4, 8);
-    return out;
-}
-
-TEST(CodecFuzz, SensorBagMutantsFailOrReserializeStably)
-{
-    world::ScenarioConfig cfg;
-    cfg.seed = 2020;
-    ros::Bag bag;
-    world::recordDrive(world::Scenario(cfg), world::LidarModel(),
-                       world::CameraModel(), world::GnssModel(),
-                       world::ImuModel(), sim::oneSec / 5,
-                       world::RecorderConfig(), bag);
-    const std::string dir = test::freshTestDir();
-    const std::string path = dir + "/corpus.avbg";
-    const std::string again = dir + "/again.avbg";
-    ASSERT_TRUE(world::saveSensorBag(bag, path));
-    const std::string corpus = fileBytes(path);
-    const auto counts = bagCounts(bag);
-    // The IMU channel's 64-byte records run to the end of file.
-    const std::size_t imuBytes =
-        64 * bag.channel<world::ImuSample>(world::topics::imu).count();
-    ASSERT_EQ(counts.back().first + 8 + imuBytes, corpus.size())
-        << "count offsets do not match the saved layout";
-
-    const util::LogLevel before = util::logThreshold();
-    util::setLogThreshold(util::LogLevel::Error);
-    util::Rng rng(2021);
-    int loaded = 0;
-    for (int m = 0; m < kMutants; ++m) {
-        std::string mutant = corpus;
-        switch (pick(rng, 5)) {
-        case 0:
-            flipBit(rng, mutant);
-            break;
-        case 1:
-            mutant.resize(pick(rng, mutant.size()));
-            break;
-        case 2: {
-            const auto [at, width] = counts[pick(rng, counts.size())];
-            const std::uint64_t value = bomb(rng);
-            for (std::size_t b = 0; b < width; ++b)
-                mutant[at + b] = static_cast<char>(value >> (8 * b));
-            break;
-        }
-        case 3:
-            mutant.erase(pick(rng, mutant.size()),
-                         1 + pick(rng, 8));
-            break;
-        default: {
-            const std::size_t at = pick(rng, mutant.size());
-            mutant.insert(at, mutant.substr(at, 1 + pick(rng, 64)));
-            break;
-        }
-        }
-        writeBytes(path, mutant);
-        ros::Bag fromMutant;
-        if (!world::loadSensorBag(fromMutant, path))
-            continue;
-        ++loaded;
-        ASSERT_TRUE(world::saveSensorBag(fromMutant, again));
-        const std::string once = fileBytes(again);
-        ros::Bag reloaded;
-        ASSERT_TRUE(world::loadSensorBag(reloaded, again))
-            << "mutant " << m;
-        ASSERT_TRUE(world::saveSensorBag(reloaded, again));
-        EXPECT_EQ(fileBytes(again), once)
-            << "mutant " << m << " does not re-serialize stably";
-    }
-    util::setLogThreshold(before);
-    EXPECT_GT(loaded, 0);
-    EXPECT_LT(loaded, kMutants);
-    std::remove(path.c_str());
-    std::remove(again.c_str());
 }
 
 } // namespace

@@ -1,12 +1,12 @@
 /**
  * @file
- * Golden pin of the two on-disk formats' bytes.
+ * Golden pin of the on-disk format's bytes: the result-cache entry.
  *
  * The result-cache entries of four seed-2020 runs — three of 4 s
  * (clean with a spaced label, traced, faulted + degraded +
  * invariants) and a 12 s escalated run that fires all four invariant
- * kinds — and a saved 2 s sensor bag are hashed (FNV-1a 64) and
- * compared against tests/exp/golden_codec.txt. Together the runs leave
+ * kinds — are hashed (FNV-1a 64) and compared against
+ * tests/exp/golden_codec.txt. Together the runs leave
  * no cache section empty, so any change to how a field is written
  * (order, encoding, separator) moves a hash. Regenerate after an
  * intentional format change (which must also bump its version)
@@ -16,7 +16,6 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -29,8 +28,6 @@
 
 #include "exp/runner.hh"
 #include "test_dir.hh"
-#include "world/bag_io.hh"
-#include "world/recorder.hh"
 
 namespace {
 
@@ -159,30 +156,6 @@ TEST(CodecGolden, CacheEntryBytesMatchGolden)
     EXPECT_EQ(kinds.size(), 4u);
     std::filesystem::remove_all(dir);
     checkGolden(actual, "golden_codec.txt");
-}
-
-TEST(CodecGolden, SensorBagBytesMatchGolden)
-{
-    world::ScenarioConfig cfg;
-    cfg.seed = 2020;
-    const world::Scenario scenario(cfg);
-    ros::Bag bag;
-    world::recordDrive(scenario, world::LidarModel(),
-                       world::CameraModel(), world::GnssModel(),
-                       world::ImuModel(), 2 * sim::oneSec,
-                       world::RecorderConfig(), bag);
-
-    const std::string path = test::freshTestDir() + "/bag.avbg";
-    ASSERT_TRUE(world::saveSensorBag(bag, path));
-    const std::string bytes = fileBytes(path);
-
-    // Load and re-save: the bag must reproduce its bytes.
-    ros::Bag loaded;
-    ASSERT_TRUE(world::loadSensorBag(loaded, path));
-    ASSERT_TRUE(world::saveSensorBag(loaded, path));
-    EXPECT_EQ(fileBytes(path), bytes) << "bag does not round-trip";
-    std::remove(path.c_str());
-    checkGolden(pin("bag_2s", bytes), "golden_codec_bag.txt");
 }
 
 } // namespace

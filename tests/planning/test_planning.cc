@@ -22,7 +22,6 @@ TEST(Route, PlansAlongLoop)
 {
     const RouteNetwork net = RouteNetwork::fromLoop(
         {{0, 0}, {100, 0}, {100, 60}, {0, 60}}, 5.0);
-    EXPECT_GT(net.nodeCount(), 50u);
     const auto path = net.plan(geom::Vec2{2, 0}, geom::Vec2{98, 0});
     ASSERT_GE(path.size(), 2u);
     EXPECT_NEAR(path.front().x, 0.0, 6.0);

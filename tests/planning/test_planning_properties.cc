@@ -39,16 +39,20 @@ class RouteShapeTest
 
 TEST_P(RouteShapeTest, PlanReachesEveryNodeFromEveryStart)
 {
-    const RouteNetwork net =
-        RouteNetwork::fromLoop(polygon(), 6.0);
+    const std::vector<geom::Vec2> corners = polygon();
+    const RouteNetwork net = RouteNetwork::fromLoop(corners, 6.0);
     util::Rng rng(5);
+    // The node nearest a uniformly drawn point on the loop.
+    const auto anyNode = [&] {
+        const auto k = static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<long>(corners.size()) - 1));
+        const geom::Vec2 a = corners[k];
+        const geom::Vec2 b = corners[(k + 1) % corners.size()];
+        return net.nearestNode(a + (b - a) * rng.uniform(0.0, 1.0));
+    };
     for (int trial = 0; trial < 10; ++trial) {
-        const auto from = static_cast<std::uint32_t>(
-            rng.uniformInt(0,
-                           static_cast<long>(net.nodeCount()) - 1));
-        const auto to = static_cast<std::uint32_t>(
-            rng.uniformInt(0,
-                           static_cast<long>(net.nodeCount()) - 1));
+        const std::uint32_t from = anyNode();
+        const std::uint32_t to = anyNode();
         const auto path = net.plan(from, to);
         ASSERT_FALSE(path.empty());
         EXPECT_NEAR((path.front() - net.position(from)).norm(), 0.0,

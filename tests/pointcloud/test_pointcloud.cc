@@ -41,9 +41,10 @@ randomCloud(std::size_t n, std::uint64_t seed, double span = 50.0)
 TEST(Cloud, TransformRoundTrip)
 {
     const PointCloud cloud = randomCloud(100, 1);
-    const av::geom::Pose pose =
-        av::geom::Pose::fromXyzRpy(3, -2, 1, 0.1, 0.0, 0.7);
-    PointCloud moved = transformed(cloud, pose);
+    const av::geom::Pose pose{{3, -2, 1},
+                              av::geom::Quat::fromRpy(0.1, 0.0, 0.7)};
+    PointCloud moved = cloud;
+    transformInPlace(moved, pose);
     transformInPlace(moved, pose.inverse());
     for (std::size_t i = 0; i < cloud.size(); ++i) {
         EXPECT_NEAR(moved[i].x, cloud[i].x, 1e-4);
@@ -77,17 +78,6 @@ TEST(Cloud, MeanAndCovariance)
     EXPECT_NEAR(cov(0, 0), 11.0, 1e-9); // var of -5..5 = 11
     EXPECT_NEAR(cov(1, 1), 0.0, 1e-9);
     EXPECT_NEAR(cov(0, 1), 0.0, 1e-9);
-}
-
-TEST(Cloud, CropByRange)
-{
-    PointCloud c;
-    c.push_back(Point::fromVec({1, 0, 0}));
-    c.push_back(Point::fromVec({10, 0, 0}));
-    c.push_back(Point::fromVec({100, 0, 0}));
-    const PointCloud cropped = cropByRange(c, 2.0, 50.0);
-    ASSERT_EQ(cropped.size(), 1u);
-    EXPECT_FLOAT_EQ(cropped[0].x, 10.0f);
 }
 
 TEST(KdTree, RadiusMatchesBruteForce)

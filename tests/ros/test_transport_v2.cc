@@ -255,7 +255,7 @@ TEST(TransportV2, TapsObserveMessagesAtRest)
 {
     // Bags record via taps before the arrival stamp is sealed into
     // the loan: recorded messages must look exactly like v1's
-    // (arrival 0), or bag files would change byte-for-byte.
+    // (arrival 0), or recorded drives would replay differently.
     Fixture f;
     Node node(f.graph, "sink");
     node.subscribe<CopyCounted>(

@@ -28,7 +28,6 @@ TEST(PeriodicTask, FiresAtExactPeriods)
     ASSERT_EQ(times.size(), 4u); // t = 0, 100, 200, 300 ms
     EXPECT_EQ(times[0], 0u);
     EXPECT_EQ(times[3], 300 * oneMs);
-    EXPECT_EQ(task.firedCount(), 4u);
 }
 
 TEST(PeriodicTask, PhaseOffset)

@@ -15,6 +15,13 @@ namespace {
 using namespace av;
 using sim::oneMs;
 
+/** Milliseconds to ticks, rounded to nearest. */
+sim::Tick
+msTicks(double ms)
+{
+    return static_cast<sim::Tick>(ms * static_cast<double>(oneMs) + 0.5);
+}
+
 /**
  * Record one activation of @p node with the given shape: trigger
  * arrives at 0, dispatch after @p wait_ms, done @p span_ms later;
@@ -27,14 +34,13 @@ addActivation(trace::Recorder &rec, const std::string &node,
 {
     const trace::Id n = rec.intern(node);
     const trace::Id topic = rec.intern("/in_" + node);
-    const sim::Tick start = sim::msToTicks(wait_ms);
-    const sim::Tick end = start + sim::msToTicks(span_ms);
+    const sim::Tick start = msTicks(wait_ms);
+    const sim::Tick end = start + msTicks(span_ms);
     trace::Span span = rec.beginActivation(n, topic, 1, 0, start);
     if (cpu_ms > 0.0)
         rec.recordCpuTask(n, start, end, cpu_ms * 1e6);
     if (gpu_ms > 0.0)
-        rec.recordGpuKernel(n, start,
-                            start + sim::msToTicks(gpu_ms));
+        rec.recordGpuKernel(n, start, start + msTicks(gpu_ms));
     span.end(end);
 }
 
