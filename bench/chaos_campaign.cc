@@ -17,7 +17,7 @@
  *   --campaign <n>     cells per detector (default 10; 4 in smoke)
  *   --invariants <s>   safety thresholds: default | strict | loose
  *   --smoke            one detector, four cells (CI)
- *   --json <path>      machine-readable output (skipped in smoke)
+ *   --json <path>      machine-readable output (in smoke mode too)
  */
 
 #include <cstdio>
@@ -318,7 +318,7 @@ main(int argc, char **argv)
               "sampler or monitor regressed");
 
     const std::string jsonPath = env.options().text("json");
-    if (!jsonPath.empty() && !smoke) {
+    if (!jsonPath.empty()) {
         std::ofstream os(jsonPath, std::ios::trunc);
         if (os) {
             writeJson(os, reports, shape);

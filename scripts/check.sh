@@ -23,8 +23,9 @@
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
 #      pool and result cache run real threads; TSan proves the
 #      isolation contract DESIGN.md §10 describes), the Runner tests
-#      three more times (their interleavings vary run to run), then
-#      the same three smokes again
+#      three more times (their interleavings vary run to run: the
+#      drive memo, the clustering its replays share and the map
+#      fill), then the same three smokes again
 #
 # Usage: scripts/check.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 # Exit code is non-zero if any stage fails.
@@ -109,7 +110,7 @@ step "sanitizers: ctest (TSan, halt on any report)"
 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS"
 
-step "Runner tests, repeated (TSan): drive memo and concurrent map fill"
+step "Runner tests, repeated (TSan): drive memo, shared clustering and concurrent map fill"
 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -R 'Runner\.' \
     --repeat until-fail:3

@@ -44,6 +44,10 @@ struct DriveData
     /** Operator-provided initial pose (Autoware's rviz "2D Pose
      *  Estimate"): the ego's ground-truth pose at t = 0. */
     geom::Pose2 initialPose;
+    /** euclidean_cluster's invocations, shared by every replay of
+     *  this drive (perception::ClusterMemo). Only the experiment
+     *  Runner attaches one; a drive without it clusters live. */
+    std::shared_ptr<perception::ClusterMemo> clusterMemo;
 };
 
 /**

@@ -165,6 +165,17 @@ Runner::runJob(Job &job)
 
 namespace {
 
+/** Scans on the drive's /points_raw channel. */
+std::size_t
+lidarScans(const ros::Bag &bag)
+{
+    for (const ros::BagChannelBase *channel : bag.channels()) {
+        if (channel->name() == world::topics::pointsRaw)
+            return channel->count();
+    }
+    return 0;
+}
+
 /**
  * Resolve @p slot exactly once: the first caller claims it and runs
  * @p produce; every caller then waits on the slot's future. A
@@ -219,8 +230,16 @@ Runner::driveFor(const ExperimentSpec &spec)
             util::inform("recording drive ", key, " (",
                          sim::ticksToSeconds(spec.driveDuration),
                          " s)");
-            return prof::recordDriveBag(
-                spec.scenario, spec.driveDuration, spec.recorder);
+            std::shared_ptr<prof::DriveData> made =
+                prof::recordDriveBag(spec.scenario,
+                                     spec.driveDuration, spec.recorder);
+            made->clusterMemo =
+                std::make_shared<perception::ClusterMemo>(
+                    perception::ClusterMemo::kEntriesPerScan *
+                    lidarScans(made->bag));
+            std::lock_guard<std::mutex> lock(driveMutex_);
+            memo->clusters = made->clusterMemo;
+            return made;
         });
     if (spec.config.stack.enableLocalization) {
         // The map is written before its future resolves, and read
@@ -239,6 +258,18 @@ Runner::driveFor(const ExperimentSpec &spec)
         });
     }
     return drive;
+}
+
+std::size_t
+Runner::clustersShared() const
+{
+    std::lock_guard<std::mutex> lock(driveMutex_);
+    std::size_t hits = 0;
+    for (const auto &[key, memo] : drives_) {
+        if (memo.clusters)
+            hits += memo.clusters->hits();
+    }
+    return hits;
 }
 
 std::string

@@ -9,8 +9,9 @@
  * RNG streams are all per-run objects), so runs are independent
  * pure functions of their spec and can execute on any thread in any
  * order. The only cross-thread structures are this class's job
- * queue, the drive memo and the logger — all mutex- or
- * atomic-protected and none feeding measurements. Results are
+ * queue, the drive memo, each drive's ClusterMemo and the logger —
+ * all mutex- or atomic-protected. A ClusterMemo entry does feed a
+ * replay, but only with what that replay would compute itself. Results are
  * therefore byte-identical for any worker count, which
  * tests/exp/test_runner.cc asserts.
  *
@@ -21,6 +22,18 @@
  * comes from. A drive's NDT map is built at most once too, and only
  * for the first job whose stack localizes: a batch of isolated
  * (Fig. 8) replays records the bag and never runs the mapping pass.
+ *
+ * A drive's replays also share euclidean_cluster's invocations
+ * through the perception::ClusterMemo the Runner attaches to it.
+ * An entry is keyed by (parent entry, LiDAR stamp), a trie of the
+ * node's whole input history, and holds the clusters, the cropped
+ * point count, the invocation cost and the node's µarch state after
+ * the call. A replay whose history reaches a stored entry adopts it
+ * instead of running the kernel; its results are byte-identical to
+ * computing live. The budget is ClusterMemo::kEntriesPerScan entries
+ * per LiDAR scan of the bag; once it is spent, misses compute live
+ * and store nothing. Drives made outside the Runner (makeDrive)
+ * carry no memo and cluster live.
  */
 
 #ifndef AVSCOPE_EXP_RUNNER_HH
@@ -138,6 +151,10 @@ class Runner
      *  that only non-localizing replays used. */
     std::size_t mapsBuilt() const { return mapsBuilt_.load(); }
 
+    /** euclidean_cluster invocations a replay adopted from its
+     *  drive's ClusterMemo instead of computing them. */
+    std::size_t clustersShared() const;
+
   private:
     struct Job
     {
@@ -188,9 +205,11 @@ class Runner
          * it is written.
          */
         std::shared_future<void> map;
+        /** The drive's ClusterMemo, once the bag is recorded. */
+        std::shared_ptr<perception::ClusterMemo> clusters;
     };
 
-    std::mutex driveMutex_; ///< guards drives_ and every DriveMemo
+    mutable std::mutex driveMutex_; ///< guards drives_ and every DriveMemo
     std::map<std::string, DriveMemo> drives_; ///< by driveKey
 
     std::atomic<std::size_t> cacheHits_{0};

@@ -129,14 +129,6 @@ OrientedBox::corners(Vec2 out[4]) const
     out[3] = pose.apply({+hl, -hw});
 }
 
-bool
-OrientedBox::containsXy(const Vec2 &world) const
-{
-    const Vec2 local = pose.toLocal(world);
-    return std::fabs(local.x) <= length * 0.5 &&
-           std::fabs(local.y) <= width * 0.5;
-}
-
 Aabb
 OrientedBox::aabb() const
 {

@@ -124,9 +124,6 @@ struct OrientedBox
     /** Footprint corners in world frame (counterclockwise). */
     void corners(Vec2 out[4]) const;
 
-    /** True when the world-frame point lies inside the footprint. */
-    bool containsXy(const Vec2 &world) const;
-
     /** Conservative world-frame AABB. */
     Aabb aabb() const;
 };

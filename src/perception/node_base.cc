@@ -7,7 +7,7 @@ PerceptionNode::PerceptionNode(ros::RosGraph &graph, std::string name,
     : ros::Node(graph, std::move(name)),
       arch_(config.cache, config.branch, config.pipeline,
             config.tracePeriod),
-      jitterRng_(std::hash<std::string>{}(this->name()))
+      jitterRng_(util::stringHash(this->name()))
 {
     arch_.setOpScale(config.workScale);
 }

@@ -217,9 +217,11 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
 
 // -------------------------------------------------------------- cluster
 
-EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
-                                           const NodeConfig &config)
+EuclideanClusterNode::EuclideanClusterNode(
+    ros::RosGraph &graph, const NodeConfig &config,
+    std::shared_ptr<ClusterMemo> memo)
     : PerceptionNode(graph, "euclidean_cluster", config),
+      memo_(std::move(memo)),
       pub_(graph.advertise<ObjectList>(topics::lidarObjects, name()))
 {
     subscribe<PoseEstimate>(
@@ -234,11 +236,9 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
         topics::pointsNoGround, 1,
         [this](const ros::Stamped<pc::PointCloud> &msg,
                std::function<void()> done) {
-            beginWork();
-            const pc::PointCloud cropped =
-                cropForClustering(msg.data, kCluster, profiler());
-            const auto clusters =
-                euclideanCluster(cropped, kCluster, profiler());
+            const std::shared_ptr<const ClusterInvocation> result =
+                cluster(msg);
+            const std::vector<Cluster> &clusters = result->clusters;
 
             // Clusters are vehicle-frame; ground them in the world
             // with the latest localization estimate.
@@ -261,7 +261,7 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
                 list->objects.push_back(std::move(obj));
             }
 
-            const auto cost = finishWork();
+            const uarch::InvocationCost &cost = result->cost;
             const auto header = deriveHeader(msg.header);
             const auto publish = [this, list, header, done = std::move(done)] {
                 const std::size_t bytes = list->byteSize();
@@ -272,7 +272,8 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
             // The CPU keeps the transforms and extraction, 50% of
             // the measured cost before the device and 45% after; the
             // neighbour search runs as two kernels on the device.
-            const double n = static_cast<double>(cropped.size());
+            const double n =
+                static_cast<double>(result->croppedPoints);
             hw::GpuJob job;
             job.owner = name();
             job.h2dBytes = n * 16.0;
@@ -298,6 +299,35 @@ EuclideanClusterNode::EuclideanClusterNode(ros::RosGraph &graph,
                 makeCpuTask(post, nullptr)));
             hw::runPhases(machine(), std::move(phases), publish);
         });
+}
+
+std::shared_ptr<const ClusterInvocation>
+EuclideanClusterNode::cluster(const ros::Stamped<pc::PointCloud> &msg)
+{
+    const auto live = [&] {
+        beginWork();
+        ClusterInvocation out;
+        const pc::PointCloud cropped =
+            cropForClustering(msg.data, kCluster, profiler());
+        out.clusters = euclideanCluster(cropped, kCluster, profiler());
+        out.croppedPoints = cropped.size();
+        out.cost = finishWork();
+        return out;
+    };
+    if (!memo_)
+        return share(live());
+    const ClusterMemo::Step step =
+        memo_->step(memoAt_, msg.header.origins.lidar, [&] {
+            ClusterInvocation result = live();
+            return ClusterMemo::Entry{std::move(result), arch()};
+        });
+    if (step.adopt)
+        arch() = step.entry->after;
+    memoAt_ = step.at;
+    if (!step.stored)
+        memo_.reset();
+    // Aliasing: the result lives as long as its entry.
+    return {step.entry, &step.entry->result};
 }
 
 // --------------------------------------------------------------- vision

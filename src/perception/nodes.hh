@@ -15,6 +15,7 @@
 
 #include "dnn/cost.hh"
 #include "dnn/network.hh"
+#include "perception/cluster_memo.hh"
 #include "perception/costmap.hh"
 #include "perception/imm_ukf_pda.hh"
 #include "perception/ndt.hh"
@@ -137,10 +138,22 @@ class RayGroundFilterNode : public PerceptionNode
 class EuclideanClusterNode : public PerceptionNode
 {
   public:
-    EuclideanClusterNode(ros::RosGraph &graph, const NodeConfig &config);
+    /**
+     * @param memo the drive's shared invocations (see ClusterMemo);
+     *             null computes every invocation live
+     */
+    EuclideanClusterNode(ros::RosGraph &graph, const NodeConfig &config,
+                         std::shared_ptr<ClusterMemo> memo = nullptr);
 
   private:
+    /** Crop and cluster one cloud, or adopt the memo's result. */
+    std::shared_ptr<const ClusterInvocation>
+    cluster(const ros::Stamped<pc::PointCloud> &msg);
+
     std::optional<PoseEstimate> pose_;
+    /** Reset once the memo's budget is spent. */
+    std::shared_ptr<ClusterMemo> memo_;
+    ClusterMemo::Id memoAt_ = ClusterMemo::kRoot; ///< our history
     ros::Publisher<ObjectList> pub_;
 };
 

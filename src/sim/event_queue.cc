@@ -48,17 +48,6 @@ EventQueue::popCancelled()
     }
 }
 
-Tick
-EventQueue::nextEventTick() const
-{
-    // const_cast-free variant: scan is not possible on priority_queue,
-    // so callers get the head which may be cancelled; keep it exact by
-    // cleaning first through a const_cast on the mutable pattern.
-    auto *self = const_cast<EventQueue *>(this);
-    self->popCancelled();
-    return queue_.empty() ? maxTick : queue_.top().when;
-}
-
 bool
 EventQueue::step()
 {

@@ -56,9 +56,6 @@ class EventQueue
     /** True when no live events remain. */
     bool empty() const { return live_ == 0; }
 
-    /** Time of the earliest live event, or maxTick when empty. */
-    Tick nextEventTick() const;
-
     /**
      * Run events until the queue drains or @p limit is passed.
      * Events scheduled exactly at @p limit still run; the clock never

@@ -1,11 +1,15 @@
 #include "stack/autoware_stack.hh"
 
+#include <utility>
+
 namespace av::stack {
 
 AutowareStack::AutowareStack(ros::RosGraph &graph,
                              const pc::PointCloud &map,
                              const StackOptions &options,
-                             std::optional<geom::Pose2> initial_pose)
+                             std::optional<geom::Pose2> initial_pose,
+                             std::shared_ptr<perception::ClusterMemo>
+                                 cluster_memo)
     : options_(options)
 {
     using namespace perception;
@@ -22,7 +26,8 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
         rayGround_ = std::make_unique<RayGroundFilterNode>(
             graph, calibration.rayGroundFilter);
         cluster_ = std::make_unique<EuclideanClusterNode>(
-            graph, calibration.euclideanCluster);
+            graph, calibration.euclideanCluster,
+            std::move(cluster_memo));
     }
     if (options.enableVision) {
         vision_ = std::make_unique<VisionDetectorNode>(

@@ -47,12 +47,16 @@ class AutowareStack
      * @param graph middleware bound to the machine under test
      * @param map   point-cloud map for NDT (ndt_mapping output)
      * @param initial_pose operator-provided initial pose for NDT
+     * @param cluster_memo euclidean_cluster's shared invocations;
+     *                     null clusters live
      *
      * Every node runs with its defaultCalibration() parameters.
      */
     AutowareStack(ros::RosGraph &graph, const pc::PointCloud &map,
                   const StackOptions &options = StackOptions(),
-                  std::optional<geom::Pose2> initial_pose = {});
+                  std::optional<geom::Pose2> initial_pose = {},
+                  std::shared_ptr<perception::ClusterMemo>
+                      cluster_memo = nullptr);
 
     ~AutowareStack();
 

@@ -50,15 +50,6 @@ OpCounts::memFraction() const
     return static_cast<double>(loads + stores) / static_cast<double>(t);
 }
 
-double
-OpCounts::branchFraction() const
-{
-    const std::uint64_t t = total();
-    if (t == 0)
-        return 0.0;
-    return static_cast<double>(branches) / static_cast<double>(t);
-}
-
 std::string
 OpCounts::mixString() const
 {

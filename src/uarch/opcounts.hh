@@ -50,9 +50,6 @@ struct OpCounts
     /** Fraction of total that are loads+stores; 0 when empty. */
     double memFraction() const;
 
-    /** Fraction of total that are branches; 0 when empty. */
-    double branchFraction() const;
-
     /** One-line mix summary, e.g. "ld 32% st 18% br 12% ...". */
     std::string mixString() const;
 };

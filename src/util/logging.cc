@@ -30,12 +30,6 @@ levelName(LogLevel level)
 
 } // namespace
 
-LogLevel
-logThreshold()
-{
-    return gThreshold.load(std::memory_order_relaxed);
-}
-
 void
 setLogThreshold(LogLevel level)
 {

@@ -27,13 +27,8 @@ enum class LogLevel {
     Error,
 };
 
-/**
- * Global log threshold; records below it are suppressed.
- * Defaults to Info. Tests may lower or raise it.
- */
-LogLevel logThreshold();
-
-/** Set the global log threshold. */
+/** Set the global log threshold; records below it are suppressed.
+ *  Defaults to Info. */
 void setLogThreshold(LogLevel level);
 
 /** Emit one log record to stderr if @p level passes the threshold. */

@@ -1,10 +1,29 @@
 #include "util/random.hh"
 
 #include <cmath>
+#include <cstddef>
 
 namespace av::util {
 
 namespace {
+
+constexpr std::uint64_t kMurmurMul = 0xc6a4a7935bd1e995ull;
+
+std::uint64_t
+shiftMix(std::uint64_t v)
+{
+    return v ^ (v >> 47);
+}
+
+/** @p n (1..8) bytes from @p p as a little-endian integer. */
+std::uint64_t
+loadLittleEndian(const char *p, std::size_t n)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = n; i-- > 0;)
+        v = (v << 8) | static_cast<unsigned char>(p[i]);
+    return v;
+}
 
 std::uint64_t
 splitmix64(std::uint64_t &x)
@@ -23,6 +42,26 @@ rotl(std::uint64_t x, int k)
 }
 
 } // namespace
+
+std::uint64_t
+stringHash(std::string_view bytes)
+{
+    const std::size_t len = bytes.size();
+    const std::size_t whole = len & ~std::size_t{7};
+    std::uint64_t hash =
+        0xc70f6907ull ^ (static_cast<std::uint64_t>(len) * kMurmurMul);
+    for (std::size_t i = 0; i < whole; i += 8) {
+        const std::uint64_t word =
+            loadLittleEndian(bytes.data() + i, 8);
+        hash ^= shiftMix(word * kMurmurMul) * kMurmurMul;
+        hash *= kMurmurMul;
+    }
+    if (len != whole) {
+        hash ^= loadLittleEndian(bytes.data() + whole, len - whole);
+        hash *= kMurmurMul;
+    }
+    return shiftMix(shiftMix(hash) * kMurmurMul);
+}
 
 Rng::Rng(std::uint64_t seed)
 {

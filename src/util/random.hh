@@ -11,8 +11,18 @@
 #define AVSCOPE_UTIL_RANDOM_HH
 
 #include <cstdint>
+#include <string_view>
 
 namespace av::util {
+
+/**
+ * 64-bit Murmur-style hash of @p bytes (MurmurHash64A's mixing,
+ * seed 0xc70f6907): the algorithm libstdc++ documents for
+ * std::hash<std::string> on 64-bit targets, written here so seeds
+ * derived from names do not depend on the standard library.
+ * Bytes are read little-endian.
+ */
+std::uint64_t stringHash(std::string_view bytes);
 
 /**
  * Small, fast, deterministic PRNG (xoshiro256**).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hh"
 
@@ -189,21 +188,6 @@ SampleSeries::reset()
 {
     stats_.reset();
     samples_.clear();
-}
-
-std::string
-toString(const DistributionSummary &s)
-{
-    std::ostringstream os;
-    os << "n=" << s.count
-       << " min=" << s.min
-       << " q1=" << s.q1
-       << " mean=" << s.mean
-       << " q3=" << s.q3
-       << " p99=" << s.p99
-       << " max=" << s.max
-       << " sd=" << s.stddev;
-    return os.str();
 }
 
 } // namespace av::util

@@ -178,9 +178,6 @@ class SampleSeries
     std::vector<double> samples_;
 };
 
-/** Render a summary as a one-line human-readable string (ms units). */
-std::string toString(const DistributionSummary &s);
-
 } // namespace av::util
 
 #endif // AVSCOPE_UTIL_STATS_HH

@@ -3,18 +3,24 @@
  * Tests for the experiment engine (src/exp): the Runner's
  * worker-count independence (parallel results byte-identical to
  * serial), the drive memo's map built only for localizing replays,
- * the result cache's bit-fidelity and replay skipping, and the cache
+ * the clustering shared by a drive's replays (perception::ClusterMemo:
+ * byte-identical results, its budget, a throwing producer), the
+ * result cache's bit-fidelity and replay skipping, and the cache
  * key's coverage of every replay-relevant RunConfig field.
  * Serialized cache entries are the comparison medium: two RunResults
  * are "byte-identical" when ResultCache writes the same file for
  * both.
  */
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,6 +181,144 @@ TEST(Runner, MixedBatchBuildsMapOnce)
             made)
             << specs[i].label << ": jobs=4 differs from makeDrive";
     }
+}
+
+/**
+ * The detector sweep plus faulted replays of the same drive that
+ * disturb the clustering node's input history: a euclidean_cluster
+ * crash, a /points_raw blackout and duplicates on /points_no_ground.
+ */
+std::vector<exp::ExperimentSpec>
+clusterSharingBatch()
+{
+    auto specs = detectorSweep();
+    const auto faulted = [&specs](const std::string &name,
+                                  const fault::FaultPlan &plan) {
+        auto s = exp::spec().durationSeconds(6).seed(2020).named(name);
+        s.faults(plan);
+        specs.push_back(s);
+    };
+    faulted("cluster crash", fault::FaultPlan().nodeCrash(
+                                 "euclidean_cluster", 2 * sim::oneSec,
+                                 sim::oneSec));
+    faulted("lidar blackout", fault::FaultPlan().lidarBlackout(
+                                  2 * sim::oneSec, sim::oneSec));
+    faulted("no-ground duplicates",
+            fault::FaultPlan().messageDuplicate(
+                perception::topics::pointsNoGround, sim::oneSec,
+                3 * sim::oneSec, 0.5));
+    return specs;
+}
+
+TEST(Runner, SharedClusteringIsByteIdenticalAcrossJobs)
+{
+    // Every replay of a Runner's drive shares one ClusterMemo. With
+    // one worker and with three, each result must equal a replay on
+    // a memo-less makeDrive drive, and replays must really have
+    // adopted invocations others computed.
+    const auto specs = clusterSharingBatch();
+    const std::string dir = test::freshTestDir("shared-clusters");
+    std::vector<std::string> made;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        made.push_back(serialized(dir, "made-" + std::to_string(i),
+                                  replayOnMadeDrive(specs[i])));
+
+    for (const unsigned jobs : {1u, 3u}) {
+        exp::Runner runner(exp::RunnerConfig{jobs, ""});
+        for (const auto &s : specs)
+            runner.submit(s);
+        const auto results = runner.collect();
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(serialized(dir,
+                                 "runner-" + std::to_string(jobs) +
+                                     "-" + std::to_string(i),
+                                 *results[i]),
+                      made[i])
+                << specs[i].label << ": jobs=" << jobs
+                << " differs from a memo-less replay";
+        }
+        EXPECT_GT(runner.clustersShared(), 0u) << "jobs=" << jobs;
+    }
+}
+
+TEST(Runner, SpentClusterBudgetKeepsResultsAndStopsGrowing)
+{
+    // A budget far below one replay's invocations: the first replay
+    // fills it and then clusters live; later replays adopt what
+    // their history shares with it and cluster the rest live. Their
+    // results stay those of a memo-less replay, and the memo never
+    // holds more than its budget.
+    const auto specs = detectorSweep();
+    const auto drive = prof::makeDrive(
+        specs[0].scenario, specs[0].driveDuration, specs[0].recorder);
+    const std::string dir = test::freshTestDir("cluster-budget");
+    const auto replay = [&drive](const exp::ExperimentSpec &s) {
+        prof::CharacterizationRun run(drive, s.config);
+        run.execute();
+        return prof::snapshotRun(run, s.label);
+    };
+    std::vector<std::string> live;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        live.push_back(serialized(dir, "live-" + std::to_string(i),
+                                  replay(specs[i])));
+
+    constexpr std::size_t kBudget = 12;
+    const auto memo = std::make_shared<perception::ClusterMemo>(kBudget);
+    drive->clusterMemo = memo;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(serialized(dir, "memo-" + std::to_string(i),
+                             replay(specs[i])),
+                  live[i])
+            << specs[i].label << " differs once the budget is spent";
+        EXPECT_EQ(memo->entries(), kBudget) << specs[i].label;
+    }
+    EXPECT_GT(memo->hits(), 0u);
+}
+
+TEST(Runner, ThrowingClusterProducerReleasesWaiters)
+{
+    // A producer that throws must erase its claim and wake whoever
+    // waits on the entry; the waiter then produces it itself. The
+    // thrower sleeps so the waiter usually arrives while the claim
+    // is in flight, but the assertions hold in either order.
+    using perception::ClusterMemo;
+    ClusterMemo memo(4);
+    constexpr sim::Tick kScan = 100 * sim::oneMs;
+    std::atomic<bool> claimed{false};
+    std::thread thrower([&] {
+        EXPECT_THROW(memo.step(ClusterMemo::kRoot, kScan,
+                               [&]() -> ClusterMemo::Entry {
+                                   claimed = true;
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(50));
+                                   throw std::runtime_error(
+                                       "kernel failed");
+                               }),
+                     std::runtime_error);
+    });
+    while (!claimed)
+        std::this_thread::yield();
+    const ClusterMemo::Step step =
+        memo.step(ClusterMemo::kRoot, kScan, [] {
+            ClusterMemo::Entry entry;
+            entry.result.croppedPoints = 7;
+            return entry;
+        });
+    thrower.join();
+    EXPECT_FALSE(step.adopt);
+    EXPECT_TRUE(step.stored);
+    EXPECT_EQ(step.entry->result.croppedPoints, 7u);
+    EXPECT_EQ(memo.entries(), 1u);
+
+    // The entry is now stored: the next replay adopts it.
+    const ClusterMemo::Step again =
+        memo.step(ClusterMemo::kRoot, kScan, []() -> ClusterMemo::Entry {
+            throw std::logic_error("a stored entry must not recompute");
+        });
+    EXPECT_TRUE(again.adopt);
+    EXPECT_EQ(again.at, step.at);
+    EXPECT_EQ(memo.hits(), 1u);
 }
 
 TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)

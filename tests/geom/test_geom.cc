@@ -252,17 +252,6 @@ TEST(Aabb, RayHitsAndMisses)
     EXPECT_DOUBLE_EQ(t, 0.0);
 }
 
-TEST(OrientedBox, ContainsRespectsYaw)
-{
-    OrientedBox box;
-    box.pose = {{0, 0}, M_PI / 2}; // long axis along +y
-    box.length = 4.0;
-    box.width = 2.0;
-    EXPECT_TRUE(box.containsXy({0, 1.9}));
-    EXPECT_FALSE(box.containsXy({1.9, 0}));
-    EXPECT_TRUE(box.containsXy({0.9, 0}));
-}
-
 TEST(OrientedBox, RayHit)
 {
     OrientedBox box;

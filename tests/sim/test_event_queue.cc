@@ -103,17 +103,6 @@ TEST(EventQueue, ClockAdvancesToHorizon)
     EXPECT_DEATH(eq.schedule(400, [] {}), "past");
 }
 
-TEST(EventQueue, NextEventTick)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.nextEventTick(), maxTick);
-    const auto a = eq.schedule(50, [] {});
-    eq.schedule(70, [] {});
-    EXPECT_EQ(eq.nextEventTick(), 50u);
-    eq.deschedule(a);
-    EXPECT_EQ(eq.nextEventTick(), 70u);
-}
-
 TEST(EventQueue, StepOneAtATime)
 {
     EventQueue eq;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+
 #include "stack/autoware_stack.hh"
 
 namespace {
@@ -50,6 +54,24 @@ TEST(StackConfig, FullStackHasAllNodes)
         EXPECT_NE(stack.find(name), nullptr) << name;
     }
     EXPECT_EQ(stack.find("nonexistent"), nullptr);
+}
+
+TEST(StackConfig, NodeJitterSeedsMatchStdHash)
+{
+    // Each node seeds its cost-jitter Rng with util::stringHash of its
+    // name. Oracle: on this toolchain it must equal the
+    // std::hash<std::string> the seeds came from before, or every
+    // simulated latency (and every golden) would move.
+    Rig rig;
+    const AutowareStack stack(*rig.graph, rig.map);
+    ASSERT_EQ(stack.nodes().size(), 10u);
+    for (const perception::PerceptionNode *node : stack.nodes()) {
+        const std::string &name = node->name();
+        EXPECT_EQ(util::stringHash(name),
+                  static_cast<std::uint64_t>(
+                      std::hash<std::string>{}(name)))
+            << name;
+    }
 }
 
 TEST(StackConfig, OptionFlagsPruneNodes)

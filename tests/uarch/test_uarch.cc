@@ -29,7 +29,6 @@ TEST(OpCounts, TotalsAndFractions)
     ops.fpAlu = 15;
     EXPECT_EQ(ops.total(), 100u);
     EXPECT_DOUBLE_EQ(ops.memFraction(), 0.5);
-    EXPECT_DOUBLE_EQ(ops.branchFraction(), 0.1);
 }
 
 TEST(OpCounts, AddAndScale)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for util/logging: thresholds, formatting, fatal/panic
+ * Unit tests for util/logging: formatting, fatal/panic
  * semantics (gem5 convention: fatal = user error/exit(1), panic =
  * internal bug/abort()).
  */
@@ -12,14 +12,6 @@
 namespace {
 
 using namespace av::util;
-
-TEST(Logging, ThresholdRoundTrip)
-{
-    const LogLevel before = logThreshold();
-    setLogThreshold(LogLevel::Error);
-    EXPECT_EQ(logThreshold(), LogLevel::Error);
-    setLogThreshold(before);
-}
 
 TEST(Logging, FormatConcatenatesMixedTypes)
 {

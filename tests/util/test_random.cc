@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
 
 #include "util/random.hh"
 #include "util/stats.hh"
@@ -15,6 +18,23 @@ namespace {
 
 using av::util::Rng;
 using av::util::RunningStats;
+
+TEST(StringHash, MatchesStdHashAtEveryTailLength)
+{
+    // Oracle for the owned Murmur-style hash: libstdc++'s
+    // std::hash<std::string> on this toolchain, over every length
+    // from empty through three whole words, so the word loop and
+    // each 1..7-byte tail are compared. High bytes check the
+    // unsigned byte loads.
+    std::string text;
+    for (int n = 0; n <= 24; ++n) {
+        EXPECT_EQ(av::util::stringHash(text),
+                  static_cast<std::uint64_t>(
+                      std::hash<std::string>{}(text)))
+            << "length " << n;
+        text.push_back(static_cast<char>(n % 2 ? 'a' + n : 0x80 + n));
+    }
+}
 
 TEST(Rng, DeterministicForSameSeed)
 {

@@ -172,17 +172,6 @@ TEST(SampleSeries, ResetForgets)
     EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
 }
 
-TEST(SampleSeries, ToStringMentionsFields)
-{
-    SampleSeries s;
-    s.add(1.0);
-    s.add(2.0);
-    const std::string str = av::util::toString(s.summarize());
-    EXPECT_NE(str.find("mean="), std::string::npos);
-    EXPECT_NE(str.find("q1="), std::string::npos);
-    EXPECT_NE(str.find("n=2"), std::string::npos);
-}
-
 TEST(SampleSeries, MidStreamReadsChangeNothingLater)
 {
     // Capacity 64 so reservoir eviction runs after the first read:
