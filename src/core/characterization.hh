@@ -81,17 +81,14 @@ makeDrive(const world::ScenarioConfig &scenario_cfg,
           const world::RecorderConfig &recorder =
               world::RecorderConfig());
 
-/** One characterization run's configuration. */
+/** One characterization run's configuration. Every field folds into
+ *  exp::cacheKey(), which binds them all. */
 struct RunConfig
 {
     stack::StackOptions stack;
     hw::MachineConfig machine = stack::defaultMachine();
     ros::TransportConfig transport; ///< middleware transport cost
-    /**
-     * Fault schedule to arm against this run; empty = clean replay.
-     * Folds into the experiment cache key, so a faulted run caches
-     * separately from the clean one.
-     */
+    /** Fault schedule to arm against this run; empty = clean replay. */
     fault::FaultPlan faults;
 
     /**
@@ -99,14 +96,13 @@ struct RunConfig
      * activation spans, CPU tasks, GPU kernels) and attach the DAG
      * analysis to the result. The recorder's publish log is always
      * on regardless — this switches on the per-event retention.
-     * Folds into the experiment cache key.
      */
     bool trace = false;
 
     /**
      * Safety-invariant thresholds; SafetyOptions::enabled arms the
      * SafetyMonitor against this run (ground truth rebuilt from the
-     * drive's ScenarioConfig). Folds into the experiment cache key.
+     * drive's ScenarioConfig).
      */
     stack::SafetyOptions safety;
 
@@ -114,7 +110,7 @@ struct RunConfig
      * Runtime subscription queue-depth overrides, applied before the
      * stack subscribes (the closed-loop optimizer's knob). Source
      * literals — and avgraph's static extraction of them — stay
-     * intact. Folds into the experiment cache key.
+     * intact.
      */
     std::vector<ros::QueueDepthOverride> queueDepths;
 };

@@ -173,10 +173,12 @@ spec()
  * the replay's measurements — scenario, recorder, drive duration,
  * stack options, machine, transport, faults, safety thresholds,
  * trace switch and queue-depth overrides — plus the code's node
- * calibration, folded through FNV-1a into 16 hex digits. Excludes
- * the label.
- * The encoding carries a format version, so key semantics can be
- * evolved by bumping it (old cache entries simply stop matching).
+ * calibration, hashed by util::Hasher into 16 hex digits. Excludes
+ * the label. Each struct's members come from its fields() list
+ * (util/hash.hh); the key adds the order, tags and list lengths.
+ * Adding a keyed field: add the member, add it to the list the
+ * compiler points at, then bump the format version (old cache
+ * entries simply stop matching).
  */
 std::string cacheKey(const ExperimentSpec &spec);
 

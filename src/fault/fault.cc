@@ -1,6 +1,5 @@
 #include "fault/fault.hh"
 
-#include <bit>
 #include <stdexcept>
 
 #include "perception/nodes.hh"
@@ -87,34 +86,9 @@ defaultWatchTopic(const FaultSpec &spec)
 std::uint64_t
 faultSalt(const FaultSpec &spec)
 {
-    // FNV-1a over every spec field, matching the hashing discipline
-    // of exp::cacheKey: the stream identity is the fault's content.
-    std::uint64_t h = 14695981039346656037ULL;
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    const auto fold = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= kPrime;
-        }
-    };
-    const auto foldText = [&h](const std::string &s) {
-        for (const char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= kPrime;
-        }
-        h ^= 0xffu; // separator: "ab"+"c" != "a"+"bc"
-        h *= kPrime;
-    };
-    fold(static_cast<std::uint64_t>(spec.kind));
-    fold(spec.start);
-    fold(spec.duration);
-    foldText(spec.target);
-    fold(std::bit_cast<std::uint64_t>(spec.probability));
-    fold(std::bit_cast<std::uint64_t>(spec.factor));
-    fold(spec.extraDelay);
-    fold(spec.respawnDelay);
-    foldText(spec.watchTopic);
-    return h;
+    util::Hasher h;
+    h(spec);
+    return h.value();
 }
 
 namespace {
@@ -124,18 +98,6 @@ bool
 windowsOverlap(const FaultSpec &a, const FaultSpec &b)
 {
     return a.start < faultWindowEnd(b) && b.start < faultWindowEnd(a);
-}
-
-/** Byte-identical specs: every field equal. */
-bool
-sameSpec(const FaultSpec &a, const FaultSpec &b)
-{
-    return a.kind == b.kind && a.start == b.start &&
-           a.duration == b.duration && a.target == b.target &&
-           a.probability == b.probability && a.factor == b.factor &&
-           a.extraDelay == b.extraDelay &&
-           a.respawnDelay == b.respawnDelay &&
-           a.watchTopic == b.watchTopic;
 }
 
 FaultSpec
@@ -286,7 +248,7 @@ FaultInjector::FaultInjector(ros::RosGraph &graph,
         for (std::size_t j = i + 1; j < plan_.faults.size(); ++j) {
             const FaultSpec &a = plan_.faults[i];
             const FaultSpec &b = plan_.faults[j];
-            if (sameSpec(a, b))
+            if (a == b)
                 throw std::invalid_argument(
                     "fault plan: duplicate fault '" + faultLabel(a) +
                     "' — identical specs share one Rng stream; vary "

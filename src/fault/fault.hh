@@ -31,6 +31,7 @@
 
 #include "ros/ros.hh"
 #include "sim/ticks.hh"
+#include "util/hash.hh"
 
 namespace av::fault {
 
@@ -54,8 +55,8 @@ const char *faultKindName(FaultKind kind);
 bool faultKindFromName(const std::string &name, FaultKind &out);
 
 /**
- * One scheduled fault. A flat record on purpose: it hashes into
- * ExperimentSpec::cacheKey() field by field and serializes without a
+ * One scheduled fault. A flat record on purpose: its field list
+ * feeds exp::cacheKey() and faultSalt(), and it serializes without a
  * per-kind schema. Unused fields stay at their defaults.
  */
 struct FaultSpec
@@ -74,7 +75,18 @@ struct FaultSpec
      * empty picks a per-kind default (see defaultWatchTopic).
      */
     std::string watchTopic;
+
+    bool operator==(const FaultSpec &) const = default;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<FaultSpec> auto &c)
+{
+    auto &[kind, start, duration, target, probability, factor,
+           extraDelay, respawnDelay, watchTopic] = c;
+    ar(kind, start, duration, target, probability, factor, extraDelay,
+       respawnDelay, watchTopic);
+}
 
 /** End of the disturbance window (crashes end at respawn). */
 sim::Tick faultWindowEnd(const FaultSpec &spec);
@@ -86,13 +98,14 @@ std::string faultLabel(const FaultSpec &spec);
 std::string defaultWatchTopic(const FaultSpec &spec);
 
 /**
- * Content-derived Rng-stream salt for one fault: an FNV-1a hash over
- * every FaultSpec field. Overlapping transport faults compose
- * commutatively at the minros layer (any drop wins, any corrupt
- * wins, delays add, duplicate counts add — see ros::TransportFaults),
- * so with content-derived streams the *order* faults appear in a
- * plan cannot change the run: each fault draws from a stream defined
- * by what it is, not by where it sits in the vector.
+ * Content-derived Rng-stream salt for one fault: util::Hasher over
+ * its field list (cacheKey() folds the same bytes after a tag).
+ * Overlapping transport faults compose commutatively at the minros
+ * layer (any drop wins, any corrupt wins, delays add, duplicate
+ * counts add — see ros::TransportFaults), so with content-derived
+ * streams the *order* faults appear in a plan cannot change the run:
+ * each fault draws from a stream defined by what it is, not by where
+ * it sits in the vector.
  */
 std::uint64_t faultSalt(const FaultSpec &spec);
 
@@ -129,6 +142,13 @@ struct FaultPlan
     FaultPlan &gpuThrottle(sim::Tick start, sim::Tick duration,
                            double factor);
 };
+
+void
+fields(auto &&ar, util::MaybeConst<FaultPlan> auto &c)
+{
+    auto &[seed, faults] = c;
+    ar(seed, faults);
+}
 
 /**
  * What one fault did to the run: transport counters filled by the

@@ -34,6 +34,7 @@
 
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 
 namespace av::hw {
 
@@ -86,6 +87,15 @@ struct CpuConfig
     /** Upper bound on the interference slowdown factor. */
     double maxMemSlowdown = 10.0;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<CpuConfig> auto &c)
+{
+    auto &[cores, freqGhz, quantum, memBandwidthGBs,
+           memPenaltyCyclesPerByte, maxMemSlowdown] = c;
+    ar(cores, freqGhz, quantum, memBandwidthGBs,
+       memPenaltyCyclesPerByte, maxMemSlowdown);
+}
 
 /** Aggregate counters exposed to the profiling layer. */
 struct CpuAccounting

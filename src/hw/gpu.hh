@@ -24,6 +24,7 @@
 
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 
 namespace av::hw {
 
@@ -61,6 +62,15 @@ struct GpuConfig
      */
     double computeEfficiency = 1.0;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<GpuConfig> auto &c)
+{
+    auto &[tflops, memBandwidthGBs, pcieGBs, kernelOverhead,
+           copyOverhead, computeEfficiency] = c;
+    ar(tflops, memBandwidthGBs, pcieGBs, kernelOverhead, copyOverhead,
+       computeEfficiency);
+}
 
 /** Aggregate counters for the profiling layer. */
 struct GpuAccounting

@@ -15,6 +15,7 @@
 #include "hw/gpu.hh"
 #include "hw/power.hh"
 #include "sim/event_queue.hh"
+#include "util/hash.hh"
 
 namespace av::hw {
 
@@ -25,6 +26,13 @@ struct MachineConfig
     GpuConfig gpu;
     PowerConfig power;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<MachineConfig> auto &c)
+{
+    auto &[cpu, gpu, power] = c;
+    ar(cpu, gpu, power);
+}
 
 /**
  * One workstation.

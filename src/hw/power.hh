@@ -15,6 +15,8 @@
 #ifndef AVSCOPE_HW_POWER_HH
 #define AVSCOPE_HW_POWER_HH
 
+#include "util/hash.hh"
+
 namespace av::hw {
 
 /** Power-model coefficients. */
@@ -27,6 +29,15 @@ struct PowerConfig
     double gpuMaxDynamicW = 195.0; ///< at weighted-active fraction 1
     double gpuCopyW = 8.0;       ///< PCIe copy engine active
 };
+
+void
+fields(auto &&ar, util::MaybeConst<PowerConfig> auto &c)
+{
+    auto &[cpuIdleW, cpuPerCoreW, cpuMemWPerGBs, gpuIdleW,
+           gpuMaxDynamicW, gpuCopyW] = c;
+    ar(cpuIdleW, cpuPerCoreW, cpuMemWPerGBs, gpuIdleW, gpuMaxDynamicW,
+       gpuCopyW);
+}
 
 /**
  * Stateless converter from utilization fractions to watts.

@@ -19,6 +19,7 @@
 
 #include "ros/ros.hh"
 #include "uarch/profiler.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace av::perception {
@@ -38,6 +39,13 @@ struct NodeConfig
     uarch::BranchConfig branch;
     uarch::PipelineConfig pipeline;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<NodeConfig> auto &c)
+{
+    auto &[workScale, tracePeriod, cache, branch, pipeline] = c;
+    ar(workScale, tracePeriod, cache, branch, pipeline);
+}
 
 /**
  * Common machinery for stack nodes.

@@ -1,6 +1,7 @@
 /**
  * @file
- * ROSBAG equivalent: record topics during a drive, replay them later.
+ * ROSBAG equivalent: a drive's sensor messages, filled channel by
+ * channel (world::recordDrive), replayed later.
  *
  * The paper's whole methodology rests on replaying one fixed ROSBAG
  * into differently-configured stacks (§III-A, Fig. 3): every detector
@@ -30,7 +31,6 @@ class BagChannelBase
 
     const std::string &name() const { return name_; }
     virtual std::size_t count() const = 0;
-    virtual sim::Tick lastStamp() const = 0;
 
     /**
      * Schedule every stored message for publication into @p graph at
@@ -59,12 +59,6 @@ class BagChannel final : public BagChannelBase
     }
 
     std::size_t count() const override { return messages_.size(); }
-
-    sim::Tick
-    lastStamp() const override
-    {
-        return messages_.empty() ? 0 : messages_.back().header.stamp;
-    }
 
     void
     scheduleReplay(RosGraph &graph, sim::Tick offset) const override
@@ -121,17 +115,6 @@ class Bag
         return *typed;
     }
 
-    /** Start recording @p topic into the same-named channel. */
-    template <typename T>
-    void
-    record(Topic<T> &topic)
-    {
-        BagChannel<T> &chan = channel<T>(topic.name());
-        topic.addTap([&chan](const Stamped<T> &msg) {
-            chan.add(msg);
-        });
-    }
-
     /**
      * Schedule all channels for replay into @p graph. The scheduled
      * events refer to this bag's messages: the bag must outlive
@@ -143,16 +126,6 @@ class Bag
     {
         for (const auto &[name, chan] : channels_)
             chan->scheduleReplay(graph, offset);
-    }
-
-    /** Latest stamp across channels (drive duration). */
-    sim::Tick
-    duration() const
-    {
-        sim::Tick last = 0;
-        for (const auto &[name, chan] : channels_)
-            last = std::max(last, chan->lastStamp());
-        return last;
     }
 
     /** Total recorded messages. */

@@ -35,6 +35,7 @@
 #include "hw/machine.hh"
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace av::ros {
@@ -108,6 +109,13 @@ struct TransportConfig
     static constexpr sim::Tick kBaseLatency = 150 * sim::oneUs;
     double bandwidthGBs = 2.0; ///< intra-host serialize/copy rate
 };
+
+void
+fields(auto &&ar, util::MaybeConst<TransportConfig> auto &c)
+{
+    auto &[bandwidthGBs] = c;
+    ar(bandwidthGBs);
+}
 
 /**
  * What the transport actually did to payloads, host-side: the
@@ -208,6 +216,13 @@ struct QueueDepthOverride
     std::string node;
     std::size_t depth = 1;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<QueueDepthOverride> auto &c)
+{
+    auto &[topic, node, depth] = c;
+    ar(topic, node, depth);
+}
 
 /** Type-erased subscription interface the Node dispatcher uses. */
 class SubscriptionBase

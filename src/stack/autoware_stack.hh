@@ -15,6 +15,7 @@
 #include "perception/nodes.hh"
 #include "ros/ros.hh"
 #include "stack/config.hh"
+#include "util/hash.hh"
 
 namespace av::stack {
 
@@ -36,6 +37,16 @@ struct StackOptions
      */
     bool degraded = false;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<StackOptions> auto &c)
+{
+    auto &[detector, enableVision, enableLocalization,
+           enableLidarDetection, enableTracking, enableCostmap,
+           degraded] = c;
+    ar(detector, enableVision, enableLocalization, enableLidarDetection,
+       enableTracking, enableCostmap, degraded);
+}
 
 /**
  * Owns the node graph.

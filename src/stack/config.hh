@@ -19,6 +19,7 @@
 #include "hw/machine.hh"
 #include "perception/node_base.hh"
 #include "perception/vision_model.hh"
+#include "util/hash.hh"
 
 namespace av::stack {
 
@@ -39,6 +40,18 @@ struct NodeCalibration
     perception::NodeConfig naiveMotionPredict;
     perception::NodeConfig costmapGenerator;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<NodeCalibration> auto &c)
+{
+    auto &[voxelGridFilter, ndtMatching, rayGroundFilter,
+           euclideanCluster, visionDetector, rangeVisionFusion,
+           immUkfPda, trackRelay, naiveMotionPredict,
+           costmapGenerator] = c;
+    ar(voxelGridFilter, ndtMatching, rayGroundFilter, euclideanCluster,
+       visionDetector, rangeVisionFusion, immUkfPda, trackRelay,
+       naiveMotionPredict, costmapGenerator);
+}
 
 /** Calibrated defaults. */
 NodeCalibration defaultCalibration();

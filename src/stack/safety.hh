@@ -39,6 +39,7 @@
 #include "ros/ros.hh"
 #include "sim/periodic.hh"
 #include "trace/trace.hh"
+#include "util/hash.hh"
 
 namespace av::world {
 class Scenario;
@@ -83,6 +84,15 @@ struct SafetyOptions
      *  staleness probe's kStaleAfter, which merely counts). */
     sim::Tick livenessAfter = 2 * sim::oneSec;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<SafetyOptions> auto &c)
+{
+    auto &[enabled, trackLossSamples, maxLocalizationError, deadlineMs,
+           deadlineMissStreak, livenessAfter] = c;
+    ar(enabled, trackLossSamples, maxLocalizationError, deadlineMs,
+       deadlineMissStreak, livenessAfter);
+}
 
 /**
  * One recorded invariant breach. subject is token-safe (a topic name

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/hash.hh"
+
 namespace av::uarch {
 
 /** Predictor sizing. */
@@ -25,6 +27,13 @@ struct BranchConfig
     std::uint32_t tableBits = 12;   ///< 4K two-bit counters
     std::uint32_t historyBits = 12; ///< global history length
 };
+
+void
+fields(auto &&ar, util::MaybeConst<BranchConfig> auto &c)
+{
+    auto &[tableBits, historyBits] = c;
+    ar(tableBits, historyBits);
+}
 
 /** Outcome counters. */
 struct BranchStats

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/hash.hh"
+
 namespace av::uarch {
 
 /** Geometry of one cache level. */
@@ -26,6 +28,13 @@ struct CacheConfig
     std::uint32_t assoc = 8;
     std::uint32_t lineBytes = 64;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<CacheConfig> auto &c)
+{
+    auto &[sizeBytes, assoc, lineBytes] = c;
+    ar(sizeBytes, assoc, lineBytes);
+}
 
 /** Hit/miss counters split by access type. */
 struct CacheStats

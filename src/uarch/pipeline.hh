@@ -25,6 +25,7 @@
 #define AVSCOPE_UARCH_PIPELINE_HH
 
 #include "uarch/opcounts.hh"
+#include "util/hash.hh"
 
 namespace av::uarch {
 
@@ -45,6 +46,15 @@ struct PipelineConfig
      */
     double l2MissFactor = 0.30;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<PipelineConfig> auto &c)
+{
+    auto &[peakIpc, memIssueCost, readMissPenalty, writeMissPenalty,
+           flushPenalty, divExtraLatency, simdBonus, l2MissFactor] = c;
+    ar(peakIpc, memIssueCost, readMissPenalty, writeMissPenalty,
+       flushPenalty, divExtraLatency, simdBonus, l2MissFactor);
+}
 
 /**
  * Pure function object computing CPI from a profile.

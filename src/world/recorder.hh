@@ -9,6 +9,7 @@
 #define AVSCOPE_WORLD_RECORDER_HH
 
 #include "ros/bag.hh"
+#include "util/hash.hh"
 #include "world/scenario.hh"
 #include "world/sensors.hh"
 
@@ -33,6 +34,13 @@ struct RecorderConfig
      *  not aligned; interference patterns depend on it). */
     sim::Tick cameraPhase = 37 * sim::oneMs;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<RecorderConfig> auto &c)
+{
+    auto &[cameraPeriod, cameraPhase] = c;
+    ar(cameraPeriod, cameraPhase);
+}
 
 /**
  * Record a complete drive.

@@ -23,6 +23,7 @@
 #include "geom/pose.hh"
 #include "geom/vec.hh"
 #include "sim/ticks.hh"
+#include "util/hash.hh"
 
 namespace av::world {
 
@@ -82,6 +83,15 @@ struct ScenarioConfig
     std::uint32_t nPedestrians = 20;
     std::uint32_t nBuildings = 36;
 };
+
+void
+fields(auto &&ar, util::MaybeConst<ScenarioConfig> auto &c)
+{
+    auto &[seed, blockLength, blockWidth, egoSpeed, nVehicles,
+           vehicleLaneOffset, nParked, nPedestrians, nBuildings] = c;
+    ar(seed, blockLength, blockWidth, egoSpeed, nVehicles,
+       vehicleLaneOffset, nParked, nPedestrians, nBuildings);
+}
 
 /**
  * The world. Pure queries: state at time t.

@@ -5,8 +5,8 @@
  * serial), the drive memo's map built only for localizing replays,
  * the clustering shared by a drive's replays (perception::ClusterMemo:
  * byte-identical results, its budget, a throwing producer), the
- * result cache's bit-fidelity and replay skipping, and the cache
- * key's coverage of every replay-relevant RunConfig field.
+ * result cache's bit-fidelity and replay skipping. The keys' tests
+ * are in test_cache_key.cc.
  * Serialized cache entries are the comparison medium: two RunResults
  * are "byte-identical" when ResultCache writes the same file for
  * both.
@@ -348,191 +348,6 @@ TEST(Runner, CacheHitIsBitIdenticalAndSkipsReplay)
     const std::string scratch = test::freshTestDir("cache_compare");
     EXPECT_EQ(serialized(scratch, "first", first),
               serialized(scratch, "second", second));
-}
-
-TEST(Runner, CacheKeyCoversEveryReplayField)
-{
-    // The base carries one fault with every field set and one
-    // queue-depth override, so each of their fields moves on its own
-    // rather than by the list's length.
-    fault::FaultSpec fault;
-    fault.kind = fault::FaultKind::MessageDelay;
-    fault.start = sim::oneSec;
-    fault.duration = sim::oneSec;
-    fault.target = "/points_raw";
-    fault.probability = 0.5;
-    fault.factor = 0.5;
-    fault.extraDelay = sim::oneMs;
-    fault.respawnDelay = sim::oneMs;
-    fault.watchTopic = "/ndt_pose";
-    fault::FaultPlan plan;
-    plan.faults.push_back(fault);
-    const auto base = exp::spec().faults(plan).queueDepth(
-        "/image_raw", "vision_detection", 2);
-    const std::string key = exp::cacheKey(base);
-
-    // The label is presentation only.
-    auto relabeled = base;
-    relabeled.named("same replay, new name");
-    EXPECT_EQ(exp::cacheKey(relabeled), key);
-
-    // Every settable replay field must move the key, one case each.
-    using Spec = exp::ExperimentSpec;
-    const struct
-    {
-        const char *what;
-        void (*mutate)(Spec &);
-    } cases[] = {
-        {"scenario seed", [](Spec &s) { s.scenario.seed += 1; }},
-        {"scenario block length",
-         [](Spec &s) { s.scenario.blockLength += 1.0; }},
-        {"scenario block width",
-         [](Spec &s) { s.scenario.blockWidth += 1.0; }},
-        {"scenario ego speed",
-         [](Spec &s) { s.scenario.egoSpeed += 1.0; }},
-        {"scenario traffic",
-         [](Spec &s) { s.scenario.nVehicles += 1; }},
-        {"scenario lane offset",
-         [](Spec &s) { s.scenario.vehicleLaneOffset += 0.5; }},
-        {"scenario parked cars",
-         [](Spec &s) { s.scenario.nParked += 1; }},
-        {"scenario pedestrians",
-         [](Spec &s) { s.scenario.nPedestrians += 1; }},
-        {"scenario buildings",
-         [](Spec &s) { s.scenario.nBuildings += 1; }},
-        {"drive duration",
-         [](Spec &s) { s.driveDuration += sim::oneSec; }},
-        {"camera period",
-         [](Spec &s) { s.recorder.cameraPeriod += sim::oneMs; }},
-        {"camera phase",
-         [](Spec &s) { s.recorder.cameraPhase += sim::oneMs; }},
-        {"detector",
-         [](Spec &s) { s.detector(perception::DetectorKind::Yolov3); }},
-        {"vision toggle",
-         [](Spec &s) { s.config.stack.enableVision = false; }},
-        {"localization toggle",
-         [](Spec &s) { s.config.stack.enableLocalization = false; }},
-        {"lidar detection toggle",
-         [](Spec &s) { s.config.stack.enableLidarDetection = false; }},
-        {"tracking toggle",
-         [](Spec &s) { s.config.stack.enableTracking = false; }},
-        {"costmap toggle",
-         [](Spec &s) { s.config.stack.enableCostmap = false; }},
-        {"degradation toggle", [](Spec &s) { s.degraded(); }},
-        {"cpu cores", [](Spec &s) { s.config.machine.cpu.cores += 1; }},
-        {"cpu frequency",
-         [](Spec &s) { s.config.machine.cpu.freqGhz += 0.1; }},
-        {"cpu quantum",
-         [](Spec &s) { s.config.machine.cpu.quantum += sim::oneUs; }},
-        {"cpu memory bandwidth",
-         [](Spec &s) { s.config.machine.cpu.memBandwidthGBs += 1.0; }},
-        {"cpu memory penalty",
-         [](Spec &s) {
-             s.config.machine.cpu.memPenaltyCyclesPerByte += 1.0;
-         }},
-        {"cpu memory slowdown cap",
-         [](Spec &s) { s.config.machine.cpu.maxMemSlowdown += 1.0; }},
-        {"gpu throughput",
-         [](Spec &s) { s.config.machine.gpu.tflops *= 2.0; }},
-        {"gpu memory bandwidth",
-         [](Spec &s) { s.config.machine.gpu.memBandwidthGBs += 1.0; }},
-        {"gpu host link",
-         [](Spec &s) { s.config.machine.gpu.pcieGBs += 1.0; }},
-        {"gpu kernel overhead",
-         [](Spec &s) {
-             s.config.machine.gpu.kernelOverhead += sim::oneUs;
-         }},
-        {"gpu copy overhead",
-         [](Spec &s) {
-             s.config.machine.gpu.copyOverhead += sim::oneUs;
-         }},
-        {"gpu compute efficiency",
-         [](Spec &s) { s.config.machine.gpu.computeEfficiency = 0.5; }},
-        {"cpu idle power",
-         [](Spec &s) { s.config.machine.power.cpuIdleW += 0.5; }},
-        {"cpu per-core power",
-         [](Spec &s) { s.config.machine.power.cpuPerCoreW += 0.5; }},
-        {"cpu memory power",
-         [](Spec &s) { s.config.machine.power.cpuMemWPerGBs += 0.5; }},
-        {"gpu idle power",
-         [](Spec &s) { s.config.machine.power.gpuIdleW += 0.5; }},
-        {"gpu dynamic power",
-         [](Spec &s) { s.config.machine.power.gpuMaxDynamicW += 0.5; }},
-        {"gpu copy power",
-         [](Spec &s) { s.config.machine.power.gpuCopyW += 0.5; }},
-        {"transport bandwidth",
-         [](Spec &s) { s.config.transport.bandwidthGBs *= 2.0; }},
-        {"fault plan seed", [](Spec &s) { s.config.faults.seed += 1; }},
-        {"fault count",
-         [](Spec &s) {
-             s.config.faults.cameraBlackout(sim::oneSec, sim::oneSec);
-         }},
-        {"fault kind",
-         [](Spec &s) {
-             s.config.faults.faults[0].kind =
-                 fault::FaultKind::MessageCorrupt;
-         }},
-        {"fault start",
-         [](Spec &s) { s.config.faults.faults[0].start += sim::oneMs; }},
-        {"fault window",
-         [](Spec &s) {
-             s.config.faults.faults[0].duration += sim::oneMs;
-         }},
-        {"fault target",
-         [](Spec &s) { s.config.faults.faults[0].target = "/imu_raw"; }},
-        {"fault probability",
-         [](Spec &s) { s.config.faults.faults[0].probability = 0.25; }},
-        {"fault factor",
-         [](Spec &s) { s.config.faults.faults[0].factor = 0.25; }},
-        {"fault extra delay",
-         [](Spec &s) {
-             s.config.faults.faults[0].extraDelay += sim::oneMs;
-         }},
-        {"fault respawn delay",
-         [](Spec &s) {
-             s.config.faults.faults[0].respawnDelay += sim::oneMs;
-         }},
-        {"fault watch topic",
-         [](Spec &s) {
-             s.config.faults.faults[0].watchTopic = "/points_raw";
-         }},
-        {"safety monitor toggle",
-         [](Spec &s) { s.config.safety.enabled = true; }},
-        {"safety track-loss samples",
-         [](Spec &s) { s.config.safety.trackLossSamples += 1; }},
-        {"safety localization bound",
-         [](Spec &s) { s.config.safety.maxLocalizationError += 1.0; }},
-        {"safety deadline",
-         [](Spec &s) { s.config.safety.deadlineMs += 1.0; }},
-        {"safety miss streak",
-         [](Spec &s) { s.config.safety.deadlineMissStreak += 1; }},
-        {"safety liveness window",
-         [](Spec &s) { s.config.safety.livenessAfter += sim::oneMs; }},
-        {"trace toggle", [](Spec &s) { s.traced(); }},
-        {"queue-depth override count",
-         [](Spec &s) { s.queueDepth("/points_raw", "ndt_matching", 2); }},
-        {"queue-depth override topic",
-         [](Spec &s) { s.config.queueDepths[0].topic = "/points_raw"; }},
-        {"queue-depth override node",
-         [](Spec &s) { s.config.queueDepths[0].node = "ndt_matching"; }},
-        {"queue-depth override depth",
-         [](Spec &s) { s.config.queueDepths[0].depth += 1; }},
-    };
-    for (const auto &c : cases) {
-        auto changed = base;
-        c.mutate(changed);
-        EXPECT_NE(exp::cacheKey(changed), key)
-            << c.what << " does not reach the cache key";
-    }
-
-    // driveKey tracks drive inputs only: machine changes share the
-    // recorded drive, scenario changes do not.
-    auto other_machine = base;
-    other_machine.config.machine.cpu.cores += 4;
-    EXPECT_EQ(exp::driveKey(other_machine), exp::driveKey(base));
-    auto other_seed = base;
-    other_seed.seed(base.scenario.seed + 1);
-    EXPECT_NE(exp::driveKey(other_seed), exp::driveKey(base));
 }
 
 TEST(Runner, CleanReplayMakesNoPayloadCopies)

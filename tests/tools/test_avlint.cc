@@ -124,7 +124,7 @@ TEST(Avlint, PrintFlaggedInLibraryCodeOnly)
     EXPECT_TRUE(in_bench.empty());
 }
 
-TEST(Avlint, ProbeTapFlaggedInCoreAndStack)
+TEST(Avlint, ProbeTapFlaggedOutsideRos)
 {
     const auto in_core = lintFile(fixture("probe_tap.cc"),
                                   "src/core/probe_tap.cc");
@@ -135,7 +135,12 @@ TEST(Avlint, ProbeTapFlaggedInCoreAndStack)
                                    "src/stack/probe_tap.cc");
     EXPECT_EQ(ruleLines(in_stack), (Pairs{{"probe-tap", 7}}));
 
-    // The bag recorder keeps payloads; src/ros is outside the rule.
+    // So does every other library directory, the nodes among them.
+    const auto in_perception = lintFile(fixture("probe_tap.cc"),
+                                        "src/perception/probe_tap.cc");
+    EXPECT_EQ(ruleLines(in_perception), (Pairs{{"probe-tap", 7}}));
+
+    // src/ros defines Topic::addTap and is outside the rule.
     const auto in_ros = lintFile(fixture("probe_tap.cc"),
                                  "src/ros/probe_tap.cc");
     EXPECT_TRUE(in_ros.empty());

@@ -51,11 +51,10 @@
  *                     std::current_exception pass; narrow typed
  *                     handlers are exempt (they encode a decision
  *                     about one specific failure)
- *   probe-tap         addTap in src/core or src/stack — measurement
- *                     probes and the safety monitor read the
- *                     run's trace::Recorder, never a
- *                     private topic tap (src/ros's Bag::record,
- *                     which keeps payloads, is outside the rule)
+ *   probe-tap         addTap in src/ outside src/ros (which defines
+ *                     it) — measurement probes, the safety monitor
+ *                     and the nodes read the run's trace::Recorder,
+ *                     never a private topic tap
  *   tmp-path          a string literal starting with /tmp/ under
  *                     tests/ — a fixed scratch path is shared by
  *                     every test process (ctest -j) and checkout on

@@ -373,18 +373,18 @@ rulePrintInLibrary(const SourceFile &f, Diags &out)
 }
 
 // ---------------------------------------------------------------
-// probe-tap: measurement code in src/core and the observer in
-// src/stack (the safety monitor) read the run's trace::Recorder;
-// they never install their own topic tap. A
-// private tap is a second recording path that can disagree with the
-// first. src/ros's Bag::record, which keeps payloads, stays legal.
+// probe-tap: library code outside src/ros (measurement probes, the
+// safety monitor, the nodes) reads the run's trace::Recorder; it
+// never installs its own topic tap. A private tap is a second
+// recording path that can disagree with the first. src/ros defines
+// Topic::addTap and is outside the rule.
 // ---------------------------------------------------------------
 
 void
 ruleProbeTap(const SourceFile &f, Diags &out)
 {
-    if (!startsWith(f.relPath(), "src/core/") &&
-        !startsWith(f.relPath(), "src/stack/"))
+    if (!startsWith(f.relPath(), "src/") ||
+        startsWith(f.relPath(), "src/ros/"))
         return;
     for (const Token &t : f.tokens())
         if (t.kind == TokenKind::Identifier && t.text == "addTap")
