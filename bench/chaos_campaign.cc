@@ -20,14 +20,12 @@
  *   --json <path>      machine-readable output (in smoke mode too)
  */
 
-#include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "chaos/chaos.hh"
 #include "common.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 
 using namespace av;
@@ -101,83 +99,59 @@ struct DetectorReport
     std::vector<chaos::CellOutcome> outcomes;
     std::vector<chaos::FrontierRow> frontier;
     std::uint64_t classCount[3] = {0, 0, 0};
-    bool hasRepro = false;
-    std::size_t reproCell = 0;
+    std::optional<std::size_t> reproCell; ///< set with repro
     chaos::MinimizeResult repro;
 };
 
 void
-writeJson(std::ostream &os,
+writeJson(util::JsonWriter &json,
           const std::vector<DetectorReport> &reports,
           const chaos::CampaignSpec &shape)
 {
     // No wall-clock fields and no cache-hit counters on purpose:
     // the artifact must be byte-identical across machines, worker
     // counts and warm/cold caches.
-    os << "{\n  \"bench\": \"chaos_campaign\",\n";
-    os << "  \"cellsPerDetector\": " << shape.cells << ",\n";
-    os << "  \"faultsPerCell\": [" << shape.minFaults << ", "
-       << shape.maxFaults << "],\n";
-    os << "  \"detectors\": [\n";
-    for (std::size_t d = 0; d < reports.size(); ++d) {
-        const DetectorReport &r = reports[d];
-        os << "    {\n      \"name\": \"" << util::jsonEscape(r.name)
-           << "\",\n";
-        os << "      \"classes\": {\"recovered\": "
-           << r.classCount[0] << ", \"degraded\": "
-           << r.classCount[1] << ", \"violated\": "
-           << r.classCount[2] << "},\n";
-        os << "      \"cells\": [\n";
-        for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-            const chaos::CellOutcome &out = r.outcomes[i];
-            os << "        {\"index\": " << out.cell.index
-               << ", \"class\": \"" << chaos::cellClassName(out.cls)
-               << "\", \"violations\": " << out.violationCount
-               << ", \"first\": \""
-               << util::jsonEscape(out.firstViolation)
-               << "\", \"unrecovered\": " << out.unrecovered
-               << ", \"faults\": [";
-            for (std::size_t f = 0; f < out.cell.sampled.size();
-                 ++f) {
-                const chaos::SampledFault &sf = out.cell.sampled[f];
-                os << (f != 0 ? ", " : "") << "{\"kind\": \""
-                   << fault::faultKindName(sf.kind)
-                   << "\", \"intensity\": " << sf.intensity << "}";
-            }
-            os << "]}"
-               << (i + 1 < r.outcomes.size() ? "," : "") << '\n';
+    json.object().field("bench", "chaos_campaign", "cellsPerDetector",
+                        shape.cells);
+    json.key("faultsPerCell").inlineArray().value(shape.minFaults);
+    json.value(shape.maxFaults).end().key("detectors").array();
+    for (const DetectorReport &r : reports) {
+        json.object().field("name", r.name).key("classes");
+        json.row("recovered", r.classCount[0], "degraded",
+                 r.classCount[1], "violated", r.classCount[2]);
+        json.key("cells").array();
+        for (const chaos::CellOutcome &out : r.outcomes) {
+            json.inlineObject().field(
+                "index", out.cell.index, "class",
+                chaos::cellClassName(out.cls), "violations",
+                out.violationCount, "first", out.firstViolation,
+                "unrecovered", out.unrecovered);
+            json.key("faults").inlineArray();
+            for (const chaos::SampledFault &sf : out.cell.sampled)
+                json.row("kind", fault::faultKindName(sf.kind),
+                         "intensity", sf.intensity);
+            json.end().end();
         }
-        os << "      ],\n      \"frontier\": [\n";
-        for (std::size_t i = 0; i < r.frontier.size(); ++i) {
-            const chaos::FrontierRow &row = r.frontier[i];
-            os << "        {\"kind\": \""
-               << fault::faultKindName(row.kind)
-               << "\", \"cells\": " << row.cells
-               << ", \"violated\": " << row.violated
-               << ", \"maxSurvivedIntensity\": "
-               << row.maxSurvivedIntensity
-               << ", \"minViolatedIntensity\": "
-               << row.minViolatedIntensity << "}"
-               << (i + 1 < r.frontier.size() ? "," : "") << '\n';
+        json.end().key("frontier").array();
+        for (const chaos::FrontierRow &row : r.frontier)
+            json.row("kind", fault::faultKindName(row.kind), "cells",
+                     row.cells, "violated", row.violated,
+                     "maxSurvivedIntensity", row.maxSurvivedIntensity,
+                     "minViolatedIntensity", row.minViolatedIntensity);
+        json.end();
+        if (r.reproCell) {
+            json.key("repro").inlineObject().field(
+                "cell", *r.reproCell, "invariant",
+                stack::invariantName(r.repro.invariant), "evaluations",
+                r.repro.evaluations);
+            json.key("plan").inlineArray();
+            for (const std::string &line : planLines(r.repro.plan))
+                json.value(line);
+            json.end().end();
         }
-        os << "      ]";
-        if (r.hasRepro) {
-            os << ",\n      \"repro\": {\"cell\": " << r.reproCell
-               << ", \"invariant\": \""
-               << stack::invariantName(r.repro.invariant)
-               << "\", \"evaluations\": " << r.repro.evaluations
-               << ", \"plan\": [";
-            const std::vector<std::string> lines =
-                planLines(r.repro.plan);
-            for (std::size_t i = 0; i < lines.size(); ++i)
-                os << (i != 0 ? ", " : "") << '"'
-                   << util::jsonEscape(lines[i]) << '"';
-            os << "]}";
-        }
-        os << "\n    }" << (d + 1 < reports.size() ? "," : "")
-           << '\n';
+        json.end();
     }
-    os << "  ]\n}\n";
+    json.end().end();
 }
 
 } // namespace
@@ -262,14 +236,10 @@ main(int argc, char **argv)
                  util::Table::num(row.maxSurvivedIntensity, 2),
                  util::Table::num(row.minViolatedIntensity, 2)});
         env.print(frontier);
-        std::printf("classes: %llu recovered, %llu degraded, %llu"
-                    " violated\n\n",
-                    static_cast<unsigned long long>(
-                        report.classCount[0]),
-                    static_cast<unsigned long long>(
-                        report.classCount[1]),
-                    static_cast<unsigned long long>(
-                        report.classCount[2]));
+        std::cout << "classes: " << report.classCount[0]
+                  << " recovered, " << report.classCount[1]
+                  << " degraded, " << report.classCount[2]
+                  << " violated\n\n";
 
         // Delta-debug the first violating cell to its minimal repro.
         for (const chaos::CellOutcome &out : report.outcomes) {
@@ -277,7 +247,6 @@ main(int argc, char **argv)
                 continue;
             report.repro = chaos::minimizeViolation(
                 env.runner(), cspec.base, out.cell.plan);
-            report.hasRepro = true;
             report.reproCell = out.cell.index;
 
             // The acceptance contract: every adopted step made the
@@ -297,17 +266,15 @@ main(int argc, char **argv)
                       "minimizer failed to shrink cell ",
                       out.cell.index);
 
-            std::printf("minimal repro (cell %zu, %s, %llu"
-                        " candidate replays):\n",
-                        out.cell.index,
-                        stack::invariantName(
-                            report.repro.invariant),
-                        static_cast<unsigned long long>(
-                            report.repro.evaluations));
+            std::cout << "minimal repro (cell " << out.cell.index
+                      << ", "
+                      << stack::invariantName(report.repro.invariant)
+                      << ", " << report.repro.evaluations
+                      << " candidate replays):\n";
             for (const std::string &line :
                  planLines(report.repro.plan))
-                std::printf("  %s\n", line.c_str());
-            std::printf("\n");
+                std::cout << "  " << line << "\n";
+            std::cout << "\n";
             break;
         }
         reports.push_back(std::move(report));
@@ -317,16 +284,10 @@ main(int argc, char **argv)
               "seeded campaign found no safety violation — "
               "sampler or monitor regressed");
 
-    const std::string jsonPath = env.options().text("json");
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath, std::ios::trunc);
-        if (os) {
-            writeJson(os, reports, shape);
-            std::cerr << "wrote " << jsonPath << "\n";
-        } else {
-            std::cerr << "cannot write " << jsonPath << "\n";
-        }
-    }
+    const bool wrote = bench::writeArtifact(
+        env.options().text("json"), [&](util::JsonWriter &json) {
+            writeJson(json, reports, shape);
+        });
 
     std::cout
         << "Reading: a cell is 'violated' when any armed safety"
@@ -337,5 +298,5 @@ main(int argc, char **argv)
            " that (in compound) violated. The minimal repro is the"
            " delta-debugged plan: no single fault drop, window"
            " halving or intensity weakening preserves the breach.\n";
-    return 0;
+    return wrote ? 0 : 1;
 }

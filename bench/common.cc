@@ -1,6 +1,7 @@
 #include "common.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
@@ -85,6 +86,21 @@ assertZeroCopy(const prof::RunResult &run)
                   "zero-copy contract violated in clean run '",
                   run.label, "': ", run.transport.payloadCopies,
                   " payload copies");
+}
+
+bool
+writeArtifact(const std::string &path,
+              const std::function<void(util::JsonWriter &)> &emit)
+{
+    if (path.empty())
+        return true;
+    std::ofstream os(path, std::ios::trunc);
+    util::JsonWriter json(os);
+    if (os)
+        emit(json);
+    os.close();
+    std::cerr << (os ? "wrote " : "cannot write ") << path << "\n";
+    return static_cast<bool>(os);
 }
 
 void

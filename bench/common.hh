@@ -24,11 +24,13 @@
 #ifndef AVSCOPE_BENCH_COMMON_HH
 #define AVSCOPE_BENCH_COMMON_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hh"
 #include "options.hh"
+#include "util/json.hh"
 #include "util/table.hh"
 
 namespace av::bench {
@@ -126,6 +128,14 @@ class BenchEnv
  * clean (unfaulted) run must have made none at all.
  */
 void assertZeroCopy(const prof::RunResult &run);
+
+/**
+ * Write a bench's JSON artifact: open @p path, let @p emit fill it,
+ * flush it and report on stderr. An empty path skips it. False if
+ * the file cannot be written: the bench then exits non-zero.
+ */
+bool writeArtifact(const std::string &path,
+                   const std::function<void(util::JsonWriter &)> &emit);
 
 } // namespace av::bench
 

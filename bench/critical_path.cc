@@ -22,12 +22,10 @@
  * Writes BENCH_critical_path.json next to the other bench artifacts.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "common.hh"
 #include "exp/optimizer.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 
 using namespace av;
@@ -76,52 +74,33 @@ printCriticalPath(bench::BenchEnv &env, const prof::RunResult &run)
 }
 
 void
-writeJson(std::ostream &os,
+writeJson(util::JsonWriter &json,
           const std::vector<const prof::RunResult *> &runs,
           const exp::GuardedOptimizer &optimizer, double final_ms)
 {
-    os << "{\n  \"bench\": \"critical_path\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const prof::RunResult &run = *runs[i];
-        const trace::Summary &s = run.trace;
-        os << "    {\n"
-           << "      \"label\": \"" << util::jsonEscape(run.label)
-           << "\",\n"
-           << "      \"critical_path_ms\": " << s.criticalPathMs
-           << ",\n"
-           << "      \"terminal_topic\": \""
-           << util::jsonEscape(s.terminalTopic)
-           << "\",\n      \"path\": [";
-        for (std::size_t j = 0; j < s.criticalPath.size(); ++j) {
-            const trace::PathStep &step = s.criticalPath[j];
-            os << (j ? ", " : "") << "{\"node\": \""
-               << util::jsonEscape(step.node) << "\", \"topic\": \""
-               << util::jsonEscape(step.topic)
-               << "\", \"queue_wait_ms\": " << step.queueWaitMs
-               << ", \"compute_ms\": " << step.computeMs << "}";
-        }
-        os << "],\n      \"bottlenecks\": {";
-        for (std::size_t j = 0; j < s.nodes.size(); ++j)
-            os << (j ? ", " : "") << "\""
-               << util::jsonEscape(s.nodes[j].node) << "\": \""
-               << util::jsonEscape(s.nodes[j].bottleneck) << "\"";
-        os << "}\n    }" << (i + 1 < runs.size() ? "," : "")
-           << "\n";
+    json.object().field("bench", "critical_path").key("runs").array();
+    for (const prof::RunResult *run : runs) {
+        const trace::Summary &s = run->trace;
+        json.object().field("label", run->label, "critical_path_ms",
+                            s.criticalPathMs, "terminal_topic",
+                            s.terminalTopic);
+        json.key("path").inlineArray();
+        for (const trace::PathStep &step : s.criticalPath)
+            json.row("node", step.node, "topic", step.topic,
+                     "queue_wait_ms", step.queueWaitMs, "compute_ms",
+                     step.computeMs);
+        json.end().key("bottlenecks").inlineObject();
+        for (const trace::NodeSlack &row : s.nodes)
+            json.field(row.node, row.bottleneck);
+        json.end().end();
     }
-    os << "  ],\n  \"optimizer\": {\n    \"steps\": [\n";
-    const auto &history = optimizer.history();
-    for (std::size_t i = 0; i < history.size(); ++i) {
-        const exp::OptimizerStep &step = history[i];
-        os << "      {\"name\": \"" << util::jsonEscape(step.name)
-           << "\", \"incumbent_ms\": " << step.incumbentMs
-           << ", \"candidate_ms\": " << step.candidateMs
-           << ", \"accepted\": "
-           << (step.accepted ? "true" : "false") << "}"
-           << (i + 1 < history.size() ? "," : "") << "\n";
-    }
-    os << "    ],\n    \"accepted\": " << optimizer.accepted()
-       << ",\n    \"final_worst_path_ms\": " << final_ms
-       << "\n  }\n}\n";
+    json.end().key("optimizer").object().key("steps").array();
+    for (const exp::OptimizerStep &step : optimizer.history())
+        json.row("name", step.name, "incumbent_ms", step.incumbentMs,
+                 "candidate_ms", step.candidateMs, "accepted",
+                 step.accepted);
+    json.end().field("accepted", optimizer.accepted(),
+                     "final_worst_path_ms", final_ms).end().end();
 }
 
 } // namespace
@@ -252,15 +231,9 @@ main(int argc, char **argv)
         env.print(ba);
     }
 
-    const std::string jsonPath = env.options().text("json");
-    if (!jsonPath.empty() && !smoke) {
-        std::ofstream os(jsonPath, std::ios::trunc);
-        if (os) {
-            writeJson(os, runs, optimizer, final_ms);
-            std::cerr << "wrote " << jsonPath << "\n";
-        } else {
-            std::cerr << "cannot write " << jsonPath << "\n";
-        }
-    }
-    return 0;
+    const bool wrote = bench::writeArtifact(
+        env.options().text("json"), [&](util::JsonWriter &json) {
+            writeJson(json, runs, optimizer, final_ms);
+        });
+    return wrote ? 0 : 1;
 }

@@ -14,65 +14,38 @@
  */
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "findings.hh"
-#include "util/json.hh"
 
 namespace {
 
-using av::util::jsonEscape;
-
 void
-writeTransportJson(std::ostream &os,
+writeTransportJson(av::util::JsonWriter &json,
                    const std::vector<av::prof::RunResult> &runs,
                    double wallSeconds, int failed)
 {
-    os << "{\n";
-    os << "  \"bench\": \"findings_summary\",\n";
-    os << "  \"wall_clock_s\": " << wallSeconds << ",\n";
-    os << "  \"findings_failed\": " << failed << ",\n";
-    os << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const av::prof::RunResult &run = runs[i];
-        os << "    {\n";
-        os << "      \"label\": \"" << jsonEscape(run.label)
-           << "\",\n";
-        os << "      \"worst_path_mean_ms\": "
-           << run.worstCaseMean() << ",\n";
-        os << "      \"worst_path_p99_ms\": " << run.worstCaseP99()
-           << ",\n";
-        os << "      \"drops\": [\n";
-        bool firstDrop = true;
-        for (const auto &row : run.drops) {
-            if (row.delivered == 0)
-                continue;
-            if (!firstDrop)
-                os << ",\n";
-            firstDrop = false;
-            os << "        {\"topic\": \"" << jsonEscape(row.topic)
-               << "\", \"node\": \"" << jsonEscape(row.node)
-               << "\", \"delivered\": " << row.delivered
-               << ", \"dropped\": " << row.dropped
-               << ", \"drop_rate\": " << row.dropRate() << "}";
-        }
-        os << "\n      ],\n";
-        os << "      \"transport\": {\"published\": "
-           << run.transport.published
-           << ", \"deliveries\": " << run.transport.deliveries
-           << ", \"payload_copies\": "
-           << run.transport.payloadCopies
-           << ", \"loaned_deliveries\": "
-           << run.transport.loanedDeliveries
-           << ", \"moved_publishes\": "
-           << run.transport.movedPublishes
-           << ", \"forced_copies\": " << run.transport.forcedCopies
-           << "}\n";
-        os << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";
+    json.object().field("bench", "findings_summary", "wall_clock_s",
+                        wallSeconds, "findings_failed", failed);
+    json.key("runs").array();
+    for (const av::prof::RunResult &run : runs) {
+        json.object().field("label", run.label, "worst_path_mean_ms",
+                            run.worstCaseMean(), "worst_path_p99_ms",
+                            run.worstCaseP99());
+        json.key("drops").array();
+        for (const auto &row : run.drops)
+            if (row.delivered != 0)
+                json.row("topic", row.topic, "node", row.node,
+                         "delivered", row.delivered, "dropped",
+                         row.dropped, "drop_rate", row.dropRate());
+        const av::ros::TransportCounters &t = run.transport;
+        json.end().key("transport").row(
+            "published", t.published, "deliveries", t.deliveries,
+            "payload_copies", t.payloadCopies, "loaned_deliveries",
+            t.loanedDeliveries, "moved_publishes", t.movedPublishes,
+            "forced_copies", t.forcedCopies).end();
     }
-    os << "  ]\n";
-    os << "}\n";
+    json.end().end();
 }
 
 } // namespace
@@ -98,17 +71,9 @@ main(int argc, char **argv)
     const double wall =
         std::chrono::duration<double>(t1 - t0).count();
 
-    const std::string jsonPath = env.options().text("json");
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath, std::ios::trunc);
-        if (os) {
-            writeTransportJson(os, runs, wall, failed);
-            std::cerr << "wrote " << jsonPath << " (wall-clock "
-                      << wall << " s)\n";
-        } else {
-            std::cerr << "cannot write " << jsonPath << "\n";
-        }
-    }
-
-    return failed == 0 ? 0 : 1;
+    const bool wrote = av::bench::writeArtifact(
+        env.options().text("json"), [&](av::util::JsonWriter &json) {
+            writeTransportJson(json, runs, wall, failed);
+        });
+    return failed == 0 && wrote ? 0 : 1;
 }

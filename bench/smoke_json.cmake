@@ -1,6 +1,7 @@
 # Run a bench with --json and fail unless it exits 0 and the JSON file
-# appears, non-empty and starting with '{'. A stale file from an
-# earlier run is removed first, so only this run can satisfy it.
+# appears and parses as a JSON object. A stale file from an earlier
+# run is removed first, so only this run can satisfy it. CMake before
+# 3.19 has no JSON parser; there the file need only start with '{'.
 #
 #   cmake -DBENCH=<binary> "-DARGS=<flags>" -DJSON=<path> \
 #         -P smoke_json.cmake
@@ -15,7 +16,18 @@ if(NOT EXISTS "${JSON}")
     message(FATAL_ERROR "${BENCH} --json ${JSON} wrote no file")
 endif()
 file(READ "${JSON}" text)
-string(SUBSTRING "${text}" 0 1 first)
-if(NOT first STREQUAL "{")
+if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
+    string(JSON type ERROR_VARIABLE error TYPE "${text}")
+    if(error)
+        message(FATAL_ERROR "${JSON} is not valid JSON: ${error}")
+    endif()
+else()
+    string(SUBSTRING "${text}" 0 1 first)
+    set(type "")
+    if(first STREQUAL "{")
+        set(type OBJECT)
+    endif()
+endif()
+if(NOT type STREQUAL "OBJECT")
     message(FATAL_ERROR "${JSON} does not hold a JSON object")
 endif()

@@ -123,6 +123,7 @@ struct FaultPlan
     std::vector<FaultSpec> faults;
 
     bool empty() const { return faults.empty(); }
+    bool operator==(const FaultPlan &) const = default;
 
     FaultPlan &lidarBlackout(sim::Tick start, sim::Tick duration);
     FaultPlan &cameraBlackout(sim::Tick start, sim::Tick duration);

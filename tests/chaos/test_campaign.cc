@@ -23,6 +23,17 @@
 #include "stack/safety.hh"
 #include "test_dir.hh"
 
+namespace av::fault {
+
+/** Failure messages show a plan as its canonical text. */
+inline void
+PrintTo(const FaultPlan &plan, std::ostream *os)
+{
+    *os << chaos::canonicalPlan(plan);
+}
+
+} // namespace av::fault
+
 namespace {
 
 using namespace av;
@@ -118,8 +129,7 @@ TEST(Campaign, CellSamplingIsDeterministicAndCompound)
         const chaos::CampaignCell cell = a.cellFor(i);
         // Pure function of (spec, index): a second runner samples
         // the identical cell.
-        EXPECT_EQ(chaos::canonicalPlan(cell.plan),
-                  chaos::canonicalPlan(b.cellFor(i).plan));
+        EXPECT_EQ(cell.plan, b.cellFor(i).plan);
 
         ASSERT_EQ(cell.sampled.size(), cell.plan.faults.size());
         EXPECT_GE(cell.sampled.size(), spec.minFaults);
@@ -273,8 +283,7 @@ TEST(Campaign, MinimizerShrinksAndReachesAFixedPoint)
     // attempted step fails to preserve the violation.
     const chaos::MinimizeResult again = chaos::minimizeViolation(
         runner, campaign.spec().base, repro.plan);
-    EXPECT_EQ(chaos::canonicalPlan(again.plan),
-              chaos::canonicalPlan(repro.plan));
+    EXPECT_EQ(again.plan, repro.plan);
     for (const chaos::MinimizeStep &step : again.steps)
         EXPECT_FALSE(step.kept) << step.action;
 }

@@ -25,15 +25,6 @@ fmtNum(double v)
     return buf;
 }
 
-std::string
-quote(const std::string &s)
-{
-    std::string out = "\"";
-    out += util::jsonEscape(s);
-    out += '"';
-    return out;
-}
-
 /** DOT quoting: only '"' needs escaping; backslash escapes such as
  *  the "\n" in multi-line labels must pass through untouched. */
 std::string
@@ -55,52 +46,33 @@ std::string
 toJson(const StaticGraph &graph)
 {
     std::ostringstream os;
-    os << "{\n  \"nodes\": [";
-    for (std::size_t i = 0; i < graph.nodes.size(); ++i)
-        os << (i ? ", " : "") << quote(graph.nodes[i]);
-    os << "],\n  \"node_rates_hz\": {";
-    bool first = true;
-    for (const auto &[node, rate] : graph.nodeRates) {
-        os << (first ? "" : ", ") << quote(node) << ": "
-           << fmtNum(rate);
-        first = false;
-    }
-    os << "},\n  \"topics\": [";
-    first = true;
+    util::JsonWriter json(os);
+    json.object().key("nodes").inlineArray();
+    for (const std::string &node : graph.nodes)
+        json.value(node);
+    json.end().key("node_rates_hz").inlineObject();
+    for (const auto &[node, rate] : graph.nodeRates)
+        json.field(node, rate);
+    json.end().key("topics").array();
     for (const auto &[name, entry] : graph.topics) {
-        os << (first ? "\n" : ",\n") << "    {\n      \"name\": "
-           << quote(name);
-        first = false;
+        json.object().field("name", name);
         if (entry.rateHz > 0.0)
-            os << ",\n      \"rate_hz\": " << fmtNum(entry.rateHz);
-        os << ",\n      \"externals\": [";
-        for (std::size_t i = 0; i < entry.externals.size(); ++i) {
-            const ExternalSite &e = entry.externals[i];
-            os << (i ? ", " : "") << "{\"source\": "
-               << quote(e.source) << ", \"type\": " << quote(e.type)
-               << ", \"file\": " << quote(e.site.file)
-               << ", \"line\": " << e.site.line << "}";
-        }
-        os << "],\n      \"pubs\": [";
-        for (std::size_t i = 0; i < entry.pubs.size(); ++i) {
-            const PubSite &p = entry.pubs[i];
-            os << (i ? ", " : "") << "{\"node\": " << quote(p.node)
-               << ", \"type\": " << quote(p.type)
-               << ", \"file\": " << quote(p.site.file)
-               << ", \"line\": " << p.site.line << "}";
-        }
-        os << "],\n      \"subs\": [";
-        for (std::size_t i = 0; i < entry.subs.size(); ++i) {
-            const SubSite &s = entry.subs[i];
-            os << (i ? ", " : "") << "{\"node\": " << quote(s.node)
-               << ", \"type\": " << quote(s.type)
-               << ", \"depth\": " << s.depth
-               << ", \"file\": " << quote(s.site.file)
-               << ", \"line\": " << s.site.line << "}";
-        }
-        os << "]\n    }";
+            json.field("rate_hz", entry.rateHz);
+        json.key("externals").inlineArray();
+        for (const ExternalSite &e : entry.externals)
+            json.row("source", e.source, "type", e.type, "file",
+                     e.site.file, "line", e.site.line);
+        json.end().key("pubs").inlineArray();
+        for (const PubSite &p : entry.pubs)
+            json.row("node", p.node, "type", p.type, "file",
+                     p.site.file, "line", p.site.line);
+        json.end().key("subs").inlineArray();
+        for (const SubSite &s : entry.subs)
+            json.row("node", s.node, "type", s.type, "depth", s.depth,
+                     "file", s.site.file, "line", s.site.line);
+        json.end().end();
     }
-    os << "\n  ]\n}\n";
+    json.end().end();
     return os.str();
 }
 

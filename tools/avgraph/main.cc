@@ -40,13 +40,12 @@ bool
 writeFile(const std::string &path, const std::string &content)
 {
     std::ofstream out(path, std::ios::binary);
-    if (!out) {
+    out << content;
+    out.close();
+    if (!out)
         std::fprintf(stderr, "avgraph: cannot write '%s'\n",
                      path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
+    return static_cast<bool>(out);
 }
 
 } // namespace
