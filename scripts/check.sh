@@ -22,10 +22,11 @@
 #      chaos-campaign smokes under the same build
 #   7. rebuild + ctest under ThreadSanitizer (the Runner's worker
 #      pool and result cache run real threads; TSan proves the
-#      isolation contract DESIGN.md §10 describes), the Runner tests
-#      three more times (their interleavings vary run to run: the
-#      drive memo, the clustering its replays share and the map
-#      fill), then the same three smokes again
+#      isolation contract DESIGN.md §10 describes), the Runner and
+#      InvocationMemo tests three more times (their interleavings
+#      vary run to run: the drive memo, the LiDAR front end its
+#      replays share and the map fill), then the same three smokes
+#      again
 #
 # Usage: scripts/check.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 # Exit code is non-zero if any stage fails.
@@ -110,9 +111,10 @@ step "sanitizers: ctest (TSan, halt on any report)"
 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS"
 
-step "Runner tests, repeated (TSan): drive memo, shared clustering and concurrent map fill"
+step "Runner tests, repeated (TSan): drive memo, shared LiDAR front end and concurrent map fill"
 TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "$TSAN_BUILD" --output-on-failure -R 'Runner\.' \
+    ctest --test-dir "$TSAN_BUILD" --output-on-failure \
+    -R 'Runner\.|InvocationMemo' \
     --repeat until-fail:3
 
 step "transport microbench smoke (TSan)"

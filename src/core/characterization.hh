@@ -44,9 +44,14 @@ struct DriveData
     /** Operator-provided initial pose (Autoware's rviz "2D Pose
      *  Estimate"): the ego's ground-truth pose at t = 0. */
     geom::Pose2 initialPose;
-    /** euclidean_cluster's invocations, shared by every replay of
-     *  this drive (perception::ClusterMemo). Only the experiment
-     *  Runner attaches one; a drive without it clusters live. */
+    /** The LiDAR front end's invocations, one memo per node, shared
+     *  by every replay of this drive (perception::InvocationMemo).
+     *  Only the experiment Runner attaches them; a node whose memo
+     *  is null computes live. The NDT memo holds alignments against
+     *  `map`. */
+    std::shared_ptr<perception::RayGroundMemo> rayGroundMemo;
+    std::shared_ptr<perception::VoxelGridMemo> voxelGridMemo;
+    std::shared_ptr<perception::NdtMemo> ndtMemo;
     std::shared_ptr<perception::ClusterMemo> clusterMemo;
 };
 

@@ -233,12 +233,18 @@ Runner::driveFor(const ExperimentSpec &spec)
             std::shared_ptr<prof::DriveData> made =
                 prof::recordDriveBag(spec.scenario,
                                      spec.driveDuration, spec.recorder);
-            made->clusterMemo =
-                std::make_shared<perception::ClusterMemo>(
-                    perception::ClusterMemo::kEntriesPerScan *
-                    lidarScans(made->bag));
+            const std::size_t scans = lidarScans(made->bag);
+            const auto attach = [scans]<class Memo>(
+                                    std::shared_ptr<Memo> &slot) {
+                slot = std::make_shared<Memo>(Memo::kEntriesPerScan *
+                                              scans);
+            };
+            attach(made->rayGroundMemo);
+            attach(made->voxelGridMemo);
+            attach(made->ndtMemo);
+            attach(made->clusterMemo);
             std::lock_guard<std::mutex> lock(driveMutex_);
-            memo->clusters = made->clusterMemo;
+            memo->recorded = made;
             return made;
         });
     if (spec.config.stack.enableLocalization) {
@@ -260,16 +266,20 @@ Runner::driveFor(const ExperimentSpec &spec)
     return drive;
 }
 
-std::size_t
-Runner::clustersShared() const
+Runner::SharedInvocations
+Runner::shared() const
 {
     std::lock_guard<std::mutex> lock(driveMutex_);
-    std::size_t hits = 0;
+    SharedInvocations out;
     for (const auto &[key, memo] : drives_) {
-        if (memo.clusters)
-            hits += memo.clusters->hits();
+        if (const auto &drive = memo.recorded) {
+            out.rayGround += drive->rayGroundMemo->hits();
+            out.voxelGrid += drive->voxelGridMemo->hits();
+            out.ndt += drive->ndtMemo->hits();
+            out.cluster += drive->clusterMemo->hits();
+        }
     }
-    return hits;
+    return out;
 }
 
 std::string

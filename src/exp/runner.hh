@@ -9,11 +9,11 @@
  * RNG streams are all per-run objects), so runs are independent
  * pure functions of their spec and can execute on any thread in any
  * order. The only cross-thread structures are this class's job
- * queue, the drive memo, each drive's ClusterMemo and the logger —
- * all mutex- or atomic-protected. A ClusterMemo entry does feed a
- * replay, but only with what that replay would compute itself. Results are
- * therefore byte-identical for any worker count, which
- * tests/exp/test_runner.cc asserts.
+ * queue, the drive memo, each drive's invocation memos and the
+ * logger — all mutex- or atomic-protected. An invocation memo entry
+ * does feed a replay, but only with what that replay would compute
+ * itself. Results are therefore byte-identical for any worker count,
+ * which tests/exp/test_runner.cc asserts.
  *
  * Drives are recorded at most once per distinct (scenario,
  * recorder, duration) via an in-process memo, and only when a cache
@@ -23,17 +23,19 @@
  * for the first job whose stack localizes: a batch of isolated
  * (Fig. 8) replays records the bag and never runs the mapping pass.
  *
- * A drive's replays also share euclidean_cluster's invocations
- * through the perception::ClusterMemo the Runner attaches to it.
- * An entry is keyed by (parent entry, LiDAR stamp), a trie of the
- * node's whole input history, and holds the clusters, the cropped
- * point count, the invocation cost and the node's µarch state after
- * the call. A replay whose history reaches a stored entry adopts it
- * instead of running the kernel; its results are byte-identical to
- * computing live. The budget is ClusterMemo::kEntriesPerScan entries
- * per LiDAR scan of the bag; once it is spent, misses compute live
- * and store nothing. Drives made outside the Runner (makeDrive)
- * carry no memo and cluster live.
+ * A drive's replays also share the LiDAR front end: the Runner
+ * attaches one perception::InvocationMemo per node (ray_ground_filter,
+ * voxel_grid_filter, ndt_matching, euclidean_cluster) to the drive.
+ * An entry is keyed by (parent entry, input key), a trie of the
+ * node's whole input history; the key is the scan's LiDAR stamp, and
+ * for NDT also the bits of its initial guess. It holds what the
+ * kernel computed, the invocation cost and the node's µarch state
+ * after the call. A replay whose history reaches a stored entry
+ * adopts it instead of running the kernel; its results are
+ * byte-identical to computing live. Each memo's budget is
+ * kEntriesPerScan entries per LiDAR scan of the bag; once it is
+ * spent, misses compute live and store nothing. Drives made outside
+ * the Runner (makeDrive) carry no memos and compute live.
  */
 
 #ifndef AVSCOPE_EXP_RUNNER_HH
@@ -151,9 +153,19 @@ class Runner
      *  that only non-localizing replays used. */
     std::size_t mapsBuilt() const { return mapsBuilt_.load(); }
 
-    /** euclidean_cluster invocations a replay adopted from its
-     *  drive's ClusterMemo instead of computing them. */
-    std::size_t clustersShared() const;
+    /** Invocations replays adopted from their drives' memos
+     *  instead of computing them, per shared front-end node. */
+    struct SharedInvocations
+    {
+        std::size_t rayGround = 0;
+        std::size_t voxelGrid = 0;
+        std::size_t ndt = 0;
+        std::size_t cluster = 0;
+    };
+    SharedInvocations shared() const;
+
+    /** euclidean_cluster's count in shared(). */
+    std::size_t clustersShared() const { return shared().cluster; }
 
   private:
     struct Job
@@ -205,8 +217,8 @@ class Runner
          * it is written.
          */
         std::shared_future<void> map;
-        /** The drive's ClusterMemo, once the bag is recorded. */
-        std::shared_ptr<perception::ClusterMemo> clusters;
+        /** The drive, once its bag is recorded (for shared()). */
+        std::shared_ptr<const prof::DriveData> recorded;
     };
 
     mutable std::mutex driveMutex_; ///< guards drives_ and every DriveMemo

@@ -32,9 +32,9 @@ PerceptionNode::makeCpuTask(const uarch::InvocationCost &cost,
 }
 
 void
-PerceptionNode::finishWorkOnCpu(std::function<void()> then)
+PerceptionNode::runOnCpu(const uarch::InvocationCost &cost,
+                         std::function<void()> then)
 {
-    const uarch::InvocationCost cost = arch_.endInvocation();
     machine().cpu().submit(makeCpuTask(cost, std::move(then)));
 }
 

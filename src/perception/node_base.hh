@@ -87,7 +87,15 @@ class PerceptionNode : public ros::Node
      * Finish the invocation and run its cost as one CPU task.
      * @p then fires when the simulated execution completes.
      */
-    void finishWorkOnCpu(std::function<void()> then);
+    void
+    finishWorkOnCpu(std::function<void()> then)
+    {
+        runOnCpu(arch_.endInvocation(), std::move(then));
+    }
+
+    /** Run @p cost as one CPU task; @p then fires on completion. */
+    void runOnCpu(const uarch::InvocationCost &cost,
+                  std::function<void()> then);
 
     /**
      * Finish the invocation and return the cost so the caller can

@@ -1,5 +1,6 @@
 #include "perception/nodes.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "perception/euclidean_cluster.hh"
@@ -33,26 +34,32 @@ constexpr CostmapConfig kCostmap{};
 
 // ---------------------------------------------------------------- voxel
 
-VoxelGridFilterNode::VoxelGridFilterNode(ros::RosGraph &graph,
-                                         const NodeConfig &config)
+VoxelGridFilterNode::VoxelGridFilterNode(
+    ros::RosGraph &graph, const NodeConfig &config,
+    std::shared_ptr<VoxelGridMemo> memo)
     : PerceptionNode(graph, "voxel_grid_filter", config),
+      memo_(std::move(memo)),
       pub_(graph.advertise<pc::PointCloud>(topics::filteredPoints, name()))
 {
     subscribe<pc::PointCloud>(
         world::topics::pointsRaw, 1,
         [this](const ros::Stamped<pc::PointCloud> &msg,
                std::function<void()> done) {
-            beginWork();
-            auto out =
-                share(pc::voxelGridDownsample(msg.data, kVoxelLeaf,
-                                              profiler()));
+            const auto out =
+                memo_.invoke(arch(), msg.header.origins.lidar, [&] {
+                    beginWork();
+                    VoxelGridInvocation result;
+                    result.filtered = pc::voxelGridDownsample(
+                        msg.data, kVoxelLeaf, profiler());
+                    result.cost = finishWork();
+                    return result;
+                });
             const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, out, header, done = std::move(done)] {
-                // Loan the payload: byteSize() is hoisted because
-                // argument evaluation order is unspecified and the
-                // move hollows out *out.
-                const std::size_t bytes = out->byteSize();
-                pub_.publish(header, std::move(*out), bytes);
+            runOnCpu(out->cost, [this, out, header,
+                                 done = std::move(done)] {
+                // The entry may be shared: publish a copy.
+                pub_.publish(header, out->filtered,
+                             out->filtered.byteSize());
                 done();
             });
         });
@@ -64,9 +71,11 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
                                  const NodeConfig &config,
                                  const pc::PointCloud &map,
                                  std::optional<geom::Pose2> initial_pose,
-                                 bool degraded)
+                                 bool degraded,
+                                 std::shared_ptr<NdtMemo> memo)
     : PerceptionNode(graph, "ndt_matching", config),
       initialPose_(initial_pose), degraded_(degraded),
+      memo_(std::move(memo)),
       pub_(graph.advertise<PoseEstimate>(topics::ndtPose, name()))
 {
     matcher_.setMap(map);
@@ -138,9 +147,18 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
                 guess.yaw = 0.0;
             }
 
-            beginWork();
-            const NdtResult result =
-                matcher_.align(msg.data, guess, profiler());
+            const NdtInput key{msg.header.origins.lidar,
+                               std::bit_cast<std::uint64_t>(guess.p.x),
+                               std::bit_cast<std::uint64_t>(guess.p.y),
+                               std::bit_cast<std::uint64_t>(guess.yaw)};
+            const auto aligned = memo_.invoke(arch(), key, [&] {
+                beginWork();
+                NdtInvocation out;
+                out.result = matcher_.align(msg.data, guess, profiler());
+                out.cost = finishWork();
+                return out;
+            });
+            const NdtResult &result = aligned->result;
             util::debug("[ndt] t=",
                         sim::ticksToSeconds(msg.header.stamp),
                         " imu=", imu_.has_value(), " guess=(",
@@ -175,18 +193,21 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
             lastStamp_ = msg.header.stamp;
 
             const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, estimate, header, done = std::move(done)] {
-                pub_.publish(header, estimate, 96);
-                done();
-            });
+            runOnCpu(aligned->cost,
+                     [this, estimate, header, done = std::move(done)] {
+                         pub_.publish(header, estimate, 96);
+                         done();
+                     });
         });
 }
 
 // ----------------------------------------------------------- ray ground
 
-RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
-                                         const NodeConfig &config)
+RayGroundFilterNode::RayGroundFilterNode(
+    ros::RosGraph &graph, const NodeConfig &config,
+    std::shared_ptr<RayGroundMemo> memo)
     : PerceptionNode(graph, "ray_ground_filter", config),
+      memo_(std::move(memo)),
       pubNoGround_(
           graph.advertise<pc::PointCloud>(topics::pointsNoGround,
                                           name())),
@@ -197,11 +218,19 @@ RayGroundFilterNode::RayGroundFilterNode(ros::RosGraph &graph,
         world::topics::pointsRaw, 1,
         [this](const ros::Stamped<pc::PointCloud> &msg,
                std::function<void()> done) {
-            beginWork();
-            auto split = share(
-                rayGroundFilter(msg.data, kRayGround, profiler()));
+            const auto out =
+                memo_.invoke(arch(), msg.header.origins.lidar, [&] {
+                    beginWork();
+                    RayGroundInvocation result;
+                    result.split = rayGroundIndices(msg.data, kRayGround,
+                                                    profiler());
+                    result.cost = finishWork();
+                    return result;
+                });
+            auto split = share(out->split.gather(msg.data));
             const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, split, header, done = std::move(done)] {
+            runOnCpu(out->cost, [this, split, header,
+                                 done = std::move(done)] {
                 const std::size_t ngBytes =
                     split->noGround.byteSize();
                 const std::size_t gBytes = split->ground.byteSize();
@@ -236,8 +265,18 @@ EuclideanClusterNode::EuclideanClusterNode(
         topics::pointsNoGround, 1,
         [this](const ros::Stamped<pc::PointCloud> &msg,
                std::function<void()> done) {
-            const std::shared_ptr<const ClusterInvocation> result =
-                cluster(msg);
+            const auto result =
+                memo_.invoke(arch(), msg.header.origins.lidar, [&] {
+                    beginWork();
+                    ClusterInvocation out;
+                    const pc::PointCloud cropped = cropForClustering(
+                        msg.data, kCluster, profiler());
+                    out.clusters =
+                        euclideanCluster(cropped, kCluster, profiler());
+                    out.croppedPoints = cropped.size();
+                    out.cost = finishWork();
+                    return out;
+                });
             const std::vector<Cluster> &clusters = result->clusters;
 
             // Clusters are vehicle-frame; ground them in the world
@@ -299,35 +338,6 @@ EuclideanClusterNode::EuclideanClusterNode(
                 makeCpuTask(post, nullptr)));
             hw::runPhases(machine(), std::move(phases), publish);
         });
-}
-
-std::shared_ptr<const ClusterInvocation>
-EuclideanClusterNode::cluster(const ros::Stamped<pc::PointCloud> &msg)
-{
-    const auto live = [&] {
-        beginWork();
-        ClusterInvocation out;
-        const pc::PointCloud cropped =
-            cropForClustering(msg.data, kCluster, profiler());
-        out.clusters = euclideanCluster(cropped, kCluster, profiler());
-        out.croppedPoints = cropped.size();
-        out.cost = finishWork();
-        return out;
-    };
-    if (!memo_)
-        return share(live());
-    const ClusterMemo::Step step =
-        memo_->step(memoAt_, msg.header.origins.lidar, [&] {
-            ClusterInvocation result = live();
-            return ClusterMemo::Entry{std::move(result), arch()};
-        });
-    if (step.adopt)
-        arch() = step.entry->after;
-    memoAt_ = step.at;
-    if (!step.stored)
-        memo_.reset();
-    // Aliasing: the result lives as long as its entry.
-    return {step.entry, &step.entry->result};
 }
 
 // --------------------------------------------------------------- vision

@@ -10,17 +10,21 @@
 #ifndef AVSCOPE_PERCEPTION_NODES_HH
 #define AVSCOPE_PERCEPTION_NODES_HH
 
+#include <compare>
+#include <cstdint>
 #include <memory>
 #include <optional>
 
 #include "dnn/cost.hh"
 #include "dnn/network.hh"
-#include "perception/cluster_memo.hh"
 #include "perception/costmap.hh"
+#include "perception/euclidean_cluster.hh"
 #include "perception/imm_ukf_pda.hh"
+#include "perception/invocation_memo.hh"
 #include "perception/ndt.hh"
 #include "perception/node_base.hh"
 #include "perception/objects.hh"
+#include "perception/ray_ground_filter.hh"
 #include "perception/vision_model.hh"
 #include "pointcloud/voxel_grid.hh"
 #include "sim/periodic.hh"
@@ -54,15 +58,84 @@ inline constexpr const char *watched[] = {
     trackedObjects, objects,      costmap};
 } // namespace topics
 
+// ------------------------------------------------- shared front end
+//
+// What one invocation of each LiDAR front-end node computes, as its
+// drive's InvocationMemo stores it (DESIGN.md §10). Every result is
+// a pure function of the node's input key and its NodeArchState.
+
+/** ray_ground_filter: the split of one scan, as indices into it. */
+struct RayGroundInvocation
+{
+    GroundIndices split;
+    uarch::InvocationCost cost;
+};
+
+/** voxel_grid_filter: the downsampled scan. */
+struct VoxelGridInvocation
+{
+    pc::PointCloud filtered;
+    uarch::InvocationCost cost;
+};
+
+/** ndt_matching: one alignment. */
+struct NdtInvocation
+{
+    NdtResult result;
+    uarch::InvocationCost cost;
+};
+
+/** What one euclidean_cluster invocation computes from its cloud. */
+struct ClusterInvocation
+{
+    std::vector<Cluster> clusters; ///< vehicle frame
+    std::size_t croppedPoints = 0; ///< sizes the GPU job
+    uarch::InvocationCost cost;
+};
+
+/**
+ * ndt_matching's input key: the filtered scan, named by its LiDAR
+ * stamp, and the exact bits of the initial guess. align() is a pure
+ * function of the cloud, the guess and the drive's map.
+ */
+struct NdtInput
+{
+    sim::Tick lidar = 0;
+    std::uint64_t x = 0, y = 0, yaw = 0; ///< the guess's bit patterns
+
+    auto operator<=>(const NdtInput &) const = default;
+};
+
+/** The nodes fed by one scan key on its `origins.lidar` stamp. */
+using RayGroundMemo = InvocationMemo<RayGroundInvocation, sim::Tick>;
+using VoxelGridMemo = InvocationMemo<VoxelGridInvocation, sim::Tick>;
+using NdtMemo = InvocationMemo<NdtInvocation, NdtInput>;
+using ClusterMemo = InvocationMemo<ClusterInvocation, sim::Tick>;
+
+/** One drive's memos; a null memo leaves its node computing live. */
+struct FrontEndMemos
+{
+    std::shared_ptr<RayGroundMemo> rayGround;
+    std::shared_ptr<VoxelGridMemo> voxelGrid;
+    std::shared_ptr<NdtMemo> ndt;
+    std::shared_ptr<ClusterMemo> cluster;
+};
+
 /**
  * voxel_grid_filter: downsample /points_raw -> /filtered_points.
  */
 class VoxelGridFilterNode : public PerceptionNode
 {
   public:
-    VoxelGridFilterNode(ros::RosGraph &graph, const NodeConfig &config);
+    /**
+     * @param memo the drive's shared invocations (see
+     *             InvocationMemo); null computes every one live
+     */
+    VoxelGridFilterNode(ros::RosGraph &graph, const NodeConfig &config,
+                        std::shared_ptr<VoxelGridMemo> memo = nullptr);
 
   private:
+    VoxelGridMemo::Cursor memo_;
     ros::Publisher<pc::PointCloud> pub_;
 };
 
@@ -82,11 +155,14 @@ class NdtMatchingNode : public PerceptionNode
      *        kReseedAfter, the next alignment reseeds its guess from
      *        the latest GNSS fix instead of dead-reckoning a stale
      *        pose (false — the seed-default behaviour — never does)
+     * @param memo the drive's shared alignments against @p map;
+     *        null aligns live
      */
     NdtMatchingNode(ros::RosGraph &graph, const NodeConfig &config,
                     const pc::PointCloud &map,
                     std::optional<geom::Pose2> initial_pose,
-                    bool degraded);
+                    bool degraded,
+                    std::shared_ptr<NdtMemo> memo = nullptr);
 
     /** Localization gap that triggers a GNSS reseed (degraded). */
     static constexpr sim::Tick kReseedAfter = 500 * sim::oneMs;
@@ -114,6 +190,7 @@ class NdtMatchingNode : public PerceptionNode
     bool degraded_ = false;
     std::optional<geom::Vec3> lastGnss_;
     std::uint64_t reseeds_ = 0;
+    NdtMemo::Cursor memo_;
     ros::Publisher<PoseEstimate> pub_;
 };
 
@@ -123,9 +200,15 @@ class NdtMatchingNode : public PerceptionNode
 class RayGroundFilterNode : public PerceptionNode
 {
   public:
-    RayGroundFilterNode(ros::RosGraph &graph, const NodeConfig &config);
+    /**
+     * @param memo the drive's shared invocations (see
+     *             InvocationMemo); null computes every one live
+     */
+    RayGroundFilterNode(ros::RosGraph &graph, const NodeConfig &config,
+                        std::shared_ptr<RayGroundMemo> memo = nullptr);
 
   private:
+    RayGroundMemo::Cursor memo_;
     ros::Publisher<pc::PointCloud> pubNoGround_;
     ros::Publisher<pc::PointCloud> pubGround_;
 };
@@ -139,21 +222,15 @@ class EuclideanClusterNode : public PerceptionNode
 {
   public:
     /**
-     * @param memo the drive's shared invocations (see ClusterMemo);
-     *             null computes every invocation live
+     * @param memo the drive's shared invocations (see
+     *             InvocationMemo); null computes every one live
      */
     EuclideanClusterNode(ros::RosGraph &graph, const NodeConfig &config,
                          std::shared_ptr<ClusterMemo> memo = nullptr);
 
   private:
-    /** Crop and cluster one cloud, or adopt the memo's result. */
-    std::shared_ptr<const ClusterInvocation>
-    cluster(const ros::Stamped<pc::PointCloud> &msg);
-
     std::optional<PoseEstimate> pose_;
-    /** Reset once the memo's budget is spent. */
-    std::shared_ptr<ClusterMemo> memo_;
-    ClusterMemo::Id memoAt_ = ClusterMemo::kRoot; ///< our history
+    ClusterMemo::Cursor memo_;
     ros::Publisher<ObjectList> pub_;
 };
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace av::perception {
 
 namespace {
@@ -33,17 +35,15 @@ rayOffset(std::uint64_t ray, std::uint64_t element)
     return (ray << 16) + element * sizeof(RadialPoint);
 }
 
-} // namespace
-
-GroundSplit
-rayGroundFilter(const pc::PointCloud &scan,
-                const RayGroundConfig &config,
-                uarch::KernelProfiler prof)
+/**
+ * The filter proper: calls @p emit(is_ground, index) for each scan
+ * point it classifies, in output order.
+ */
+template <class Emit>
+void
+splitRays(const pc::PointCloud &scan, const RayGroundConfig &config,
+          uarch::KernelProfiler prof, Emit emit)
 {
-    GroundSplit out;
-    out.ground.stampNs = scan.stampNs;
-    out.noGround.stampNs = scan.stampNs;
-
     // Bucket into azimuth rays.
     std::vector<std::vector<RadialPoint>> rays(config.rays);
     for (std::uint32_t i = 0; i < scan.size(); ++i) {
@@ -73,6 +73,8 @@ rayGroundFilter(const pc::PointCloud &scan,
         std::tan(config.generalSlopeDeg * M_PI / 180.0);
 
     std::uint64_t sort_comparisons = 0;
+    std::uint64_t ground_count = 0;
+    std::uint64_t no_ground_count = 0;
     for (auto &ray : rays) {
         // Radial sort; a sampled quarter of the comparisons is
         // traced (spinning LiDAR emits in azimuth order, so rays
@@ -115,21 +117,18 @@ rayGroundFilter(const pc::PointCloud &scan,
                     double(rp.z) <= general_limit;
             }
             prof.branch(siteIsGround, is_ground);
-            const pc::Point &p = scan[rp.index];
+            emit(is_ground, rp.index);
+            std::uint64_t &emitted =
+                is_ground ? ground_count : no_ground_count;
+            ++emitted;
             if (is_ground) {
-                out.ground.push_back(p);
                 prev_ground_z = rp.z;
                 prev_r = rp.radius;
-            } else {
-                out.noGround.push_back(p);
             }
             if (prof.tracing()) {
-                const auto &dst =
-                    is_ground ? out.ground : out.noGround;
                 prof.store(is_ground ? regionGround
                                      : regionNoGround,
-                           (dst.points.size() - 1) *
-                               sizeof(pc::Point),
+                           (emitted - 1) * sizeof(pc::Point),
                            sizeof(pc::Point));
             }
         }
@@ -146,6 +145,55 @@ rayGroundFilter(const pc::PointCloud &scan,
     ops.fpDiv = n / 4;
     prof.addOps(ops);
     prof.bulkBranches(6 * n + 2 * sort_comparisons);
+}
+
+} // namespace
+
+GroundSplit
+rayGroundFilter(const pc::PointCloud &scan,
+                const RayGroundConfig &config,
+                uarch::KernelProfiler prof)
+{
+    GroundSplit out;
+    out.ground.stampNs = scan.stampNs;
+    out.noGround.stampNs = scan.stampNs;
+    splitRays(scan, config, prof,
+              [&](bool is_ground, std::uint32_t index) {
+                  (is_ground ? out.ground : out.noGround)
+                      .push_back(scan[index]);
+              });
+    return out;
+}
+
+GroundIndices
+rayGroundIndices(const pc::PointCloud &scan,
+                 const RayGroundConfig &config,
+                 uarch::KernelProfiler prof)
+{
+    AV_ASSERT(scan.size() <= GroundIndices::kMaxPoints, "a scan of ",
+              scan.size(), " points overflows 16-bit indices");
+    GroundIndices out;
+    splitRays(scan, config, prof,
+              [&](bool is_ground, std::uint32_t index) {
+                  (is_ground ? out.ground : out.noGround)
+                      .push_back(static_cast<std::uint16_t>(index));
+              });
+    return out;
+}
+
+GroundSplit
+GroundIndices::gather(const pc::PointCloud &scan) const
+{
+    GroundSplit out;
+    const auto pick = [&scan](const std::vector<std::uint16_t> &indices,
+                              pc::PointCloud &cloud) {
+        cloud.stampNs = scan.stampNs;
+        cloud.reserve(indices.size());
+        for (const std::uint16_t i : indices)
+            cloud.push_back(scan[i]);
+    };
+    pick(ground, out.ground);
+    pick(noGround, out.noGround);
     return out;
 }
 

@@ -14,6 +14,10 @@
 #ifndef AVSCOPE_PERCEPTION_RAY_GROUND_FILTER_HH
 #define AVSCOPE_PERCEPTION_RAY_GROUND_FILTER_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "pointcloud/cloud.hh"
 #include "uarch/profiler.hh"
 
@@ -43,12 +47,39 @@ struct GroundSplit
 };
 
 /**
+ * The same split as indices into the scan, in the order the filter
+ * emits the points: 2 bytes a point instead of a pc::Point.
+ */
+struct GroundIndices
+{
+    /** The most points a scan indexed this way may hold. */
+    static constexpr std::size_t kMaxPoints = 1u << 16;
+
+    std::vector<std::uint16_t> ground;
+    std::vector<std::uint16_t> noGround;
+
+    /** The clouds rayGroundFilter() returns for @p scan. */
+    GroundSplit gather(const pc::PointCloud &scan) const;
+};
+
+/**
  * Run the filter on a vehicle-frame scan (z = height above ground).
  */
 GroundSplit rayGroundFilter(const pc::PointCloud &scan,
                             const RayGroundConfig &config,
                             uarch::KernelProfiler prof =
                                 uarch::KernelProfiler());
+
+/**
+ * rayGroundFilter() as indices, with the same probes: for a scan of
+ * at most GroundIndices::kMaxPoints points,
+ * `rayGroundIndices(scan, c, p).gather(scan)` equals
+ * `rayGroundFilter(scan, c, p)`.
+ */
+GroundIndices rayGroundIndices(const pc::PointCloud &scan,
+                               const RayGroundConfig &config,
+                               uarch::KernelProfiler prof =
+                                   uarch::KernelProfiler());
 
 } // namespace av::perception
 

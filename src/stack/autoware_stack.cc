@@ -8,8 +8,7 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
                              const pc::PointCloud &map,
                              const StackOptions &options,
                              std::optional<geom::Pose2> initial_pose,
-                             std::shared_ptr<perception::ClusterMemo>
-                                 cluster_memo)
+                             const perception::FrontEndMemos &memos)
     : options_(options)
 {
     using namespace perception;
@@ -17,17 +16,16 @@ AutowareStack::AutowareStack(ros::RosGraph &graph,
 
     if (options.enableLocalization) {
         voxel_ = std::make_unique<VoxelGridFilterNode>(
-            graph, calibration.voxelGridFilter);
+            graph, calibration.voxelGridFilter, memos.voxelGrid);
         ndt_ = std::make_unique<NdtMatchingNode>(
             graph, calibration.ndtMatching, map, initial_pose,
-            options.degraded);
+            options.degraded, memos.ndt);
     }
     if (options.enableLidarDetection) {
         rayGround_ = std::make_unique<RayGroundFilterNode>(
-            graph, calibration.rayGroundFilter);
+            graph, calibration.rayGroundFilter, memos.rayGround);
         cluster_ = std::make_unique<EuclideanClusterNode>(
-            graph, calibration.euclideanCluster,
-            std::move(cluster_memo));
+            graph, calibration.euclideanCluster, memos.cluster);
     }
     if (options.enableVision) {
         vision_ = std::make_unique<VisionDetectorNode>(

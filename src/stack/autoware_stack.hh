@@ -58,16 +58,15 @@ class AutowareStack
      * @param graph middleware bound to the machine under test
      * @param map   point-cloud map for NDT (ndt_mapping output)
      * @param initial_pose operator-provided initial pose for NDT
-     * @param cluster_memo euclidean_cluster's shared invocations;
-     *                     null clusters live
+     * @param memos the LiDAR front end's shared invocations; a null
+     *              memo leaves its node computing live
      *
      * Every node runs with its defaultCalibration() parameters.
      */
     AutowareStack(ros::RosGraph &graph, const pc::PointCloud &map,
                   const StackOptions &options = StackOptions(),
                   std::optional<geom::Pose2> initial_pose = {},
-                  std::shared_ptr<perception::ClusterMemo>
-                      cluster_memo = nullptr);
+                  const perception::FrontEndMemos &memos = {});
 
     ~AutowareStack();
 

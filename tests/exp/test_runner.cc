@@ -3,8 +3,9 @@
  * Tests for the experiment engine (src/exp): the Runner's
  * worker-count independence (parallel results byte-identical to
  * serial), the drive memo's map built only for localizing replays,
- * the clustering shared by a drive's replays (perception::ClusterMemo:
- * byte-identical results, its budget, a throwing producer), the
+ * the LiDAR front end shared by a drive's replays
+ * (perception::InvocationMemo: byte-identical results, the
+ * clustering memo's budget, a throwing producer), the
  * result cache's bit-fidelity and replay skipping. The keys' tests
  * are in test_cache_key.cc.
  * Serialized cache entries are the comparison medium: two RunResults
@@ -239,6 +240,80 @@ TEST(Runner, SharedClusteringIsByteIdenticalAcrossJobs)
                 << " differs from a memo-less replay";
         }
         EXPECT_GT(runner.clustersShared(), 0u) << "jobs=" << jobs;
+    }
+}
+
+/**
+ * The detector sweep plus replays that disturb the history of every
+ * memoized front-end node: an ndt_matching crash, a /points_raw
+ * blackout, duplicates on /filtered_points, and a degraded stack
+ * whose NDT reseeds its guess from GNSS after a blackout.
+ */
+std::vector<exp::ExperimentSpec>
+frontEndSharingBatch()
+{
+    auto specs = detectorSweep();
+    const auto faulted = [&specs](const std::string &name,
+                                  const fault::FaultPlan &plan) {
+        auto s = exp::spec().durationSeconds(6).seed(2020).named(name);
+        s.faults(plan);
+        specs.push_back(s);
+    };
+    faulted("ndt crash", fault::FaultPlan().nodeCrash(
+                             "ndt_matching", 2 * sim::oneSec,
+                             sim::oneSec));
+    faulted("lidar blackout", fault::FaultPlan().lidarBlackout(
+                                  2 * sim::oneSec, sim::oneSec));
+    faulted("filtered duplicates",
+            fault::FaultPlan().messageDuplicate(
+                perception::topics::filteredPoints, sim::oneSec,
+                3 * sim::oneSec, 0.5));
+    auto reseed = exp::spec()
+                      .durationSeconds(6)
+                      .seed(2020)
+                      .degraded()
+                      .named("degraded reseed");
+    reseed.faults(fault::FaultPlan().lidarBlackout(2 * sim::oneSec,
+                                                   1500 * sim::oneMs));
+    specs.push_back(reseed);
+    return specs;
+}
+
+TEST(Runner, SharedLidarFrontEndIsByteIdenticalAcrossJobs)
+{
+    // Every replay of a Runner's drive shares one memo per LiDAR
+    // front-end node. With one worker and with three, each result
+    // must equal a replay on a memo-less makeDrive drive, and every
+    // memo must have served invocations another replay computed.
+    const auto specs = frontEndSharingBatch();
+    const std::string dir = test::freshTestDir("shared-front-end");
+    std::vector<std::string> made;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        made.push_back(serialized(dir, "made-" + std::to_string(i),
+                                  replayOnMadeDrive(specs[i])));
+
+    for (const unsigned jobs : {1u, 3u}) {
+        exp::Runner runner(exp::RunnerConfig{jobs, ""});
+        for (const auto &s : specs)
+            runner.submit(s);
+        const auto results = runner.collect();
+        ASSERT_EQ(results.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(serialized(dir,
+                                 "runner-" + std::to_string(jobs) +
+                                     "-" + std::to_string(i),
+                                 *results[i]),
+                      made[i])
+                << specs[i].label << ": jobs=" << jobs
+                << " differs from a memo-less replay";
+        }
+        // The degraded replay really took the reseed path.
+        EXPECT_GE(results.back()->resilienceOf("ndt_reseeds"), 1.0);
+        const exp::Runner::SharedInvocations shared = runner.shared();
+        EXPECT_GT(shared.rayGround, 0u) << "jobs=" << jobs;
+        EXPECT_GT(shared.voxelGrid, 0u) << "jobs=" << jobs;
+        EXPECT_GT(shared.ndt, 0u) << "jobs=" << jobs;
+        EXPECT_GT(shared.cluster, 0u) << "jobs=" << jobs;
     }
 }
 

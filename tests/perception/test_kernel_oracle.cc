@@ -3,7 +3,8 @@
  * Differential tests of the LiDAR kernels whose host code was
  * rewritten for speed — the costmap disc painter, the kd-tree radius
  * search and the NDT voxel lookup — against the straightforward
- * implementations they replaced.
+ * implementations they replaced, and of the ray ground filter's
+ * index form against the clouds it gathers to.
  *
  * The reference copies below are those implementations: a
  * cell-by-cell disc painter over the (2r+1)^2 box, a recursive radius
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "perception/costmap.hh"
+#include "perception/ray_ground_filter.hh"
 #include "pointcloud/kdtree.hh"
 #include "pointcloud/voxel_grid.hh"
 #include "uarch/profiler.hh"
@@ -842,6 +844,73 @@ TEST(KernelOracle, VoxelGridEmptyAndOnePointMaps)
     pc::PointCloud one;
     one.push_back(pc::Point::fromVec({1, 1, 1}));
     checkVoxelGrid(one, 2.0, queries); // below minPointsPerVoxel
+}
+
+// ---------------------------------------------------------------
+// Ray ground filter: indices gathered versus clouds built in place.
+// ---------------------------------------------------------------
+
+bool
+samePoint(const pc::Point &a, const pc::Point &b)
+{
+    return a.x == b.x && a.y == b.y && a.z == b.z &&
+           a.intensity == b.intensity && a.ring == b.ring;
+}
+
+void
+expectSameCloud(const pc::PointCloud &ref, const pc::PointCloud &got)
+{
+    EXPECT_EQ(ref.stampNs, got.stampNs);
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_TRUE(samePoint(ref[i], got[i])) << "point " << i;
+}
+
+TEST(KernelOracle, RayGroundIndicesGatherToTheFilteredClouds)
+{
+    // Ground, obstacles, self-returns inside minPointDistance and
+    // points above the clipping height, then the empty scan.
+    for (const std::uint64_t seed : {21u, 22u, 23u}) {
+        util::Rng rng(seed);
+        pc::PointCloud scan;
+        scan.stampNs = 1000 * seed;
+        for (int i = 0; i < 6000; ++i) {
+            const double r = rng.uniform(0.5, 40.0);
+            const double a = rng.uniform(-M_PI, M_PI);
+            const double z = rng.uniform(0.0, 1.0) < 0.7
+                                 ? rng.gaussian(0.0, 0.03)
+                                 : rng.uniform(0.0, 4.5);
+            scan.push_back(pc::Point::fromVec(
+                {r * std::cos(a), r * std::sin(a), z},
+                static_cast<float>(rng.uniform(0.0, 1.0)),
+                static_cast<std::uint16_t>(i % 16)));
+        }
+        NodeArchState ref_arch = tracingState();
+        NodeArchState got_arch = tracingState();
+        ref_arch.beginInvocation();
+        got_arch.beginInvocation();
+        const perception::GroundSplit ref = perception::rayGroundFilter(
+            scan, perception::RayGroundConfig(),
+            KernelProfiler(&ref_arch));
+        const perception::GroundIndices got =
+            perception::rayGroundIndices(scan,
+                                         perception::RayGroundConfig(),
+                                         KernelProfiler(&got_arch));
+        ref_arch.endInvocation();
+        got_arch.endInvocation();
+        const perception::GroundSplit gathered = got.gather(scan);
+        expectSameCloud(ref.ground, gathered.ground);
+        expectSameCloud(ref.noGround, gathered.noGround);
+        expectSameArch(ref_arch, got_arch);
+        EXPECT_GT(ref.ground.size(), 0u);
+        EXPECT_GT(ref.noGround.size(), 0u);
+    }
+    const perception::GroundSplit empty =
+        perception::rayGroundIndices(pc::PointCloud{},
+                                     perception::RayGroundConfig())
+            .gather(pc::PointCloud{});
+    EXPECT_TRUE(empty.ground.empty());
+    EXPECT_TRUE(empty.noGround.empty());
 }
 
 } // namespace

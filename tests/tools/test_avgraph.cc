@@ -92,6 +92,32 @@ TEST(Avgraph, DynamicTopicArgumentsAreSkippedNotGuessed)
     EXPECT_TRUE(g.topics.empty());
 }
 
+TEST(Avgraph, OnlyRecordingBagChannelSitesAreExternals)
+{
+    // The recorder's bound and chained channels publish into the bag;
+    // a read-only lookup outside src/world/ (counting scans) does not.
+    const Sources sources = {
+        {"src/world/recorder.cc",
+         "void record(Bag &out) {"
+         " auto &points = out.channel<Cloud>(\"/raw\");"
+         " points.add(scan);"
+         " out.channel<Fix>(\"/fix\").add(fix); }"},
+        {"src/exp/runner.cc",
+         "std::size_t scans(Bag &bag) {"
+         " auto &lookup = drive->bag.channel<Cloud>(\"/raw\");"
+         " return bag.channel<Cloud>(\"/raw\").count()"
+         " + lookup.count(); }"},
+    };
+    const StaticGraph g = extractSources(sources);
+    ASSERT_EQ(g.topics.count("/raw"), 1u);
+    const auto &raw = g.topics.at("/raw").externals;
+    ASSERT_EQ(raw.size(), 1u);
+    EXPECT_EQ(raw[0].source, "bag_replay");
+    EXPECT_EQ(raw[0].site.file, "src/world/recorder.cc");
+    ASSERT_EQ(g.topics.count("/fix"), 1u);
+    EXPECT_EQ(g.topics.at("/fix").externals.size(), 1u);
+}
+
 // ---------------------------------------------------------------
 // Rule catalog: one seeded violation -> exactly one diagnostic.
 // ---------------------------------------------------------------
@@ -221,8 +247,8 @@ TEST(Avgraph, QueueDepthExactlyOneDiagnostic)
          "struct C { sim::Tick slowPeriod = 100 * sim::oneMs; "
          "sim::Tick fastPeriod = 40 * sim::oneMs; };"},
         {"src/bag.cc",
-         "void wire(Bag &bag) { bag.channel<Foo>(\"/slow\"); "
-         "bag.channel<Foo>(\"/fast\"); }"},
+         "void wire(Bag &bag) { bag.channel<Foo>(\"/slow\").add(m); "
+         "bag.channel<Foo>(\"/fast\").add(m); }"},
         {"src/a.cc",
          nodeSrc("a",
                  "subscribe<Foo>(\"/slow\", 1, h); "
@@ -254,7 +280,7 @@ TEST(Avgraph, OffPathTopicExactlyOneDiagnostic)
 {
     const Sources sources = {
         {"src/bag.cc",
-         "void wire(Bag &bag) { bag.channel<Foo>(\"/a\"); }"},
+         "void wire(Bag &bag) { bag.channel<Foo>(\"/a\").add(m); }"},
         {"src/a.cc",
          nodeSrc("A",
                  "subscribe<Foo>(\"/a\", 1, h); "
@@ -278,7 +304,7 @@ TEST(Avgraph, MissingDeclaredPathEdgeExactlyOneDiagnostic)
 {
     const Sources sources = {
         {"src/bag.cc",
-         "void wire(Bag &bag) { bag.channel<Foo>(\"/a\"); }"},
+         "void wire(Bag &bag) { bag.channel<Foo>(\"/a\").add(m); }"},
         {"src/a.cc",
          nodeSrc("A",
                  "subscribe<Foo>(\"/a\", 1, h); "

@@ -11,12 +11,14 @@
  * noticing. avgraph makes the graph explicit and checkable:
  *
  *  1. *Extraction* (extract.cc): every `advertise<T>(topic)`,
- *     `subscribe<T>(topic, depth, ...)` and bag `channel<T>(topic)`
- *     call site in src/, resolved through a symbol table of
- *     `constexpr const char *` topic constants and attributed to
- *     its node via the `PerceptionNode(graph, "name", ...)` /
- *     `Node(graph, "name")` constructor anchor. Sensor cadences are
- *     read from `<x>Period = N * sim::oneMs`-style fields.
+ *     `subscribe<T>(topic, depth, ...)` and recording bag
+ *     `channel<T>(topic)` call site in src/ (one whose channel gets
+ *     `.add(`; a read-only lookup is no source), resolved through
+ *     a symbol table of `constexpr const char *` topic constants and
+ *     attributed to its node via the `PerceptionNode(graph, "name",
+ *     ...)` / `Node(graph, "name")` constructor anchor. Sensor
+ *     cadences are read from `<x>Period = N * sim::oneMs`-style
+ *     fields.
  *
  *  2. *Rates* (rules.cc): sensor rates propagate along the declared
  *     Table IV computation paths — a node's service rate is the
@@ -88,7 +90,8 @@ struct SubSite
     Site site;
 };
 
-/** One bag `channel<T>(topic)` site: an external publisher. */
+/** One bag `channel<T>(topic)` site that records into the channel:
+ *  an external publisher. */
 struct ExternalSite
 {
     std::string source; ///< e.g. "bag_replay"

@@ -212,6 +212,46 @@ collectPeriods(const SourceFile &f,
     }
 }
 
+/**
+ * True when the bag channel returned by the `channel<T>(topic)` call
+ * at @p call, whose argument list closes at @p close, is recorded
+ * into: the call chains `.add(`, or its result is bound
+ * (`auto &c = bag.channel<T>(topic);`) and the file later calls
+ * `c.add(`. A read-only lookup (`count()`, `messages()`) publishes
+ * nothing, so it is no external source.
+ */
+bool
+recordsInto(const std::vector<Token> &toks, std::size_t call,
+            std::size_t close)
+{
+    const auto adds = [&toks](std::size_t dot) {
+        return dot + 2 < toks.size() && isPunct(toks[dot], ".") &&
+               toks[dot + 1].text == "add" &&
+               isPunct(toks[dot + 2], "(");
+    };
+    if (adds(close + 1))
+        return true;
+    // Walk back over the object expression (`out.`, `drive->bag.`,
+    // `ns::`) to the `=` of a binding.
+    std::size_t j = call;
+    while (j > 0 && (toks[j - 1].kind == TokenKind::Identifier ||
+                     isPunct(toks[j - 1], ".") ||
+                     isPunct(toks[j - 1], ">") ||
+                     isPunct(toks[j - 1], "-") ||
+                     isPunct(toks[j - 1], ":")))
+        --j;
+    if (j < 2 || !isPunct(toks[j - 1], "=") ||
+        toks[j - 2].kind != TokenKind::Identifier)
+        return false;
+    const std::string &channel = toks[j - 2].text;
+    for (std::size_t k = close + 1; k < toks.size(); ++k) {
+        if (toks[k].kind == TokenKind::Identifier &&
+            toks[k].text == channel && adds(k + 1))
+            return true;
+    }
+    return false;
+}
+
 /** Call-site accumulator shared across the file set. */
 struct Accum
 {
@@ -263,8 +303,10 @@ collectSites(const SourceFile &f, Accum &acc)
 
         const Site site{f.relPath(), t.line};
         if (is_chan) {
-            acc.externals.push_back(
-                ExternalSite{"bag_replay", topic, type, site});
+            if (delim < toks.size() && isPunct(toks[delim], ")") &&
+                recordsInto(toks, i, delim))
+                acc.externals.push_back(
+                    ExternalSite{"bag_replay", topic, type, site});
             continue;
         }
         if (node.empty())
