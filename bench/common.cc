@@ -15,6 +15,12 @@ parseOrExit(BenchOptions options, int argc, char **argv)
 {
     try {
         options.parse(argc, argv);
+        // No binary takes positional arguments: a bare "30" is a
+        // mistyped flag, not a value to ignore.
+        if (!options.positional().empty())
+            throw std::invalid_argument("unexpected argument '" +
+                                        options.positional().front() +
+                                        "'\n" + options.usage());
     } catch (const std::invalid_argument &error) {
         std::cerr << (argc > 0 ? argv[0] : "bench") << ": "
                   << error.what() << "\n";
@@ -27,9 +33,7 @@ exp::RunnerConfig
 BenchEnv::runnerConfig(const BenchOptions &options)
 {
     exp::RunnerConfig cfg;
-    const long jobs = options.integer("jobs");
-    AV_ASSERT(jobs >= 0, "--jobs must be non-negative");
-    cfg.jobs = static_cast<unsigned>(jobs);
+    cfg.jobs = static_cast<unsigned>(options.integer("jobs"));
     if (!options.flag("no-cache"))
         cfg.cacheDir = options.text("cache-dir");
     return cfg;
@@ -41,9 +45,8 @@ BenchEnv::BenchEnv(int argc, char **argv, BenchOptions options)
 {
     csv_ = options_.flag("csv");
     trace_ = options_.flag("trace");
-    const long seconds = options_.integer("duration");
-    AV_ASSERT(seconds > 0, "duration must be positive");
-    duration_ = static_cast<sim::Tick>(seconds) * sim::oneSec;
+    duration_ =
+        static_cast<sim::Tick>(options_.integer("duration")) * sim::oneSec;
     seed_ = static_cast<std::uint64_t>(options_.integer("seed"));
 }
 

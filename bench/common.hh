@@ -70,6 +70,7 @@ inline const std::vector<std::string> tab7Nodes = {
  * Parse argv against @p options, turning a diagnostic into exit(2).
  * BenchOptions throws so the message is unit-testable; a binary just
  * wants the text on stderr and a conventional usage-error status.
+ * A positional argument is a usage error too.
  */
 BenchOptions parseOrExit(BenchOptions options, int argc, char **argv);
 

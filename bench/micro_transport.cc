@@ -189,9 +189,10 @@ main(int argc, char **argv)
     const bench::BenchOptions opts = bench::parseOrExit(
         bench::BenchOptions()
             .flag("smoke", "shrink every size not given explicitly")
-            .integer("messages", 2000, "fan-out and bag-replay messages")
-            .integer("words", 1 << 17, "u64 words per payload")
-            .integer("subs", 3, "fan-out and replay subscribers"),
+            .integer("messages", 2000, "fan-out and bag-replay messages",
+                     0)
+            .integer("words", 1 << 17, "u64 words per payload", 0)
+            .integer("subs", 3, "fan-out and replay subscribers", 0),
         argc, argv);
     const bool smoke = opts.flag("smoke");
     const auto size = [&](const char *name, long smoke_size) {

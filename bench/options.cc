@@ -64,10 +64,12 @@ BenchOptions::flag(std::string name, std::string help)
 
 BenchOptions &
 BenchOptions::integer(std::string name, long fallback,
-                      std::string help)
+                      std::string help, long min)
 {
-    return declare(std::move(name), Kind::Integer,
-                   std::to_string(fallback), std::move(help));
+    declare(std::move(name), Kind::Integer, std::to_string(fallback),
+            std::move(help));
+    options_.back().min = min;
+    return *this;
 }
 
 BenchOptions &
@@ -175,10 +177,14 @@ BenchOptions::parse(int argc, char **argv)
         }
         case Kind::Integer: {
             char *end = nullptr;
-            std::strtol(value.c_str(), &end, 10);
+            const long parsed = std::strtol(value.c_str(), &end, 10);
             if (value.empty() || end == nullptr || *end != '\0')
                 fail("flag --" + key + " expects an integer, got '" +
                      value + "'");
+            if (parsed < opt->min)
+                fail("flag --" + key + " expects an integer >= " +
+                     std::to_string(opt->min) + ", got '" + value +
+                     "'");
             opt->value = value;
             break;
         }
@@ -249,11 +255,11 @@ commonOptions()
 {
     return BenchOptions()
         .integer("duration", 60,
-                 "drive length in seconds (the paper used 480)")
+                 "drive length in seconds (the paper used 480)", 1)
         .integer("seed", 2020, "scenario seed")
         .flag("csv", "machine-readable output")
         .integer("jobs", 0,
-                 "worker threads (0 = hardware concurrency)")
+                 "worker threads (0 = hardware concurrency)", 0)
         .text("cache-dir", exp::defaultCacheDir(),
               "result-cache directory")
         .flag("no-cache", "disable the result cache")

@@ -27,6 +27,7 @@
 #ifndef AVSCOPE_BENCH_OPTIONS_HH
 #define AVSCOPE_BENCH_OPTIONS_HH
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,11 @@ class BenchOptions
     /** Declare a boolean switch (defaults to false). */
     BenchOptions &flag(std::string name, std::string help);
 
-    /** Declare an integer-valued option. */
+    /** Declare an integer-valued option; parse() rejects a value
+     *  below @p min. */
     BenchOptions &integer(std::string name, long fallback,
-                          std::string help);
+                          std::string help,
+                          long min = std::numeric_limits<long>::min());
 
     /** Declare a real-valued option. */
     BenchOptions &real(std::string name, double fallback,
@@ -64,8 +67,8 @@ class BenchOptions
      * "--key value" and bare "--key" for flags; anything not
      * starting with "--" is positional. Throws std::invalid_argument
      * (message ends with the usage text) on an unknown flag, a
-     * missing value, or a value that does not parse as the declared
-     * type.
+     * missing value, a value that does not parse as the declared
+     * type, or an integer below its minimum.
      */
     BenchOptions &parse(int argc, char **argv);
 
@@ -97,6 +100,8 @@ class BenchOptions
         Kind kind = Kind::Text;
         std::string value; ///< canonical string form, post-validation
         std::string help;
+        /** Integer only: the smallest value parse() accepts. */
+        long min = std::numeric_limits<long>::min();
         bool given = false;
     };
 

@@ -10,13 +10,13 @@
  * Everything runs functionally (host time, no platform simulation):
  * this example is about the algorithms closing the loop.
  *
- *   ./closed_loop_driving [seconds]
+ *   ./closed_loop_driving --duration 60
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common.hh"
 #include "perception/costmap.hh"
 #include "perception/euclidean_cluster.hh"
 #include "perception/motion_predict.hh"
@@ -36,7 +36,11 @@ using namespace av;
 int
 main(int argc, char **argv)
 {
-    const long seconds = argc > 1 ? std::atol(argv[1]) : 60;
+    const bench::BenchOptions flags = bench::parseOrExit(
+        bench::BenchOptions().integer("duration", 60,
+                                      "drive length in seconds", 1),
+        argc, argv);
+    const long seconds = flags.integer("duration");
 
     // World + sensors.
     world::ScenarioConfig cfg;

@@ -27,7 +27,7 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions flags = bench::parseOrExit(
         bench::BenchOptions()
-            .integer("duration", 60, "drive length in seconds")
+            .integer("duration", 60, "drive length in seconds", 1)
             .integer("seed", 2020, "scenario seed"),
         argc, argv);
     world::ScenarioConfig scenario;

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     const bench::BenchOptions flags = bench::parseOrExit(
         bench::BenchOptions()
             .text("detector", "ssd512", "ssd512, ssd300 or yolo")
-            .integer("duration", 60, "drive length in seconds")
+            .integer("duration", 60, "drive length in seconds", 1)
             .integer("seed", 2020, "scenario seed")
             .text("report", "", "directory for the CSV report")
             .flag("no-cache", "disable the result cache"),

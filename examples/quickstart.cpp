@@ -5,12 +5,12 @@
  * and read back the measurements — the whole public API in ~60
  * lines of logic.
  *
- *   ./quickstart [seconds]
+ *   ./quickstart --duration 20
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common.hh"
 #include "core/run_result.hh"
 
 using namespace av;
@@ -18,7 +18,11 @@ using namespace av;
 int
 main(int argc, char **argv)
 {
-    const long seconds = argc > 1 ? std::atol(argv[1]) : 20;
+    const bench::BenchOptions flags = bench::parseOrExit(
+        bench::BenchOptions().integer("duration", 20,
+                                      "drive length in seconds", 1),
+        argc, argv);
+    const long seconds = flags.integer("duration");
 
     // 1. The world: a deterministic city-block drive. makeDrive()
     //    records every sensor into a bag and builds the NDT map

@@ -123,6 +123,19 @@ minimizeViolation(exp::Runner &runner,
 
     fault::FaultPlan current = plan;
     bool changed = true;
+    // One candidate step: @p edit a copy of the current plan, and
+    // adopt the copy when it still violates the target.
+    const auto attempt = [&](std::string action, const auto &edit) {
+        fault::FaultPlan cand = current;
+        edit(cand.faults);
+        const bool kept = eval.violates(cand, target);
+        result.steps.push_back({std::move(action), kept});
+        if (kept) {
+            current = std::move(cand);
+            changed = true;
+        }
+        return kept;
+    };
     while (changed) {
         changed = false;
 
@@ -130,61 +143,37 @@ minimizeViolation(exp::Runner &runner,
         // plan is not a fault repro).
         for (std::size_t i = 0;
              current.faults.size() > 1 && i < current.faults.size();) {
-            fault::FaultPlan cand = current;
-            cand.faults.erase(cand.faults.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-            MinimizeStep step;
-            step.action =
-                "drop:" + fault::faultLabel(current.faults[i]);
-            step.kept = eval.violates(cand, target);
-            result.steps.push_back(step);
-            if (step.kept) {
-                current = std::move(cand);
-                changed = true;
-            } else {
+            if (!attempt("drop:" + fault::faultLabel(current.faults[i]),
+                         [i](auto &faults) {
+                             faults.erase(faults.begin() +
+                                          static_cast<std::ptrdiff_t>(i));
+                         }))
                 ++i;
-            }
         }
 
         // Pass 2 — halve windows (duration, crash respawn).
         for (std::size_t i = 0; i < current.faults.size(); ++i) {
-            const fault::FaultSpec &spec = current.faults[i];
+            const fault::FaultSpec spec = current.faults[i];
             if (spec.duration > kDurationFloor) {
                 const sim::Tick half =
                     halveTick(spec.duration, kDurationFloor);
-                if (half < spec.duration) {
-                    fault::FaultPlan cand = current;
-                    cand.faults[i].duration = half;
-                    MinimizeStep step;
-                    step.action = "shorten:" +
-                                  fault::faultLabel(spec) + "->" +
-                                  msText(half);
-                    step.kept = eval.violates(cand, target);
-                    result.steps.push_back(step);
-                    if (step.kept) {
-                        current = std::move(cand);
-                        changed = true;
-                    }
-                }
+                if (half < spec.duration)
+                    attempt("shorten:" + fault::faultLabel(spec) +
+                                "->" + msText(half),
+                            [&](auto &faults) {
+                                faults[i].duration = half;
+                            });
             }
-            const fault::FaultSpec &again = current.faults[i];
+            const fault::FaultSpec again = current.faults[i];
             if (again.respawnDelay > kRespawnFloor) {
                 const sim::Tick half =
                     halveTick(again.respawnDelay, kRespawnFloor);
-                if (half < again.respawnDelay) {
-                    fault::FaultPlan cand = current;
-                    cand.faults[i].respawnDelay = half;
-                    MinimizeStep step;
-                    step.action = "respawn:" +
-                                  fault::faultLabel(again) + "->" +
-                                  msText(half);
-                    step.kept = eval.violates(cand, target);
-                    result.steps.push_back(step);
-                    if (step.kept) {
-                        current = std::move(cand);
-                        changed = true;
-                    }
-                }
+                if (half < again.respawnDelay)
+                    attempt("respawn:" + fault::faultLabel(again) +
+                                "->" + msText(half),
+                            [&](auto &faults) {
+                                faults[i].respawnDelay = half;
+                            });
             }
         }
 
@@ -202,58 +191,36 @@ minimizeViolation(exp::Runner &runner,
                     kProbabilityFloor,
                     quant64(spec.probability / 2.0));
                 if (weaker < spec.probability) {
-                    fault::FaultPlan cand = current;
-                    cand.faults[i].probability = weaker;
                     std::ostringstream action;
                     action << "weaken:" << fault::faultLabel(spec)
                            << "->p=" << weaker;
-                    MinimizeStep step;
-                    step.action = action.str();
-                    step.kept = eval.violates(cand, target);
-                    result.steps.push_back(step);
-                    if (step.kept) {
-                        current = std::move(cand);
-                        changed = true;
-                    }
+                    attempt(action.str(), [&](auto &faults) {
+                        faults[i].probability = weaker;
+                    });
                 }
             }
             if (spec.kind == fault::FaultKind::GpuThrottle) {
                 const double weaker =
                     quant64((spec.factor + 1.0) / 2.0);
                 if (weaker > spec.factor && weaker < 1.0) {
-                    fault::FaultPlan cand = current;
-                    cand.faults[i].factor = weaker;
                     std::ostringstream action;
                     action << "weaken:" << fault::faultLabel(spec)
                            << "->factor=" << weaker;
-                    MinimizeStep step;
-                    step.action = action.str();
-                    step.kept = eval.violates(cand, target);
-                    result.steps.push_back(step);
-                    if (step.kept) {
-                        current = std::move(cand);
-                        changed = true;
-                    }
+                    attempt(action.str(), [&](auto &faults) {
+                        faults[i].factor = weaker;
+                    });
                 }
             }
             if (spec.kind == fault::FaultKind::MessageDelay &&
                 spec.extraDelay > kDelayFloor) {
                 const sim::Tick weaker =
                     halveDelay(spec.extraDelay);
-                if (weaker < spec.extraDelay) {
-                    fault::FaultPlan cand = current;
-                    cand.faults[i].extraDelay = weaker;
-                    MinimizeStep step;
-                    step.action = "weaken:" +
-                                  fault::faultLabel(spec) +
-                                  "->extra=" + msText(weaker);
-                    step.kept = eval.violates(cand, target);
-                    result.steps.push_back(step);
-                    if (step.kept) {
-                        current = std::move(cand);
-                        changed = true;
-                    }
-                }
+                if (weaker < spec.extraDelay)
+                    attempt("weaken:" + fault::faultLabel(spec) +
+                                "->extra=" + msText(weaker),
+                            [&](auto &faults) {
+                                faults[i].extraDelay = weaker;
+                            });
             }
         }
     }

@@ -84,9 +84,7 @@ CharacterizationRun::CharacterizationRun(
     graph_->setQueueDepthOverrides(config_.queueDepths);
     stack_ = std::make_unique<stack::AutowareStack>(
         *graph_, drive_->map, config_.stack, drive_->initialPose,
-        perception::FrontEndMemos{drive_->rayGroundMemo,
-                                  drive_->voxelGridMemo,
-                                  drive_->ndtMemo, drive_->clusterMemo});
+        drive_->memos);
     // pathSeries() reads these two topics' publish logs. Declared in
     // every configuration, so the topic set (and the staleness rows)
     // is the same when a stack section is off.

@@ -49,10 +49,7 @@ struct DriveData
      *  Only the experiment Runner attaches them; a node whose memo
      *  is null computes live. The NDT memo holds alignments against
      *  `map`. */
-    std::shared_ptr<perception::RayGroundMemo> rayGroundMemo;
-    std::shared_ptr<perception::VoxelGridMemo> voxelGridMemo;
-    std::shared_ptr<perception::NdtMemo> ndtMemo;
-    std::shared_ptr<perception::ClusterMemo> clusterMemo;
+    perception::FrontEndMemos memos;
 };
 
 /**

@@ -233,16 +233,13 @@ Runner::driveFor(const ExperimentSpec &spec)
             std::shared_ptr<prof::DriveData> made =
                 prof::recordDriveBag(spec.scenario,
                                      spec.driveDuration, spec.recorder);
-            const std::size_t scans = lidarScans(made->bag);
-            const auto attach = [scans]<class Memo>(
-                                    std::shared_ptr<Memo> &slot) {
-                slot = std::make_shared<Memo>(Memo::kEntriesPerScan *
-                                              scans);
-            };
-            attach(made->rayGroundMemo);
-            attach(made->voxelGridMemo);
-            attach(made->ndtMemo);
-            attach(made->clusterMemo);
+            const std::size_t budget =
+                perception::kMemoEntriesPerScan * lidarScans(made->bag);
+            made->memos = {
+                std::make_shared<perception::RayGroundMemo>(budget),
+                std::make_shared<perception::VoxelGridMemo>(budget),
+                std::make_shared<perception::NdtMemo>(budget),
+                std::make_shared<perception::ClusterMemo>(budget)};
             std::lock_guard<std::mutex> lock(driveMutex_);
             memo->recorded = made;
             return made;
@@ -273,10 +270,11 @@ Runner::shared() const
     SharedInvocations out;
     for (const auto &[key, memo] : drives_) {
         if (const auto &drive = memo.recorded) {
-            out.rayGround += drive->rayGroundMemo->hits();
-            out.voxelGrid += drive->voxelGridMemo->hits();
-            out.ndt += drive->ndtMemo->hits();
-            out.cluster += drive->clusterMemo->hits();
+            const perception::FrontEndMemos &memos = drive->memos;
+            out.rayGround += memos.rayGround->hits();
+            out.voxelGrid += memos.voxelGrid->hits();
+            out.ndt += memos.ndt->hits();
+            out.cluster += memos.cluster->hits();
         }
     }
     return out;

@@ -33,7 +33,7 @@
  * after the call. A replay whose history reaches a stored entry
  * adopts it instead of running the kernel; its results are
  * byte-identical to computing live. Each memo's budget is
- * kEntriesPerScan entries per LiDAR scan of the bag; once it is
+ * kMemoEntriesPerScan entries per LiDAR scan of the bag; once it is
  * spent, misses compute live and store nothing. Drives made outside
  * the Runner (makeDrive) carry no memos and compute live.
  */
@@ -163,9 +163,6 @@ class Runner
         std::size_t cluster = 0;
     };
     SharedInvocations shared() const;
-
-    /** euclidean_cluster's count in shared(). */
-    std::size_t clustersShared() const { return shared().cluster; }
 
   private:
     struct Job

@@ -53,6 +53,9 @@
 
 namespace av::perception {
 
+/** A memo's budget per LiDAR scan of its drive (Runner::driveFor). */
+inline constexpr std::size_t kMemoEntriesPerScan = 8;
+
 /**
  * @tparam ResultT what one invocation computes (with its cost)
  * @tparam InputT  the key naming one invocation's input; ordered
@@ -67,9 +70,6 @@ class InvocationMemo
     /** An entry's place in the trie; kRoot is a fresh node. */
     using Id = std::uint64_t;
     static constexpr Id kRoot = 0;
-
-    /** Budget per LiDAR scan of the drive (see Runner::driveFor). */
-    static constexpr std::size_t kEntriesPerScan = 8;
 
     struct Entry
     {

@@ -12,12 +12,33 @@ PerceptionNode::PerceptionNode(ros::RosGraph &graph, std::string name,
     arch_.setOpScale(config.workScale);
 }
 
+void
+PerceptionNode::execute(Work work, std::function<void()> retire)
+{
+    const std::string_view owner =
+        work.owner.empty() ? std::string_view(name()) : work.owner;
+    hw::CpuTask first = makeCpuTask(work.cpu, owner);
+    if (!work.gpu) {
+        first.onComplete = std::move(retire);
+        graph_.machine().cpu().submit(std::move(first));
+        return;
+    }
+    // runPhases chains synchronously: the first slice is submitted
+    // exactly where a lone CPU task would be.
+    work.gpu->owner = owner;
+    std::vector<hw::Phase> phases;
+    phases.push_back(hw::Phase::makeCpu(std::move(first)));
+    phases.push_back(hw::Phase::makeGpu(std::move(*work.gpu)));
+    phases.push_back(hw::Phase::makeCpu(makeCpuTask(work.post, owner)));
+    hw::runPhases(graph_.machine(), std::move(phases), std::move(retire));
+}
+
 hw::CpuTask
 PerceptionNode::makeCpuTask(const uarch::InvocationCost &cost,
-                            std::function<void()> on_complete)
+                            std::string_view owner)
 {
     hw::CpuTask task;
-    task.owner = name();
+    task.owner = owner;
     task.cycles = cost.cycles * costJitter();
     task.memBytesPerCycle =
         cost.cycles > 0.0 ? cost.dramBytes / cost.cycles : 0.0;
@@ -27,15 +48,7 @@ PerceptionNode::makeCpuTask(const uarch::InvocationCost &cost,
         arch_.pipeline().config().l2MissFactor;
     task.l1BytesPerCycle =
         l2_factor > 0.0 ? task.memBytesPerCycle / l2_factor : 0.0;
-    task.onComplete = std::move(on_complete);
     return task;
-}
-
-void
-PerceptionNode::runOnCpu(const uarch::InvocationCost &cost,
-                         std::function<void()> then)
-{
-    machine().cpu().submit(makeCpuTask(cost, std::move(then)));
 }
 
 } // namespace av::perception

@@ -15,7 +15,10 @@
 #define AVSCOPE_PERCEPTION_NODE_BASE_HH
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "ros/ros.hh"
 #include "uarch/profiler.hh"
@@ -47,8 +50,42 @@ fields(auto &&ar, util::MaybeConst<NodeConfig> auto &c)
     ar(workScale, tracePeriod, cache, branch, pipeline);
 }
 
+/** A kernel's value with the µarch cost of computing it. */
+template <class T>
+struct Measured
+{
+    T value;
+    uarch::InvocationCost cost;
+};
+
 /**
- * Common machinery for stack nodes.
+ * One invocation's simulated work: a CPU task or, with a GPU job,
+ * the CPU slice before it, the job, and the CPU slice after it.
+ */
+struct Work
+{
+    /** One CPU task, accounted to @p as (empty: the node). */
+    Work(const uarch::InvocationCost &cost, std::string_view as = {})
+        : cpu(cost), owner(as)
+    {}
+
+    /** CPU slice @p pre, then GPU @p job, then CPU slice @p after. */
+    Work(const uarch::InvocationCost &pre, hw::GpuJob job,
+         const uarch::InvocationCost &after)
+        : cpu(pre), gpu(std::move(job)), post(after)
+    {}
+
+    uarch::InvocationCost cpu; ///< before the GPU job, if any
+    std::optional<hw::GpuJob> gpu;
+    uarch::InvocationCost post; ///< after the GPU job
+    std::string_view owner;     ///< of every task and the job
+};
+
+/**
+ * Common machinery for stack nodes. Every invocation takes the same
+ * two calls (DESIGN.md §5): measure() runs the real kernel under the
+ * node's µarch probes, and dispatch() runs its cost on the machine
+ * and publishes when the work retires.
  */
 class PerceptionNode : public ros::Node
 {
@@ -69,47 +106,36 @@ class PerceptionNode : public ros::Node
     uarch::NodeArchState &arch() { return arch_; }
 
   protected:
-    /** Start instrumented functional work for one invocation. */
-    void
-    beginWork()
+    /**
+     * The bracket: run @p kernel, which takes the profiler to pass
+     * into its algorithms, as one invocation on this node's µarch
+     * state, and return its value with the invocation's cost.
+     */
+    template <class Kernel>
+    auto
+    measure(Kernel &&kernel)
+        -> Measured<std::invoke_result_t<Kernel &, uarch::KernelProfiler>>
     {
         arch_.beginInvocation();
-    }
-
-    /** Profiler handle to pass into algorithms. */
-    uarch::KernelProfiler
-    profiler()
-    {
-        return uarch::KernelProfiler(&arch_);
+        auto value = kernel(uarch::KernelProfiler(&arch_));
+        return {std::move(value), arch_.endInvocation()};
     }
 
     /**
-     * Finish the invocation and run its cost as one CPU task.
-     * @p then fires when the simulated execution completes.
+     * The dispatch: run @p work on the machine, each CPU task with
+     * its own cost jitter (the pre slice's drawn first), then call
+     * @p publish and @p done when the last of it retires.
      */
+    template <class Publish>
     void
-    finishWorkOnCpu(std::function<void()> then)
+    dispatch(Work work, Publish publish, std::function<void()> done)
     {
-        runOnCpu(arch_.endInvocation(), std::move(then));
+        execute(std::move(work),
+                [publish = std::move(publish), done = std::move(done)] {
+                    publish();
+                    done();
+                });
     }
-
-    /** Run @p cost as one CPU task; @p then fires on completion. */
-    void runOnCpu(const uarch::InvocationCost &cost,
-                  std::function<void()> then);
-
-    /**
-     * Finish the invocation and return the cost so the caller can
-     * build a multi-phase (CPU/GPU) execution.
-     */
-    uarch::InvocationCost
-    finishWork()
-    {
-        return arch_.endInvocation();
-    }
-
-    /** Build a CPU task from an invocation cost. */
-    hw::CpuTask makeCpuTask(const uarch::InvocationCost &cost,
-                            std::function<void()> on_complete);
 
     /** Derive an output header continuing @p input's lineage. */
     ros::Header
@@ -121,8 +147,6 @@ class PerceptionNode : public ros::Node
         return h;
     }
 
-    hw::Machine &machine() { return graph_.machine(); }
-
     /** One residual-jitter factor (see kCostJitterCv). */
     double
     costJitter()
@@ -131,6 +155,10 @@ class PerceptionNode : public ros::Node
     }
 
   private:
+    void execute(Work work, std::function<void()> retire);
+    hw::CpuTask makeCpuTask(const uarch::InvocationCost &cost,
+                            std::string_view owner);
+
     uarch::NodeArchState arch_;
     util::Rng jitterRng_;
 };

@@ -14,12 +14,26 @@ namespace av::perception {
 
 namespace {
 
-/** Wrap a payload in a shared_ptr for cheap capture in callbacks. */
+/**
+ * A retire callback publishing @p msg on @p pub at its serialized
+ * size. The payload is shared so the callback copies cheaply.
+ */
 template <typename T>
-std::shared_ptr<T>
-share(T value)
+auto
+publishing(ros::Publisher<T> &pub, ros::Header header, T msg)
 {
-    return std::make_shared<T>(std::move(value));
+    return [&pub, header = std::move(header),
+            msg = std::make_shared<T>(std::move(msg))] {
+        const std::size_t bytes = msg->byteSize();
+        pub.publish(header, std::move(*msg), bytes);
+    };
+}
+
+/** The ego pose @p pose estimates; the origin before the first. */
+geom::Pose2
+egoPose(const std::optional<PoseEstimate> &pose)
+{
+    return pose ? geom::Pose2{pose->position, pose->yaw} : geom::Pose2{};
 }
 
 /** Every node runs its algorithm at the config type's defaults. */
@@ -47,21 +61,18 @@ VoxelGridFilterNode::VoxelGridFilterNode(
                std::function<void()> done) {
             const auto out =
                 memo_.invoke(arch(), msg.header.origins.lidar, [&] {
-                    beginWork();
-                    VoxelGridInvocation result;
-                    result.filtered = pc::voxelGridDownsample(
-                        msg.data, kVoxelLeaf, profiler());
-                    result.cost = finishWork();
-                    return result;
+                    return measure([&](uarch::KernelProfiler prof) {
+                        return pc::voxelGridDownsample(msg.data,
+                                                       kVoxelLeaf, prof);
+                    });
                 });
-            const auto header = deriveHeader(msg.header);
-            runOnCpu(out->cost, [this, out, header,
-                                 done = std::move(done)] {
-                // The entry may be shared: publish a copy.
-                pub_.publish(header, out->filtered,
-                             out->filtered.byteSize());
-                done();
-            });
+            dispatch(out->cost,
+                     [this, out, header = deriveHeader(msg.header)] {
+                         // The entry may be shared: publish a copy.
+                         pub_.publish(header, out->value,
+                                      out->value.byteSize());
+                     },
+                     std::move(done));
         });
 }
 
@@ -152,13 +163,11 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
                                std::bit_cast<std::uint64_t>(guess.p.y),
                                std::bit_cast<std::uint64_t>(guess.yaw)};
             const auto aligned = memo_.invoke(arch(), key, [&] {
-                beginWork();
-                NdtInvocation out;
-                out.result = matcher_.align(msg.data, guess, profiler());
-                out.cost = finishWork();
-                return out;
+                return measure([&](uarch::KernelProfiler prof) {
+                    return matcher_.align(msg.data, guess, prof);
+                });
             });
-            const NdtResult &result = aligned->result;
+            const NdtResult &result = aligned->value;
             util::debug("[ndt] t=",
                         sim::ticksToSeconds(msg.header.stamp),
                         " imu=", imu_.has_value(), " guess=(",
@@ -192,12 +201,11 @@ NdtMatchingNode::NdtMatchingNode(ros::RosGraph &graph,
             lastPose_ = estimate;
             lastStamp_ = msg.header.stamp;
 
-            const auto header = deriveHeader(msg.header);
-            runOnCpu(aligned->cost,
-                     [this, estimate, header, done = std::move(done)] {
+            dispatch(aligned->cost,
+                     [this, estimate, header = deriveHeader(msg.header)] {
                          pub_.publish(header, estimate, 96);
-                         done();
-                     });
+                     },
+                     std::move(done));
         });
 }
 
@@ -220,27 +228,25 @@ RayGroundFilterNode::RayGroundFilterNode(
                std::function<void()> done) {
             const auto out =
                 memo_.invoke(arch(), msg.header.origins.lidar, [&] {
-                    beginWork();
-                    RayGroundInvocation result;
-                    result.split = rayGroundIndices(msg.data, kRayGround,
-                                                    profiler());
-                    result.cost = finishWork();
-                    return result;
+                    return measure([&](uarch::KernelProfiler prof) {
+                        return rayGroundIndices(msg.data, kRayGround,
+                                                prof);
+                    });
                 });
-            auto split = share(out->split.gather(msg.data));
-            const auto header = deriveHeader(msg.header);
-            runOnCpu(out->cost, [this, split, header,
-                                 done = std::move(done)] {
-                const std::size_t ngBytes =
-                    split->noGround.byteSize();
-                const std::size_t gBytes = split->ground.byteSize();
-                pubNoGround_.publish(header,
-                                     std::move(split->noGround),
-                                     ngBytes);
-                pubGround_.publish(header, std::move(split->ground),
-                                   gBytes);
-                done();
-            });
+            dispatch(out->cost,
+                     [this, header = deriveHeader(msg.header),
+                      split = std::make_shared<GroundSplit>(
+                          out->value.gather(msg.data))] {
+                         const std::size_t ngBytes =
+                             split->noGround.byteSize();
+                         const std::size_t gBytes =
+                             split->ground.byteSize();
+                         pubNoGround_.publish(
+                             header, std::move(split->noGround), ngBytes);
+                         pubGround_.publish(
+                             header, std::move(split->ground), gBytes);
+                     },
+                     std::move(done));
         });
 }
 
@@ -267,24 +273,20 @@ EuclideanClusterNode::EuclideanClusterNode(
                std::function<void()> done) {
             const auto result =
                 memo_.invoke(arch(), msg.header.origins.lidar, [&] {
-                    beginWork();
-                    ClusterInvocation out;
-                    const pc::PointCloud cropped = cropForClustering(
-                        msg.data, kCluster, profiler());
-                    out.clusters =
-                        euclideanCluster(cropped, kCluster, profiler());
-                    out.croppedPoints = cropped.size();
-                    out.cost = finishWork();
-                    return out;
+                    return measure([&](uarch::KernelProfiler prof) {
+                        const pc::PointCloud cropped =
+                            cropForClustering(msg.data, kCluster, prof);
+                        return ClusterInvocation{
+                            euclideanCluster(cropped, kCluster, prof),
+                            cropped.size()};
+                    });
                 });
-            const std::vector<Cluster> &clusters = result->clusters;
+            const std::vector<Cluster> &clusters = result->value.clusters;
 
             // Clusters are vehicle-frame; ground them in the world
             // with the latest localization estimate.
-            const geom::Pose2 ego =
-                pose_ ? geom::Pose2{pose_->position, pose_->yaw}
-                      : geom::Pose2{};
-            auto list = share(ObjectList{});
+            const geom::Pose2 ego = egoPose(pose_);
+            ObjectList list;
             for (const Cluster &cl : clusters) {
                 DetectedObject obj;
                 obj.label = Label::Unknown;
@@ -297,24 +299,15 @@ EuclideanClusterNode::EuclideanClusterNode(
                 obj.width = cl.width;
                 obj.height = cl.height;
                 obj.pointCount = cl.pointCount;
-                list->objects.push_back(std::move(obj));
+                list.objects.push_back(std::move(obj));
             }
-
-            const uarch::InvocationCost &cost = result->cost;
-            const auto header = deriveHeader(msg.header);
-            const auto publish = [this, list, header, done = std::move(done)] {
-                const std::size_t bytes = list->byteSize();
-                pub_.publish(header, std::move(*list), bytes);
-                done();
-            };
 
             // The CPU keeps the transforms and extraction, 50% of
             // the measured cost before the device and 45% after; the
             // neighbour search runs as two kernels on the device.
             const double n =
-                static_cast<double>(result->croppedPoints);
+                static_cast<double>(result->value.croppedPoints);
             hw::GpuJob job;
-            job.owner = name();
             job.h2dBytes = n * 16.0;
             const double kflops = 1.1e10 * (n / 3000.0) + 5.0e8;
             job.kernels = {hw::GpuKernel{kflops, n * 64.0, 0.8},
@@ -323,20 +316,16 @@ EuclideanClusterNode::EuclideanClusterNode(
                 64.0 * static_cast<double>(clusters.size()) +
                 1024.0;
 
-            auto pre = cost;
+            auto pre = result->cost;
             pre.cycles *= 0.50;
             pre.dramBytes *= 0.50;
-            auto post = cost;
+            auto post = result->cost;
             post.cycles *= 0.45;
             post.dramBytes *= 0.45;
-
-            std::vector<hw::Phase> phases;
-            phases.push_back(hw::Phase::makeCpu(
-                makeCpuTask(pre, nullptr)));
-            phases.push_back(hw::Phase::makeGpu(std::move(job)));
-            phases.push_back(hw::Phase::makeCpu(
-                makeCpuTask(post, nullptr)));
-            hw::runPhases(machine(), std::move(phases), publish);
+            dispatch({pre, std::move(job), post},
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(list)),
+                     std::move(done));
         });
 }
 
@@ -360,21 +349,19 @@ VisionDetectorNode::VisionDetectorNode(
         [this](const ros::Stamped<world::CameraFrame> &msg,
                std::function<void()> done) {
             // Functional detection (zero virtual time).
-            auto detections = share(detectObjects(
-                msg.data, msg.header.stamp, kind_));
+            ObjectList detections =
+                detectObjects(msg.data, msg.header.stamp, kind_);
 
             // Costs: preprocess / inference / postprocess.
-            beginWork();
-            dnn::preprocessFrame(network_, msg.data.width,
-                                 msg.data.height, profiler());
-            const auto pre_cost = finishWork();
-
-            beginWork();
-            dnn::postprocessFrame(network_, rng_, profiler());
-            const auto post_cost = finishWork();
+            const auto pre = measure([&](uarch::KernelProfiler prof) {
+                return dnn::preprocessFrame(network_, msg.data.width,
+                                            msg.data.height, prof);
+            });
+            const auto post = measure([&](uarch::KernelProfiler prof) {
+                return dnn::postprocessFrame(network_, rng_, prof);
+            });
 
             hw::GpuJob job;
-            job.owner = name();
             job.h2dBytes = dnn::networkH2dBytes(network_);
             job.kernels = kernels_;
             // Residual run-to-run inference jitter (clock/thermal
@@ -383,24 +370,10 @@ VisionDetectorNode::VisionDetectorNode(
             for (hw::GpuKernel &k : job.kernels)
                 k.flops *= gpu_jitter;
             job.d2hBytes = dnn::networkD2hBytes(network_);
-
-            std::vector<hw::Phase> phases;
-            phases.push_back(hw::Phase::makeCpu(
-                makeCpuTask(pre_cost, nullptr)));
-            phases.push_back(hw::Phase::makeGpu(std::move(job)));
-            phases.push_back(hw::Phase::makeCpu(
-                makeCpuTask(post_cost, nullptr)));
-
-            const auto header = deriveHeader(msg.header);
-            hw::runPhases(
-                machine(), std::move(phases),
-                [this, detections, header, done = std::move(done)] {
-                    const std::size_t bytes =
-                        detections->byteSize();
-                    pub_.publish(header, std::move(*detections),
-                                 bytes);
-                    done();
-                });
+            dispatch({pre.cost, std::move(job), post.cost},
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(detections)),
+                     std::move(done));
         });
 }
 
@@ -445,20 +418,16 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                 done();
                 return;
             }
-            beginWork();
-            const geom::Pose2 ego =
-                pose_ ? geom::Pose2{pose_->position, pose_->yaw}
-                      : geom::Pose2{};
             static const ObjectList no_vision;
-            auto fused = share(fuseObjects(msg.data, no_vision, ego,
-                                           kFusion, profiler()));
-            ++lidarOnly_;
-            const ros::Header header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, fused, header, done = std::move(done)] {
-                const std::size_t bytes = fused->byteSize();
-                pub_.publish(header, std::move(*fused), bytes);
-                done();
+            auto fused = measure([&](uarch::KernelProfiler prof) {
+                return fuseObjects(msg.data, no_vision, egoPose(pose_),
+                                   kFusion, prof);
             });
+            ++lidarOnly_;
+            dispatch(fused.cost,
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(fused.value)),
+                     std::move(done));
         });
 
     subscribe<ObjectList>(
@@ -467,15 +436,13 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
                std::function<void()> done) {
             sawVision_ = true;
             lastVisionStamp_ = msg.header.stamp;
-            beginWork();
-            const geom::Pose2 ego =
-                pose_ ? geom::Pose2{pose_->position, pose_->yaw}
-                      : geom::Pose2{};
             static const ObjectList empty;
             const ObjectList &lidar =
                 lastLidar_ ? lastLidar_->data : empty;
-            auto fused = share(fuseObjects(lidar, msg.data, ego,
-                                           kFusion, profiler()));
+            auto fused = measure([&](uarch::KernelProfiler prof) {
+                return fuseObjects(lidar, msg.data, egoPose(pose_),
+                                   kFusion, prof);
+            });
 
             // Lineage: the fused output derives from this camera
             // list *and* the cached LiDAR list (paper Table IV:
@@ -484,12 +451,10 @@ RangeVisionFusionNode::RangeVisionFusionNode(ros::RosGraph &graph,
             if (lastLidar_)
                 header.origins = header.origins.merged(
                     lastLidar_->header.origins);
-
-            finishWorkOnCpu([this, fused, header, done = std::move(done)] {
-                const std::size_t bytes = fused->byteSize();
-                pub_.publish(header, std::move(*fused), bytes);
-                done();
-            });
+            dispatch(fused.cost,
+                     publishing(pub_, std::move(header),
+                                std::move(fused.value)),
+                     std::move(done));
         });
 }
 
@@ -508,15 +473,13 @@ ImmUkfPdaNode::ImmUkfPdaNode(ros::RosGraph &graph,
             sawFused_ = true;
             lastFusedStamp_ = msg.header.stamp;
             lastOrigins_ = msg.header.origins;
-            beginWork();
-            auto tracked = share(tracker_.update(
-                msg.data, msg.header.stamp, profiler()));
-            const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, tracked, header, done = std::move(done)] {
-                const std::size_t bytes = tracked->byteSize();
-                pub_.publish(header, std::move(*tracked), bytes);
-                done();
+            auto tracked = measure([&](uarch::KernelProfiler prof) {
+                return tracker_.update(msg.data, msg.header.stamp, prof);
             });
+            dispatch(tracked.cost,
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(tracked.value)),
+                     std::move(done));
         });
 
     if (degraded) {
@@ -538,14 +501,14 @@ ImmUkfPdaNode::maybeCoast()
         return;
     if (tracker_.confirmedCount() == 0)
         return;
-    auto coasted = share(tracker_.coast(now));
+    ObjectList coasted = tracker_.coast(now);
     lastFusedStamp_ = now; // next coast after another full gap
     ++coasts_;
     ros::Header header;
     header.stamp = now;
     header.origins = lastOrigins_;
-    const std::size_t bytes = coasted->byteSize();
-    pub_.publish(header, std::move(*coasted), bytes);
+    const std::size_t bytes = coasted.byteSize();
+    pub_.publish(header, std::move(coasted), bytes);
 }
 
 // ---------------------------------------------------------------- relay
@@ -559,20 +522,18 @@ TrackRelayNode::TrackRelayNode(ros::RosGraph &graph,
         topics::trackedObjects, 5,
         [this](const ros::Stamped<ObjectList> &msg,
                std::function<void()> done) {
-            beginWork();
-            uarch::OpCounts ops;
-            ops.loads = 20 * msg.data.objects.size() + 2000;
-            ops.stores = 20 * msg.data.objects.size() + 2000;
-            ops.intAlu = 10 * msg.data.objects.size() + 1000;
-            ops.branches = 2 * msg.data.objects.size() + 500;
-            profiler().addOps(ops);
-            auto list = share(msg.data);
-            const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, list, header, done = std::move(done)] {
-                const std::size_t bytes = list->byteSize();
-                pub_.publish(header, std::move(*list), bytes);
-                done();
+            auto relayed = measure([&](uarch::KernelProfiler prof) {
+                const std::size_t n = msg.data.objects.size();
+                prof.addOps({.loads = 20 * n + 2000,
+                             .stores = 20 * n + 2000,
+                             .branches = 2 * n + 500,
+                             .intAlu = 10 * n + 1000});
+                return msg.data;
             });
+            dispatch(relayed.cost,
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(relayed.value)),
+                     std::move(done));
         });
 }
 
@@ -587,15 +548,13 @@ NaiveMotionPredictNode::NaiveMotionPredictNode(
         topics::objects, 1,
         [this](const ros::Stamped<ObjectList> &msg,
                std::function<void()> done) {
-            beginWork();
-            auto predicted = share(
-                predictMotion(msg.data, kPredict, profiler()));
-            const auto header = deriveHeader(msg.header);
-            finishWorkOnCpu([this, predicted, header, done = std::move(done)] {
-                const std::size_t bytes = predicted->byteSize();
-                pub_.publish(header, std::move(*predicted), bytes);
-                done();
+            auto predicted = measure([&](uarch::KernelProfiler prof) {
+                return predictMotion(msg.data, kPredict, prof);
             });
+            dispatch(predicted.cost,
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(predicted.value)),
+                     std::move(done));
         });
 }
 
@@ -620,22 +579,14 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
         topics::predictedObjects, 1,
         [this](const ros::Stamped<ObjectList> &msg,
                std::function<void()> done) {
-            beginWork();
-            const geom::Pose2 ego =
-                pose_ ? geom::Pose2{pose_->position, pose_->yaw}
-                      : geom::Pose2{};
-            auto map = share(generateObjectCostmap(
-                msg.data, ego, kCostmap, profiler()));
-            const auto cost = finishWork();
-            auto task = makeCpuTask(cost, nullptr);
-            task.owner = "costmap_generator_obj";
-            const auto header = deriveHeader(msg.header);
-            task.onComplete = [this, map, header, done = std::move(done)] {
-                const std::size_t bytes = map->byteSize();
-                pub_.publish(header, std::move(*map), bytes);
-                done();
-            };
-            machine().cpu().submit(std::move(task));
+            auto map = measure([&](uarch::KernelProfiler prof) {
+                return generateObjectCostmap(msg.data, egoPose(pose_),
+                                             kCostmap, prof);
+            });
+            dispatch({map.cost, "costmap_generator_obj"},
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(map.value)),
+                     std::move(done));
         });
 
     // Points callback (costmap_generator_points).
@@ -643,22 +594,14 @@ CostmapGeneratorNode::CostmapGeneratorNode(ros::RosGraph &graph,
         topics::pointsNoGround, 1,
         [this](const ros::Stamped<pc::PointCloud> &msg,
                std::function<void()> done) {
-            beginWork();
-            const geom::Pose2 ego =
-                pose_ ? geom::Pose2{pose_->position, pose_->yaw}
-                      : geom::Pose2{};
-            auto map = share(generatePointsCostmap(
-                msg.data, ego, kCostmap, profiler()));
-            const auto cost = finishWork();
-            auto task = makeCpuTask(cost, nullptr);
-            task.owner = "costmap_generator_points";
-            const auto header = deriveHeader(msg.header);
-            task.onComplete = [this, map, header, done = std::move(done)] {
-                const std::size_t bytes = map->byteSize();
-                pub_.publish(header, std::move(*map), bytes);
-                done();
-            };
-            machine().cpu().submit(std::move(task));
+            auto map = measure([&](uarch::KernelProfiler prof) {
+                return generatePointsCostmap(msg.data, egoPose(pose_),
+                                             kCostmap, prof);
+            });
+            dispatch({map.cost, "costmap_generator_points"},
+                     publishing(pub_, deriveHeader(msg.header),
+                                std::move(map.value)),
+                     std::move(done));
         });
 }
 

@@ -61,36 +61,15 @@ inline constexpr const char *watched[] = {
 // ------------------------------------------------- shared front end
 //
 // What one invocation of each LiDAR front-end node computes, as its
-// drive's InvocationMemo stores it (DESIGN.md §10). Every result is
-// a pure function of the node's input key and its NodeArchState.
-
-/** ray_ground_filter: the split of one scan, as indices into it. */
-struct RayGroundInvocation
-{
-    GroundIndices split;
-    uarch::InvocationCost cost;
-};
-
-/** voxel_grid_filter: the downsampled scan. */
-struct VoxelGridInvocation
-{
-    pc::PointCloud filtered;
-    uarch::InvocationCost cost;
-};
-
-/** ndt_matching: one alignment. */
-struct NdtInvocation
-{
-    NdtResult result;
-    uarch::InvocationCost cost;
-};
+// drive's InvocationMemo stores it (DESIGN.md §10): the node's
+// measure() result, a pure function of the node's input key and its
+// NodeArchState.
 
 /** What one euclidean_cluster invocation computes from its cloud. */
 struct ClusterInvocation
 {
     std::vector<Cluster> clusters; ///< vehicle frame
     std::size_t croppedPoints = 0; ///< sizes the GPU job
-    uarch::InvocationCost cost;
 };
 
 /**
@@ -107,10 +86,10 @@ struct NdtInput
 };
 
 /** The nodes fed by one scan key on its `origins.lidar` stamp. */
-using RayGroundMemo = InvocationMemo<RayGroundInvocation, sim::Tick>;
-using VoxelGridMemo = InvocationMemo<VoxelGridInvocation, sim::Tick>;
-using NdtMemo = InvocationMemo<NdtInvocation, NdtInput>;
-using ClusterMemo = InvocationMemo<ClusterInvocation, sim::Tick>;
+using RayGroundMemo = InvocationMemo<Measured<GroundIndices>, sim::Tick>;
+using VoxelGridMemo = InvocationMemo<Measured<pc::PointCloud>, sim::Tick>;
+using NdtMemo = InvocationMemo<Measured<NdtResult>, NdtInput>;
+using ClusterMemo = InvocationMemo<Measured<ClusterInvocation>, sim::Tick>;
 
 /** One drive's memos; a null memo leaves its node computing live. */
 struct FrontEndMemos

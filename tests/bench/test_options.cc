@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +159,23 @@ TEST(BenchOptions, BadBooleanValueDiagnostic)
               std::string::npos);
 }
 
+TEST(BenchOptions, IntegerBelowItsMinimumDiagnostic)
+{
+    const std::string what = diagnostic([] {
+        BenchOptions opts = commonOptions();
+        parse(opts, {"--duration", "0"});
+    });
+    EXPECT_NE(what.find("--duration expects an integer >= 1, got '0'"),
+              std::string::npos);
+    EXPECT_NE(what.find("options:"), std::string::npos);
+
+    // The minimum itself is accepted.
+    BenchOptions opts = commonOptions();
+    parse(opts, {"--duration", "1", "--jobs", "0"});
+    EXPECT_EQ(opts.integer("duration"), 1);
+    EXPECT_EQ(opts.integer("jobs"), 0);
+}
+
 TEST(BenchOptions, UsageListsEveryDeclaredOption)
 {
     const std::string usage = commonOptions().usage();
@@ -232,6 +250,23 @@ TEST(FlagsDeath, UnknownFlagFatal)
     EXPECT_EXIT(parseOrExit(BenchOptions().flag("yep", "yep"), 2,
                             argv.data()),
                 ::testing::ExitedWithCode(2), "unknown flag");
+}
+
+TEST(FlagsDeath, BadCommonValuesExitWithUsage)
+{
+    // A bench rejects these while parsing: exit status 2 and the
+    // usage text, never an assertion. A bare "30" (the examples'
+    // old form) must not run a default-length drive either.
+    for (const auto &[bad, why] :
+         {std::pair{"--duration=0", "--duration expects an integer >= 1"},
+          std::pair{"--jobs=-2", "--jobs expects an integer >= 0"},
+          std::pair{"30", "unexpected argument '30'"}}) {
+        std::vector<char *> argv = {const_cast<char *>("prog"),
+                                    const_cast<char *>(bad)};
+        EXPECT_EXIT(av::bench::BenchEnv(2, argv.data()),
+                    ::testing::ExitedWithCode(2), why)
+            << bad;
+    }
 }
 
 } // namespace

@@ -239,7 +239,7 @@ TEST(Runner, SharedClusteringIsByteIdenticalAcrossJobs)
                 << specs[i].label << ": jobs=" << jobs
                 << " differs from a memo-less replay";
         }
-        EXPECT_GT(runner.clustersShared(), 0u) << "jobs=" << jobs;
+        EXPECT_GT(runner.shared().cluster, 0u) << "jobs=" << jobs;
     }
 }
 
@@ -340,7 +340,7 @@ TEST(Runner, SpentClusterBudgetKeepsResultsAndStopsGrowing)
 
     constexpr std::size_t kBudget = 12;
     const auto memo = std::make_shared<perception::ClusterMemo>(kBudget);
-    drive->clusterMemo = memo;
+    drive->memos.cluster = memo;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_EQ(serialized(dir, "memo-" + std::to_string(i),
                              replay(specs[i])),
@@ -377,13 +377,13 @@ TEST(Runner, ThrowingClusterProducerReleasesWaiters)
     const ClusterMemo::Step step =
         memo.step(ClusterMemo::kRoot, kScan, [] {
             ClusterMemo::Entry entry;
-            entry.result.croppedPoints = 7;
+            entry.result.value.croppedPoints = 7;
             return entry;
         });
     thrower.join();
     EXPECT_FALSE(step.adopt);
     EXPECT_TRUE(step.stored);
-    EXPECT_EQ(step.entry->result.croppedPoints, 7u);
+    EXPECT_EQ(step.entry->result.value.croppedPoints, 7u);
     EXPECT_EQ(memo.entries(), 1u);
 
     // The entry is now stored: the next replay adopts it.
